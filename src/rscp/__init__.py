@@ -14,7 +14,6 @@ voxel grids of |psi|^2, extracts isosurfaces and plane contours, and
 cross-checks everything against independent numerical oracles.
 """
 
-from ._accel import active_backend, use_numba
 from .density import (DegenerateGridError, DensityGrid, GridSpec,
                       auto_extent, build_grid, density_at, grid_mass,
                       normalize_relative)
@@ -55,6 +54,4 @@ __all__ = [
     "VerificationReport", "ConvergenceError", "quad_radial_norm",
     "quad_angular_norm", "ode_residuals", "hydrogen_oracle",
     "sweep_statistics", "verify_state",
-    # backend
-    "active_backend", "use_numba",
 ]

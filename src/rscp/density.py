@@ -4,6 +4,15 @@ rho = (1/2pi) (u^2/r^2) H^2(z/r) with r = sqrt(x^2+y^2+z^2).  Grids are
 vertex-aligned cubes [-h, h]^3 with an odd point count so the axis planes
 are sampled exactly, which is what makes the parity and x<->y symmetry
 claims exact instead of approximate.
+
+One vectorized kernel evaluates, for a precomputed state payload,
+
+    rho = exp(t) S(x2)^2 F(w)^2 / (2 pi r^2)
+    t   = rad2 + 2(l'+1) ln w - w + ang2 + gamma1 ln(x2) + m' ln(sin2)
+
+with w = (2Z/n') r, x2 = z^2/r^2, sin2 = (x^2+y^2)/r^2.  Everything
+angular enters through squares; axis terms with a vanishing base are
+analytic zeros and are masked out instead of taking their logs.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from . import _gridkernel
 from .specfun import UalpSpec, _evaluator, kummer_coefficients
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
                      _radial_log_prefactor, map_quantum_numbers)
@@ -32,6 +40,9 @@ __all__ = [
 ]
 
 
+_TWO_PI = 2.0 * math.pi
+
+
 class DegenerateGridError(ValueError):
     """All-zero grid where a positive maximum is required."""
 
@@ -46,8 +57,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be an odd integer >= 3, got {self.n_points}")
-        if not self.half_extent > 0.0:
-            raise ValueError(f"half_extent must be positive, got {self.half_extent}")
+        if not (self.half_extent > 0.0 and math.isfinite(self.half_extent)):
+            raise ValueError("half_extent must be positive and finite,"
+                             f" got {self.half_extent}")
 
     @property
     def spacing(self) -> float:
@@ -76,16 +88,43 @@ class DensityGrid:
 
 
 def _state_payload(labels: StateLabels, params: PotentialParams):
-    """Plain-number payload the grid kernels evaluate from."""
+    """Per-state constants the density kernel evaluates from."""
     q = map_quantum_numbers(labels, params)
     ev = _evaluator(UalpSpec(q.k, q.gamma1, q.m_prime))
-    a = np.ascontiguousarray(ev.poly_scaled)
-    d = np.ascontiguousarray(kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0))
+    a = ev.poly_scaled
+    d = kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0)
     ang2 = 2.0 * ev.front_log
     rad2 = 2.0 * _radial_log_prefactor(q, params)
     lp1 = q.l_prime + 1.0
     q2 = 2.0 * params.Z / q.n_prime
     return q, (a, d, ang2, q.m_prime, q.gamma1, rad2, lp1, q2)
+
+
+def _density(s, z, payload):
+    """rho for arrays of s = x^2 + y^2 and z (broadcast together)."""
+    a, d, ang2, m_prime, gamma1, rad2, lp1, q2 = payload
+    r2 = s + z * z
+    dead = r2 == 0.0
+    safe = np.where(dead, 1.0, r2)
+    x2 = (z * z) / safe
+    sin2 = s / safe
+    w = q2 * np.sqrt(safe)
+    t = rad2 + 2.0 * lp1 * np.log(w) - w + ang2
+    if gamma1 != 0.0:
+        dead = dead | (x2 == 0.0)
+        t = t + gamma1 * np.log(np.where(x2 > 0.0, x2, 1.0))
+    if m_prime != 0.0:
+        dead = dead | (sin2 == 0.0)
+        t = t + m_prime * np.log(np.where(sin2 > 0.0, sin2, 1.0))
+    S = np.full_like(t, a[-1])
+    for p in range(len(a) - 2, -1, -1):
+        S = S * x2 + a[p]
+    F = np.full_like(t, d[-1])
+    for p in range(len(d) - 2, -1, -1):
+        F = F * w + d[p]
+    out = np.exp(t) * S * S * F * F / (_TWO_PI * safe)
+    out[dead] = 0.0
+    return out
 
 
 def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
@@ -94,7 +133,7 @@ def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     za = np.atleast_1d(np.asarray(z, dtype=float))
-    vals = _gridkernel.eval_points(xa, ya, za, payload)
+    vals = _density(xa * xa + ya * ya, za, payload)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(vals[0])
     return vals
@@ -104,13 +143,21 @@ def build_grid(labels: StateLabels, params: PotentialParams,
                spec: GridSpec) -> DensityGrid:
     """Evaluate the density at every voxel of the lattice.
 
-    Voxels are independent pure evaluations, so the parallel numba path
-    is bit-identical to serial evaluation.
+    The density reads the coordinates only through x^2, y^2 and z^2, and
+    ``GridSpec.coords`` is exactly antisymmetric in IEEE arithmetic, so
+    the x, y, z >= 0 octant is evaluated and mirrored by index.  The
+    result is bitwise the voxel-by-voxel evaluation of the whole lattice.
     """
     q, payload = _state_payload(labels, params)
-    coords = spec.coords()
-    values = np.empty((spec.n_points,) * 3)
-    _gridkernel.fill_grid(values, coords, payload)
+    c = (spec.n_points - 1) // 2
+    half = spec.coords()[c:]
+    s = half[:, None] ** 2 + half[None, :] ** 2
+    octant = np.empty((c + 1,) * 3)
+    # one z-slice at a time keeps the temporaries at O(N^2)
+    for k in range(c + 1):
+        octant[:, :, k] = _density(s, half[k], payload)
+    mirror = np.abs(np.arange(spec.n_points) - c)
+    values = octant[np.ix_(mirror, mirror, mirror)]
     return DensityGrid(spec, values, float(values.max()),
                        labels, params, q, rescaled=False)
 

@@ -61,6 +61,9 @@ class PotentialParams:
     c: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("Z", self.Z), ("b", self.b), ("c", self.c)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.Z > 0.0:
             raise ValueError(f"Z must be positive, got {self.Z}")
         if self.c < 0.0:

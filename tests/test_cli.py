@@ -70,6 +70,18 @@ def test_state_inadmissible_is_validation_error(capsys):
     assert doc["error"]["message"]
 
 
+def test_non_finite_input_is_validation_error(tmp_path, capsys):
+    vtk = tmp_path / "d.vtk"
+    for argv in (["state", "--n", "2", "--l", "1", "--m", "0", "--b", "nan"],
+                 ["grid", "--n", "2", "--l", "1", "--m", "0", "--N", "5",
+                  "--extent", "inf", "--output", str(vtk)]):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert "NaN" not in out and "Infinity" not in out
+        assert json.loads(out)["error"]["type"] == "ValueError"
+    assert not vtk.exists()
+
+
 # ---------------------------------------------------------------- potential
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from rscp import _accel
 from rscp.density import (DegenerateGridError, DensityGrid, GridSpec,
                           auto_extent, build_grid, density_at, grid_mass,
                           normalize_relative)
@@ -86,6 +85,8 @@ def test_grid_spec_validation():
         GridSpec(1, 10.0)     # too small
     with pytest.raises(ValueError):
         GridSpec(151, 0.0)    # degenerate extent
+    with pytest.raises(ValueError):
+        GridSpec(5, math.inf)  # non-finite extent
     assert GridSpec(151, 12.0).spacing == pytest.approx(24.0 / 150.0)
     coords = GridSpec(5, 2.0).coords()
     assert np.array_equal(coords, [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -182,22 +183,23 @@ def test_grid_mass_zero_grid():
     assert grid_mass(zero) == 0.0
 
 
-# ----------------------------------------------------------------- backends
+# ------------------------------------------------------------- octant mirror
 
 
-def test_backends_agree():
-    if not _accel.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    spec = GridSpec(41, 9.0)
-    saved = _accel.PURE_NUMPY
-    try:
-        _accel.PURE_NUMPY = False
-        fast = build_grid(*RING, spec)
-        _accel.PURE_NUMPY = True
-        slow = build_grid(*RING, spec)
-    finally:
-        _accel.PURE_NUMPY = saved
-    assert np.allclose(fast.values, slow.values, rtol=1e-12, atol=1e-300)
+@pytest.mark.parametrize("n_points", [3, 5, 41])
+@pytest.mark.parametrize("labels, params", [
+    (StateLabels(2, 1, 0), PotentialParams()),
+    (StateLabels(6, 5, 0), PotentialParams(1.0, 0.5, 0.5)),
+    (StateLabels(5, 3, 2), PotentialParams(1.0, 0.5, 5.0)),
+    (StateLabels(4, 3, -2), PotentialParams(1.0, 1.7, 0.0)),
+    (StateLabels(3, 2, 1), PotentialParams(2.0, 0.5, 0.5)),
+])
+def test_build_grid_bitwise_equals_full_lattice(labels, params, n_points):
+    spec = GridSpec(n_points, 12.0)
+    coords = spec.coords()
+    x, y, z = np.meshgrid(coords, coords, coords, indexing="ij")
+    full = density_at(labels, params, x, y, z)
+    assert np.array_equal(build_grid(labels, params, spec).values, full)
 
 
 def test_backend_determinism_bitwise():

@@ -86,6 +86,16 @@ def test_map_domain_errors():
     with pytest.raises(ValueError):
         PotentialParams(0.0, 0.0, 0.0)        # Z <= 0
     with pytest.raises(ValueError):
+        PotentialParams(math.inf, 0.0, 0.0)   # non-finite Z
+    with pytest.raises(ValueError):
+        PotentialParams(1.0, math.nan, 0.0)   # non-finite b
+    with pytest.raises(ValueError):
+        PotentialParams(1.0, -math.inf, 0.0)  # non-finite b
+    with pytest.raises(ValueError):
+        PotentialParams(1.0, 0.0, math.inf)   # non-finite c
+    with pytest.raises(ValueError):
+        PotentialParams(1.0, 0.0, math.nan)   # non-finite c
+    with pytest.raises(ValueError):
         StateLabels(2, 2, 0)                  # l > n-1 means n_r < 0
     with pytest.raises(ValueError):
         StateLabels(3, 1, 2)                  # |m| > l
