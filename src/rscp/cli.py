@@ -19,11 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .density import (DensityGrid, GridSpec, auto_extent, build_grid,
-                      normalize_relative)
+from .density import (DensityGrid, GridSpec, _check_coverage, auto_extent,
+                      build_grid, normalize_relative)
 from .states import (PoleError, PotentialParams, StateLabels,
                      map_quantum_numbers, potential_V)
-from .surface import apply_cutaway, marching_cubes, slice_contour
+from .surface import (_check_contour_level, _check_iso_level, apply_cutaway,
+                      marching_cubes, slice_contour)
 from .verify import verify_state
 
 __all__ = ["main", "build_parser", "JobSpec", "RunSpec"]
@@ -287,6 +288,9 @@ def _parse_job(path: str, output_override: str | None,
         raise ValueError(f"workers must be >= 1, got {workers}")
     runs = []
     for i, entry in enumerate(raw["runs"]):
+        for key in ("n", "l", "m"):
+            if key not in entry:
+                raise ValueError(f"run {i}: missing required key {key!r}")
         outputs = tuple(entry.get("outputs", ("grid",)))
         for o in outputs:
             if o not in _RUN_OUTPUTS:
@@ -370,6 +374,10 @@ def cmd_sweep(args) -> int:
         try:
             map_quantum_numbers(run.labels, run.params)
             GridSpec(run.n_points, run.extent if run.extent else 1.0)
+            _check_coverage(run.coverage)
+            _check_iso_level(run.level)
+            for level in run.levels:
+                _check_contour_level(level)
         except ValueError as exc:
             invalid[run.index] = str(exc)
 

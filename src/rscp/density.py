@@ -200,11 +200,15 @@ def _radial_cumulative(q: QuasiNumbers, params: PotentialParams, h: float,
     return total
 
 
+def _check_coverage(coverage: float) -> None:
+    if not 0.0 < coverage < 1.0:
+        raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
+
+
 def auto_extent(labels: StateLabels, params: PotentialParams,
                 coverage: float = 0.999) -> float:
     """Smallest h with int_0^h u^2 dr >= coverage, by bisection."""
-    if not 0.0 < coverage < 1.0:
-        raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
+    _check_coverage(coverage)
     q = map_quantum_numbers(labels, params)
     # bracket: grow from the Coulomb-like scale until coverage is met
     hi = max(q.n_prime * q.n_prime / params.Z, 1.0)

@@ -13,12 +13,10 @@ and only decoded after a common scale has been factored out.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "SignedLogValue",
@@ -163,11 +161,6 @@ def _norm_log(spec: UalpSpec) -> float:
         - log_gamma(k + g1 + 1) - log_gamma(2 * k + 2 * g1 + 2 * mp + 1))
 
 
-@lru_cache(maxsize=64)
-def _gauss_nodes(n: int):
-    return roots_legendre(n)
-
-
 @dataclass(frozen=True)
 class _AngularEvaluator:
     """Decoded, overflow-safe form of one HFamily member.
@@ -181,7 +174,6 @@ class _AngularEvaluator:
     poly_scaled: np.ndarray          # ascending powers of x^2, length k+1
     front_log: float                 # ln(norm) + max coefficient log
     integer_gamma1: bool
-    norm_source: str                 # "closed_form" or "quadrature"
 
     def poly(self, x2):
         s = np.zeros_like(x2)
@@ -206,7 +198,9 @@ class _AngularEvaluator:
         return amp
 
 
-def _raw_evaluator(spec: UalpSpec) -> _AngularEvaluator:
+@lru_cache(maxsize=256)
+def _evaluator(spec: UalpSpec) -> _AngularEvaluator:
+    """Decode and cache one member; rscp.verify checks its constant."""
     coeffs = ualp_coefficients(spec)
     front = max(c.log_magnitude for c in coeffs)
     scaled = np.zeros(spec.k + 1)
@@ -214,38 +208,8 @@ def _raw_evaluator(spec: UalpSpec) -> _AngularEvaluator:
         if c.sign != 0:
             # coefficient of x^(2k-2nu) sits at power j = k - nu of x^2
             scaled[spec.k - nu] = c.sign * math.exp(c.log_magnitude - front)
-    g1_int = float(spec.gamma1).is_integer()
     return _AngularEvaluator(spec, scaled, _norm_log(spec) + front,
-                             g1_int, "closed_form")
-
-
-@lru_cache(maxsize=256)
-def _evaluator(spec: UalpSpec) -> _AngularEvaluator:
-    """Build and cache the evaluator, cross-checking normalization.
-
-    The closed-form constant is verified once against quadrature of H^2
-    on [-1, 1]; if they disagree beyond 1e-8 the quadrature value wins
-    and a diagnostic warning is issued.
-    """
-    ev = _raw_evaluator(spec)
-    norm = _h_squared_integral(ev)
-    if abs(norm - 1.0) > 1e-8:
-        warnings.warn(
-            f"closed-form normalization off by {norm - 1.0:.3e} for {spec}; "
-            "using the quadrature constant instead", RuntimeWarning)
-        ev = _AngularEvaluator(spec, ev.poly_scaled,
-                               ev.front_log - 0.5 * math.log(norm),
-                               ev.integer_gamma1, "quadrature")
-    return ev
-
-
-def _h_squared_integral(ev: _AngularEvaluator, nodes: int = 2048) -> float:
-    # H^2 is even in x under either gamma1 convention, so integrate [0,1]
-    # (the cusp sits at the panel edge x=0) and double.
-    x0, w0 = _gauss_nodes(nodes)
-    x = 0.5 * (x0 + 1.0)
-    h = ev.h_values(x)
-    return float(np.sum(w0 * h * h))  # 2 * (1/2) panel scale
+                             float(spec.gamma1).is_integer())
 
 
 def angular_H(spec: UalpSpec, x):

@@ -76,12 +76,21 @@ def _triangle_area(p0, p1, p2) -> float:
     return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
 
 
+def _check_iso_level(level: float) -> None:
+    if not 0.0 < level < 100.0:
+        raise ValueError(f"level must lie in (0, 100), got {level}")
+
+
+def _check_contour_level(level: float) -> None:
+    if not 0.0 < level <= 100.0:
+        raise ValueError(f"contour level must lie in (0, 100], got {level}")
+
+
 def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     """Extract the iso-level surface of a rescaled grid, level in (0,100)."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
-    if not 0.0 < level < 100.0:
-        raise ValueError(f"level must lie in (0, 100), got {level}")
+    _check_iso_level(level)
     vals = grid.values
     n = grid.spec.n_points
     coords = grid.spec.coords().tolist()
@@ -470,8 +479,7 @@ def slice_contour(grid: DensityGrid, levels=None) -> list[ContourSet]:
     q = grid.spec.coords()[c:].tolist()
     out = []
     for level in levels:
-        if not 0.0 < level <= 100.0:
-            raise ValueError(f"contour level must lie in (0, 100], got {level}")
+        _check_contour_level(level)
         segs = _square_segments(plane, q, q, float(level))
         out.append(ContourSet(float(level), _chain_segments(segs)))
     return out

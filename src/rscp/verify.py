@@ -1,7 +1,8 @@
 """Independent numerical cross-checks for the closed-form solutions.
 
 Every check here avoids the evaluation path it is judging: normalization
-integrals use panel Gauss-Legendre quadrature with doubled resolution,
+integrals and expectations apply weighted Gauss rules (Jacobi, Laguerre),
+exact on polynomial-times-weight integrands, to the served functions;
 differential-equation residuals rebuild the polynomial factors from a
 term-ratio recurrence (sharing only log_gamma with the main code), and
 the hydrogen oracle goes through scipy's Laguerre/Legendre routines.
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, lpmv, roots_legendre
+from scipy.special import (betaln, eval_genlaguerre, eval_jacobi, gammaln,
+                           logsumexp, lpmv, roots_genlaguerre, roots_jacobi)
 
 from .density import DensityGrid, grid_mass
 from .specfun import UalpSpec, angular_H
@@ -35,37 +37,70 @@ __all__ = [
     "angular_expectation_abs_x",
 ]
 
-_NODE_START = 64
-_NODE_CAP = 16384
-_QUAD_TOL = 1e-12
-
 
 class ConvergenceError(RuntimeError):
-    """Raised when node doubling hits the panel cap without settling."""
+    """Raised when the radial tail bound does not close."""
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int):
-    return roots_legendre(n)
+# Gauss rules return nodes and log-weights.  scipy's float weights carry
+# the mass of the weight, which overflows for large orders, so they are
+# rebuilt from the nodes in the Christoffel form and normalized in log
+# space (Golub & Welsch, Math. Comp. 23, 1969).
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(n: int, alpha: float, beta: float):
+    """n-point Gauss rule for (1-t)^alpha t^beta dt on (0, 1)."""
+    with np.errstate(over="ignore"):
+        y = roots_jacobi(n, alpha, beta)[0]
+    # w_i ~ 1 / ((1 - y_i^2) P_n'(y_i)^2), P_n' ~ P_(n-1)^(alpha+1, beta+1)
+    log_w = -np.log1p(-y * y) - 2.0 * np.log(np.abs(
+        eval_jacobi(n - 1, alpha + 1.0, beta + 1.0, y)))
+    return (0.5 * (1.0 + y),
+            log_w - logsumexp(log_w) + betaln(alpha + 1.0, beta + 1.0))
 
 
-def _integrate(f, panels) -> float:
-    """Gauss-Legendre over fixed panels, doubling nodes until stable."""
-    previous = None
-    n = _NODE_START
-    while n <= _NODE_CAP:
-        total = 0.0
-        x, w = _gl_nodes(n)
-        for a, b in panels:
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            total += half * float(np.sum(w * f(mid + half * x)))
-        if previous is not None and abs(total - previous) < _QUAD_TOL:
-            return total
-        previous = total
-        n *= 2
-    raise ConvergenceError(
-        f"quadrature did not stabilize below {_QUAD_TOL} within {_NODE_CAP} nodes")
+@lru_cache(maxsize=256)
+def _laguerre_rule(n: int, alpha: float):
+    """n-point Gauss rule for w^alpha e^-w dw on (0, inf)."""
+    x = roots_genlaguerre(n, alpha)[0]
+    # w_i ~ 1 / (x_i L_n'(x_i)^2), L_n' = -L_(n-1)^(alpha+1)
+    log_w = -np.log(x) - 2.0 * np.log(np.abs(
+        eval_genlaguerre(n - 1, alpha + 1.0, x)))
+    return x, log_w - logsumexp(log_w) + gammaln(alpha + 1.0)
+
+
+def _angular_moment(labels: StateLabels, params: PotentialParams,
+                    power: int) -> float:
+    """int_{-1}^{1} |x|^power H(x)^2 dx, exact by Gauss-Jacobi in t = x^2.
+
+    H^2 = (1-t)^m' t^gamma1 P(t) with deg P = 2k, so k + 1 nodes are
+    exact; P is the served H^2 divided by the weight.
+    """
+    q = map_quantum_numbers(labels, params)
+    t, log_w = _jacobi_rule(q.k + 1, q.m_prime, q.gamma1 + 0.5 * (power - 1))
+    h = angular_H(UalpSpec(q.k, q.gamma1, q.m_prime), np.sqrt(t))
+    with np.errstate(divide="ignore"):          # a node may be a zero of P
+        log_p = (2.0 * np.log(np.abs(h)) - q.m_prime * np.log1p(-t)
+                 - q.gamma1 * np.log(t))
+    return float(np.sum(np.exp(log_w + log_p)))
+
+
+def _radial_moment(labels: StateLabels, params: PotentialParams,
+                   power: int) -> float:
+    """int_0^inf r^power u(r)^2 dr (power <= 1), exact by Gauss-Laguerre.
+
+    With w = 2Zr/n', u^2 = w^(2l'+2) e^-w P(w) with deg P = 2 n_r, so
+    n_r + 1 nodes are exact; P is the served u^2 divided by the weight.
+    """
+    q = map_quantum_numbers(labels, params)
+    alpha = 2.0 * q.l_prime + 2.0
+    w, log_w = _laguerre_rule(q.n_r + 1, alpha)
+    scale = q.n_prime / (2.0 * params.Z)
+    u = radial_u(q, params, scale * w)
+    with np.errstate(divide="ignore"):          # a node may be a zero of P
+        log_p = 2.0 * np.log(np.abs(u)) - alpha * np.log(w) + w
+    return scale ** (power + 1) * float(np.sum(w ** power
+                                               * np.exp(log_w + log_p)))
 
 
 def radial_domain(q: QuasiNumbers, params: PotentialParams) -> float:
@@ -86,45 +121,24 @@ def radial_domain(q: QuasiNumbers, params: PotentialParams) -> float:
     raise ConvergenceError("radial tail bound did not close")
 
 
-def _radial_panels(R: float, n_panels: int = 8):
-    edges = np.linspace(0.0, R, n_panels + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def quad_radial_norm(labels: StateLabels, params: PotentialParams) -> float:
     """Quadrature value of the radial norm integral (1 when correct)."""
-    q = map_quantum_numbers(labels, params)
-    R = radial_domain(q, params)
-    return _integrate(lambda r: radial_u(q, params, r) ** 2,
-                      _radial_panels(R))
+    return _radial_moment(labels, params, 0)
 
 
 def quad_angular_norm(labels: StateLabels, params: PotentialParams) -> float:
-    """Quadrature value of the colatitude norm integral (1 when correct).
-
-    The integrand is even, and the cusp points x = 0 and x = 1 sit on
-    panel boundaries so Gauss nodes never touch them.
-    """
-    q = map_quantum_numbers(labels, params)
-    spec = UalpSpec(q.k, q.gamma1, q.m_prime)
-    return 2.0 * _integrate(lambda x: angular_H(spec, x) ** 2,
-                            [(0.0, 0.5), (0.5, 1.0)])
+    """Quadrature value of the colatitude norm integral (1 when correct)."""
+    return _angular_moment(labels, params, 0)
 
 
 def radial_expectation_r(labels: StateLabels, params: PotentialParams) -> float:
     """<r> from the radial factor alone (angular part integrates to 1)."""
-    q = map_quantum_numbers(labels, params)
-    R = radial_domain(q, params)
-    return _integrate(lambda r: r * radial_u(q, params, r) ** 2,
-                      _radial_panels(R))
+    return _radial_moment(labels, params, 1)
 
 
 def angular_expectation_abs_x(labels: StateLabels, params: PotentialParams) -> float:
     """<|cos theta|> from the colatitude factor alone."""
-    q = map_quantum_numbers(labels, params)
-    spec = UalpSpec(q.k, q.gamma1, q.m_prime)
-    return 2.0 * _integrate(lambda x: x * angular_H(spec, x) ** 2,
-                            [(0.0, 0.5), (0.5, 1.0)])
+    return _angular_moment(labels, params, 1)
 
 
 # ------------------------------------------------------------ ODE residuals

@@ -237,6 +237,13 @@ def test_verify_ok(capsys):
         "angular_residual_max"}
 
 
+def test_verify_near_hydrogen_exits_ok(capsys):
+    code, out = run_cli(capsys, "verify", "--n", "6", "--l", "1", "--m", "0",
+                        "--b", "1e-3", "--c", "1e-3")
+    assert code == EXIT_OK
+    assert json.loads(out)["all_passed"] is True
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -312,3 +319,35 @@ def test_sweep_bad_output_kind(tmp_path, capsys):
                                           "outputs": ["movie"]}]}))
     code, out = run_cli(capsys, "sweep", "--jobs", str(path))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("field", [{"level": 150}, {"levels": [10, 150]},
+                                   {"grid": {"n_points": 21,
+                                             "coverage": 1.5}}])
+def test_sweep_out_of_range_field_is_invalid_run(tmp_path, capsys, field):
+    job = dict(JOB, output_dir=str(tmp_path / "out"))
+    job["runs"] = [JOB["runs"][0], dict(JOB["runs"][2], **field)]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, _ = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["ok", "invalid"]
+    assert "must lie in" in runs[1]["reason"]
+    assert runs[1]["artifacts"] == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "manifest.json", "run_000_n2l1m0.vtk", "run_000_n2l1m0_slice.csv"]
+
+
+@pytest.mark.parametrize("key", ["n", "l", "m"])
+def test_sweep_missing_required_key(tmp_path, capsys, key):
+    run = {"n": 2, "l": 1, "m": 0, "outputs": ["grid"]}
+    del run[key]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                "runs": [JOB["runs"][0], run]}))
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    message = json.loads(out)["error"]["message"]
+    assert "run 1" in message and repr(key) in message
+    assert not (tmp_path / "out").exists()

@@ -2,18 +2,112 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import betaln, gammaln, logsumexp
 
+from rscp import specfun, states
 from rscp.density import GridSpec, auto_extent, build_grid
-from rscp.states import (PotentialParams, StateLabels, map_quantum_numbers,
-                         radial_u)
-from rscp.verify import (CheckResult, ConvergenceError, _integrate,
+from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
+                         map_quantum_numbers, radial_u)
+from rscp.verify import (CheckResult, _jacobi_rule, _laguerre_rule,
                          angular_expectation_abs_x, hydrogen_oracle,
                          ode_residuals, quad_angular_norm, quad_radial_norm,
                          radial_domain, radial_expectation_r,
                          sweep_statistics, verify_state)
+
+# ----------------------------------------------------------- Gauss rules
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("alpha, beta", [(0.0, -0.5), (0.7071068, 0.8660254),
+                                         (3.0, 1.0), (14.9, 10.5),
+                                         (1000.0, 0.87)])
+def test_jacobi_rule_exact_moments(n, alpha, beta):
+    # int_0^1 (1-t)^alpha t^(beta+j) dt = B(beta+j+1, alpha+1), j <= 2n-1
+    t, log_w = _jacobi_rule(n, alpha, beta)
+    assert np.all((t > 0.0) & (t < 1.0))
+    for j in range(2 * n):
+        got = logsumexp(log_w + j * np.log(t))
+        assert abs(got - betaln(beta + j + 1.0, alpha + 1.0)) < 2e-12, j
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("alpha", [2.0, 4.1462644, 50.3, 200.0, 2000.0])
+def test_laguerre_rule_exact_moments(n, alpha):
+    # int_0^inf w^(alpha+j) e^-w dw = Gamma(alpha+j+1), j <= 2n-1; the
+    # mass overflows a float past alpha ~ 170, so compare logs
+    x, log_w = _laguerre_rule(n, alpha)
+    for j in range(2 * n):
+        got = logsumexp(log_w + j * np.log(x))
+        want = gammaln(alpha + j + 1.0)
+        assert abs(got - want) < 1e-14 * max(1.0, want), j
+
+
+_SCAN_BARRIERS = (0.0, 1e-10, 1e-6, 1e-3, 0.5, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("b", _SCAN_BARRIERS)
+@pytest.mark.parametrize("c", _SCAN_BARRIERS)
+def test_closed_form_constants_scan(b, c):
+    # the closed-form normalizations hold over n <= 8 with no run-time
+    # correction; the angular factor depends only on (l, |m|)
+    params = PotentialParams(1.0, b, c)
+    for n in range(1, 9):
+        for l in range(n):
+            for m in range(l + 1):
+                labels = StateLabels(n, l, m)
+                try:
+                    map_quantum_numbers(labels, params)
+                except NoGammaBranchError:
+                    continue
+                assert abs(quad_radial_norm(labels, params) - 1.0) < 1e-10
+                if n == l + 1:
+                    assert abs(quad_angular_norm(labels, params)
+                               - 1.0) < 1e-10, (l, m)
+
+
+@pytest.fixture
+def fresh_evaluators():
+    specfun._evaluator.cache_clear()
+    yield
+    specfun._evaluator.cache_clear()
+
+
+def test_norm_checks_detect_wrong_constants(monkeypatch, fresh_evaluators):
+    labels, params = StateLabels(5, 2, 1), PotentialParams(1, 0.5, 3.0)
+    assert verify_state(labels, params).all_passed
+    norm_log = specfun._norm_log
+    monkeypatch.setattr(specfun, "_norm_log",
+                        lambda spec: norm_log(spec) + 1e-7)
+    specfun._evaluator.cache_clear()
+    failed = {c.name for c in verify_state(labels, params).checks
+              if not c.passed}
+    assert failed == {"angular_norm"}
+    monkeypatch.undo()
+    specfun._evaluator.cache_clear()
+    prefactor = states._radial_log_prefactor
+    monkeypatch.setattr(states, "_radial_log_prefactor",
+                        lambda q, p: prefactor(q, p) + 1e-7)
+    failed = {c.name for c in verify_state(labels, params).checks
+              if not c.passed}
+    assert failed == {"radial_norm"}
+
+
+@pytest.mark.parametrize("state, b, c", [
+    ((6, 1, 0), 1e-3, 1e-3), ((6, 1, 0), 1e-4, 1e-4),
+    ((6, 1, 0), 1e-6, 1e-6), ((6, 2, 0), 1e-3, 0.0)])
+def test_near_hydrogen_states_verify(state, b, c, fresh_evaluators):
+    labels, params = StateLabels(*state), PotentialParams(1.0, b, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_state(labels, params)
+    assert report.all_passed
+    assert abs(report.radial_norm - 1.0) < 1e-12
+    assert abs(report.angular_norm - 1.0) < 1e-12
+
 
 # ------------------------------------------------------------------- norms
 
@@ -30,18 +124,10 @@ def test_radial_norm_ring_states():
         (StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5)),
         (StateLabels(6, 5, 0), PotentialParams(1, 0.5, 10)),
         (StateLabels(5, 3, 2), PotentialParams(2, 0.5, 5)),
+        # 2l'+2 > 170: the Gauss-Laguerre mass Gamma(2l'+3) overflows a float
+        (StateLabels(3, 1, 0), PotentialParams(1, 1e4, 0.5)),
     ]:
         assert abs(quad_radial_norm(labels, params) - 1.0) < 1e-10
-
-
-def test_radial_quadrature_linearity():
-    # doubling the integrand by hand doubles the reported integral
-    labels, params = StateLabels(3, 1, 0), PotentialParams()
-    q = map_quantum_numbers(labels, params)
-    R = radial_domain(q, params)
-    val = _integrate(lambda r: 2.0 * radial_u(q, params, r) ** 2,
-                     [(0.0, 0.5 * R), (0.5 * R, R)])
-    assert abs(val - 2.0) < 1e-10
 
 
 def test_radial_domain_captures_tail():
@@ -60,11 +146,11 @@ def test_angular_norm_hydrogen_and_ring():
                                  PotentialParams(1, 0.5, 10)) - 1.0) < 1e-8
     assert abs(quad_angular_norm(StateLabels(5, 4, 1),
                                  PotentialParams(1, 0.5, 5)) - 1.0) < 1e-8
-
-
-def test_integrate_convergence_error():
-    with pytest.raises(ConvergenceError):
-        _integrate(lambda x: np.sin(1.0 / (x + 1e-12)) * 1e6, [(0.0, 1.0)])
+    # m' = 1000 and 2000: the Gauss-Jacobi mass 2^(m'+gamma1+1/2) B(...)
+    # is near or past the float range
+    for b in (1e6, 4e6):
+        assert abs(quad_angular_norm(StateLabels(3, 1, 0),
+                                     PotentialParams(1, b, 0.5)) - 1.0) < 1e-8
 
 
 # --------------------------------------------------------------- residuals
