@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .density import (DensityGrid, GridSpec, _check_coverage, auto_extent,
                       build_grid, normalize_relative)
@@ -25,7 +28,7 @@ from .states import (PoleError, PotentialParams, StateLabels,
                      map_quantum_numbers, potential_V)
 from .surface import (_check_contour_level, _check_iso_level, apply_cutaway,
                       marching_cubes, slice_contour)
-from .verify import verify_state
+from .verify import ConvergenceError, verify_state
 
 __all__ = ["main", "build_parser", "JobSpec", "RunSpec"]
 
@@ -51,14 +54,40 @@ def _round_floats(obj, digits: int):
 
 
 def _dump_json(obj, digits: int = 9) -> str:
-    return json.dumps(_round_floats(obj, digits), indent=2) + "\n"
+    return json.dumps(_round_floats(obj, digits), indent=2,
+                      allow_nan=False) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _write(chunks, output: str | os.PathLike | None) -> None:
+    """Stream text chunks to stdout, or to the file ``output`` atomically.
+
+    A file is written as ``.NAME.tmp`` beside its target and renamed onto
+    it once complete, so readers see the old file or the whole new one.
+    The temp file is removed if anything fails on the way.  A symlink is
+    followed, so the file it names is replaced, not the link; a device or
+    pipe such as ``/dev/null`` has nothing to replace and is written in
+    place.
+    """
     if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+        sys.stdout.writelines(chunks)
+        return
+    output = os.path.realpath(output)
+    if os.path.exists(output) and not os.path.isfile(output):
+        with open(output, "w") as f:
+            f.writelines(chunks)
+        return
+    head, name = os.path.split(output)
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
+        os.replace(tmp, output)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _error_payload(exc: Exception) -> str:
@@ -122,11 +151,47 @@ def _resolve_grid(labels, params, n_points, extent, coverage) -> DensityGrid:
 
 # ------------------------------------------------------------------ writers
 
-def _vtk_text(grid: DensityGrid) -> str:
+_BLOCK_ROWS = 1024  # VTK rows per streamed chunk
+
+
+def _distinct_words(values: np.ndarray):
+    """Each distinct float formatted once, and where each value's text is.
+
+    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own
+    text.  Returns ``(words, index)``: ``words[index[i]]`` is the text of
+    ``values.flat[i]``.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    # the text of _sig(v), without a call per value
+    words = [f"{v:.9g}" for v in distinct.view(np.float64).tolist()]
+    return words, index.ravel()  # the inverse's shape varies across numpy 2.x
+
+
+def _distinct_rows(rows: np.ndarray):
+    """Text of each distinct row, and which text each row prints.
+
+    Rows, like values, are told apart by bit pattern.  The arrays die on
+    return, so only the texts live while the file streams.
+    """
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    distinct, row_of = np.unique(bits, axis=0, return_inverse=True)
+    words, index = _distinct_words(distinct.view(np.float64))
+    texts = [" ".join(map(words.__getitem__, row.tolist()))
+             for row in index.reshape(distinct.shape)]
+    return texts, row_of.ravel().tolist()
+
+
+def _vtk_chunks(grid: DensityGrid):
+    """Legacy ASCII VTK: the header, then the x-fastest rows in blocks.
+
+    Each distinct row is joined once from each distinct value's text; the
+    mirrored grid has about a quarter as many distinct rows as rows.
+    """
     spec = grid.spec
     n = spec.n_points
     h, d = spec.half_extent, spec.spacing
-    header = [
+    yield "\n".join([
         "# vtk DataFile Version 3.0",
         _metadata_line(grid.labels, grid.params)
         + (" field=rpv" if grid.rescaled else " field=density"),
@@ -138,35 +203,30 @@ def _vtk_text(grid: DensityGrid) -> str:
         f"POINT_DATA {n ** 3}",
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
-    ]
-    flat = grid.flat_values()
-    rows = flat.reshape(n * n, n)
-    lines = [" ".join(_sig(v) for v in row) for row in rows]
-    return "\n".join(header + lines) + "\n"
+    ]) + "\n"
+    texts, order = _distinct_rows(grid.flat_values().reshape(n * n, n))
+    for start in range(0, len(order), _BLOCK_ROWS):
+        yield "\n".join([texts[i] for i in
+                         order[start:start + _BLOCK_ROWS]]) + "\n"
 
 
-def _obj_text(mesh, labels, params, cutaway: bool) -> str:
-    lines = [
-        "# " + _metadata_line(labels, params),
-        f"# level {_sig(mesh.level)} cutaway {int(cutaway)}",
-    ]
-    for v in mesh.vertices:
-        lines.append(f"v {_sig(v[0])} {_sig(v[1])} {_sig(v[2])}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    return "\n".join(lines) + "\n"
+def _obj_chunks(mesh, labels, params, cutaway: bool):
+    yield (f"# {_metadata_line(labels, params)}\n"
+           f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
+    words, index = _distinct_words(mesh.vertices)
+    yield "".join([f"v {words[a]} {words[b]} {words[c]}\n"
+                   for a, b, c in index.reshape(-1, 3).tolist()])
+    yield "".join([f"f {a} {b} {c}\n"
+                   for a, b, c in (mesh.triangles + 1).tolist()])
 
 
-def _slice_text(contours, labels, params) -> str:
-    lines = [
-        "# " + _metadata_line(labels, params),
-        "level,polyline,vertex,y,z",
-    ]
+def _slice_chunks(contours, labels, params):
+    yield f"# {_metadata_line(labels, params)}\nlevel,polyline,vertex,y,z\n"
     for cs in contours:
-        for pi, line in enumerate(cs.polylines):
-            for vi, (y, z) in enumerate(line):
-                lines.append(f"{_sig(cs.level)},{pi},{vi},{_sig(y)},{_sig(z)}")
-    return "\n".join(lines) + "\n"
+        level = _sig(cs.level)
+        yield "".join([f"{level},{pi},{vi},{_sig(y)},{_sig(z)}\n"
+                       for pi, line in enumerate(cs.polylines)
+                       for vi, (y, z) in enumerate(line)])
 
 
 # ----------------------------------------------------------------- commands
@@ -210,14 +270,14 @@ def cmd_potential(args) -> int:
         except PoleError:
             v = ""
         lines.append(f"{_sig(coord)},{v}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _write(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
     labels, params = _state_of(args)
     grid = _resolve_grid(labels, params, args.N, args.extent, args.coverage)
-    _emit(_vtk_text(grid), args.output)
+    _write(_vtk_chunks(grid), args.output)
     return EXIT_OK
 
 
@@ -227,7 +287,7 @@ def cmd_isosurface(args) -> int:
     mesh = marching_cubes(grid, args.level)
     if args.cutaway:
         mesh = apply_cutaway(mesh, grid)
-    _emit(_obj_text(mesh, labels, params, args.cutaway), args.output)
+    _write(_obj_chunks(mesh, labels, params, args.cutaway), args.output)
     return EXIT_OK
 
 
@@ -235,14 +295,14 @@ def cmd_slice(args) -> int:
     labels, params = _state_of(args)
     grid = _resolve_grid(labels, params, args.N, args.extent, args.coverage)
     contours = slice_contour(grid, _parse_levels(args.levels))
-    _emit(_slice_text(contours, labels, params), args.output)
+    _write(_slice_chunks(contours, labels, params), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     labels, params = _state_of(args)
     report = verify_state(labels, params, n_samples=args.samples)
-    _emit(_dump_json(report.as_dict()), args.output)
+    _write([_dump_json(report.as_dict())], args.output)
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
@@ -336,23 +396,23 @@ def _execute_run(run: RunSpec, out_dir: Path) -> dict:
     for kind in run.outputs:
         if kind == "grid":
             name = run.stem + ".vtk"
-            (out_dir / name).write_text(_vtk_text(grid))
+            _write(_vtk_chunks(grid), out_dir / name)
         elif kind == "isosurface":
             mesh = marching_cubes(grid, run.level)
             if run.cutaway:
                 mesh = apply_cutaway(mesh, grid)
             name = run.stem + ".obj"
-            (out_dir / name).write_text(
-                _obj_text(mesh, run.labels, run.params, run.cutaway))
+            _write(_obj_chunks(mesh, run.labels, run.params, run.cutaway),
+                   out_dir / name)
         elif kind == "slice":
             contours = slice_contour(grid, list(run.levels))
             name = run.stem + "_slice.csv"
-            (out_dir / name).write_text(
-                _slice_text(contours, run.labels, run.params))
+            _write(_slice_chunks(contours, run.labels, run.params),
+                   out_dir / name)
         else:
             report = verify_state(run.labels, run.params)
             name = run.stem + "_verify.json"
-            (out_dir / name).write_text(_dump_json(report.as_dict()))
+            _write([_dump_json(report.as_dict())], out_dir / name)
             if not report.all_passed:
                 record["status"] = "verify_failed"
                 record["reason"] = "verification checks failed"
@@ -410,7 +470,7 @@ def cmd_sweep(args) -> int:
 
     manifest = {"runs": [records[i] for i in sorted(records)]}
     try:
-        (job.output_dir / "manifest.json").write_text(_dump_json(manifest))
+        _write([_dump_json(manifest)], job.output_dir / "manifest.json")
     except OSError as exc:
         sys.stdout.write(_error_payload(exc))
         return EXIT_IO
@@ -520,6 +580,9 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         sys.stdout.write(_error_payload(exc))
         return EXIT_VALIDATION
+    except ConvergenceError as exc:
+        sys.stdout.write(_error_payload(exc))
+        return EXIT_VERIFY
     except OSError as exc:
         sys.stdout.write(_error_payload(exc))
         return EXIT_IO

@@ -304,11 +304,27 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     on the three boundary planes wherever the field is at or above the
     mesh's iso level.
     """
-    verts = [tuple(map(float, v)) for v in mesh.vertices]
+    verts = [tuple(v) for v in mesh.vertices.tolist()]
+    scalars = mesh.vertex_scalar.tolist()
     changed = False
 
+    # Exact early reject.  If no vertex has x < 0 (or none y < 0, or none
+    # z > 0), no point of the clipped polygon does either: every clip
+    # interpolates between points on one side of that plane, and rounding
+    # keeps the result there.  The clip against the plane then keeps only
+    # points on it, and later clips interpolate between such points, so the
+    # octant part lies in the plane exactly and its centroid is never
+    # strictly inside the octant.
+    corners = mesh.vertices[mesh.triangles]
+    reach = ((corners[:, :, 0] < 0.0).any(axis=1)
+             & (corners[:, :, 1] < 0.0).any(axis=1)
+             & (corners[:, :, 2] > 0.0).any(axis=1))
+
     new_tris = []      # list of ("old", (i,j,k)) or ("new", pts)
-    for i0, i1, i2 in mesh.triangles.tolist():
+    for (i0, i1, i2), reaches in zip(mesh.triangles.tolist(), reach.tolist()):
+        if not reaches:
+            new_tris.append(("old", (i0, i1, i2)))
+            continue
         tri = (verts[i0], verts[i1], verts[i2])
         part = _octant_part(tri)
         if _poly_area(part) < _AREA_EPS or not _strictly_inside_octant(_poly_centroid(part)):
@@ -349,8 +365,7 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
 
     for kind, item in new_tris:
         if kind == "old":
-            ids = tuple(add_vertex(verts[i], float(mesh.vertex_scalar[i]))
-                        for i in item)
+            ids = tuple(add_vertex(verts[i], scalars[i]) for i in item)
         else:
             ids = tuple(add_vertex(p) for p in item)
         if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import rscp.cli as cli
 from rscp.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY,
-                      _parse_levels, _parse_range, _sig, main)
+                      _dump_json, _parse_levels, _parse_range, _sig, main)
+from rscp.verify import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +244,25 @@ def test_verify_near_hydrogen_exits_ok(capsys):
                         "--b", "1e-3", "--c", "1e-3")
     assert code == EXIT_OK
     assert json.loads(out)["all_passed"] is True
+
+
+def test_verify_convergence_error_exits_3(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("radial tail bound did not close")
+
+    monkeypatch.setattr(cli, "verify_state", no_convergence)
+    code, out = run_cli(capsys, "verify", "--n", "2", "--l", "1", "--m", "0")
+    assert code == EXIT_VERIFY
+    assert json.loads(out) == {"error": {
+        "type": "ConvergenceError",
+        "message": "radial tail bound did not close"}}
+
+
+def test_dump_json_rejects_non_finite():
+    assert _dump_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _dump_json({"x": [1.0, bad]})
 
 
 # -------------------------------------------------------------------- sweep
