@@ -33,6 +33,7 @@ from .verify import ConvergenceError, verify_state
 __all__ = ["main", "build_parser", "JobSpec", "RunSpec"]
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
@@ -88,6 +89,17 @@ def _write(chunks, output: str | os.PathLike | None) -> None:
         except OSError:
             pass
         raise
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code an error maps to; 1 for an error of no documented kind."""
+    if isinstance(exc, OSError):
+        return EXIT_IO
+    if isinstance(exc, ValueError):
+        return EXIT_VALIDATION
+    if isinstance(exc, ConvergenceError):
+        return EXIT_VERIFY
+    return EXIT_ERROR
 
 
 def _error_payload(exc: Exception) -> str:
@@ -151,7 +163,7 @@ def _resolve_grid(labels, params, n_points, extent, coverage) -> DensityGrid:
 
 # ------------------------------------------------------------------ writers
 
-_BLOCK_ROWS = 1024  # VTK rows per streamed chunk
+_BLOCK_ROWS = 1024  # VTK rows, or OBJ lines, per streamed chunk
 
 
 def _distinct_words(values: np.ndarray):
@@ -214,10 +226,14 @@ def _obj_chunks(mesh, labels, params, cutaway: bool):
     yield (f"# {_metadata_line(labels, params)}\n"
            f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
     words, index = _distinct_words(mesh.vertices)
-    yield "".join([f"v {words[a]} {words[b]} {words[c]}\n"
-                   for a, b, c in index.reshape(-1, 3).tolist()])
-    yield "".join([f"f {a} {b} {c}\n"
-                   for a, b, c in (mesh.triangles + 1).tolist()])
+    index = index.reshape(-1, 3)
+    for start in range(0, len(index), _BLOCK_ROWS):
+        yield "".join([f"v {words[a]} {words[b]} {words[c]}\n" for a, b, c
+                       in index[start:start + _BLOCK_ROWS].tolist()])
+    faces = mesh.triangles + 1
+    for start in range(0, len(faces), _BLOCK_ROWS):
+        yield "".join([f"f {a} {b} {c}\n" for a, b, c
+                       in faces[start:start + _BLOCK_ROWS].tolist()])
 
 
 def _slice_chunks(contours, labels, params):
@@ -376,7 +392,12 @@ def _parse_job(path: str, output_override: str | None,
     return JobSpec(out_dir, workers, tuple(runs))
 
 
-def _execute_run(run: RunSpec, out_dir: Path) -> dict:
+def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
+    """Write one run's outputs; returns its manifest record and exit code.
+
+    An exception ends the run, not the sweep: the record lists what was
+    written before it, with status io_error for an OSError, else failed.
+    """
     q = map_quantum_numbers(run.labels, run.params)
     record = {
         "index": run.index,
@@ -389,35 +410,40 @@ def _execute_run(run: RunSpec, out_dir: Path) -> dict:
         "reason": "",
         "artifacts": [],
     }
-    grid = None
-    if any(o in run.outputs for o in ("grid", "isosurface", "slice")):
-        grid = _resolve_grid(run.labels, run.params, run.n_points,
-                             run.extent, run.coverage)
-    for kind in run.outputs:
-        if kind == "grid":
-            name = run.stem + ".vtk"
-            _write(_vtk_chunks(grid), out_dir / name)
-        elif kind == "isosurface":
-            mesh = marching_cubes(grid, run.level)
-            if run.cutaway:
-                mesh = apply_cutaway(mesh, grid)
-            name = run.stem + ".obj"
-            _write(_obj_chunks(mesh, run.labels, run.params, run.cutaway),
-                   out_dir / name)
-        elif kind == "slice":
-            contours = slice_contour(grid, list(run.levels))
-            name = run.stem + "_slice.csv"
-            _write(_slice_chunks(contours, run.labels, run.params),
-                   out_dir / name)
-        else:
-            report = verify_state(run.labels, run.params)
-            name = run.stem + "_verify.json"
-            _write([_dump_json(report.as_dict())], out_dir / name)
-            if not report.all_passed:
-                record["status"] = "verify_failed"
-                record["reason"] = "verification checks failed"
-        record["artifacts"].append(name)
-    return record
+    try:
+        grid = None
+        if any(o in run.outputs for o in ("grid", "isosurface", "slice")):
+            grid = _resolve_grid(run.labels, run.params, run.n_points,
+                                 run.extent, run.coverage)
+        for kind in run.outputs:
+            if kind == "grid":
+                name = run.stem + ".vtk"
+                _write(_vtk_chunks(grid), out_dir / name)
+            elif kind == "isosurface":
+                mesh = marching_cubes(grid, run.level)
+                if run.cutaway:
+                    mesh = apply_cutaway(mesh, grid)
+                name = run.stem + ".obj"
+                _write(_obj_chunks(mesh, run.labels, run.params, run.cutaway),
+                       out_dir / name)
+            elif kind == "slice":
+                contours = slice_contour(grid, list(run.levels))
+                name = run.stem + "_slice.csv"
+                _write(_slice_chunks(contours, run.labels, run.params),
+                       out_dir / name)
+            else:
+                report = verify_state(run.labels, run.params)
+                name = run.stem + "_verify.json"
+                _write([_dump_json(report.as_dict())], out_dir / name)
+                if not report.all_passed:
+                    record["status"] = "verify_failed"
+                    record["reason"] = "verification checks failed"
+            record["artifacts"].append(name)
+    except Exception as exc:
+        record["status"] = "io_error" if isinstance(exc, OSError) else "failed"
+        record["reason"] = f"{type(exc).__name__}: {exc}"
+        return record, _exit_code(exc)
+    return record, EXIT_VERIFY if record["status"] == "verify_failed" else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -455,18 +481,13 @@ def cmd_sweep(args) -> int:
             }
 
     todo = [run for run in job.runs if run.index not in invalid]
-    io_failed = False
+    codes = {EXIT_VALIDATION} if invalid else set()
     with ThreadPoolExecutor(max_workers=job.workers) as pool:
         futures = {pool.submit(_execute_run, run, job.output_dir): run
                    for run in todo}
         for future, run in futures.items():
-            try:
-                records[run.index] = future.result()
-            except OSError as exc:
-                io_failed = True
-                records[run.index] = {
-                    "index": run.index, "status": "io_error",
-                    "reason": str(exc), "artifacts": []}
+            records[run.index], code = future.result()
+            codes.add(code)
 
     manifest = {"runs": [records[i] for i in sorted(records)]}
     try:
@@ -475,12 +496,9 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(_error_payload(exc))
         return EXIT_IO
 
-    if io_failed:
-        return EXIT_IO
-    if invalid:
-        return EXIT_VALIDATION
-    if any(r["status"] == "verify_failed" for r in records.values()):
-        return EXIT_VERIFY
+    for code in (EXIT_IO, EXIT_VALIDATION, EXIT_VERIFY, EXIT_ERROR):
+        if code in codes:
+            return code
     return EXIT_OK
 
 
@@ -577,15 +595,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         sys.stdout.write(_error_payload(exc))
-        return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_VERIFY
-    except OSError as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_IO
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Isosurface meshes, octant cutaway, plane contours, pole statistics.
 
-Meshes come from a table-driven marching cubes over the rescaled grid;
-vertices on shared cell edges are interpolated once per global edge, so
-adjacent cells weld exactly and closed components satisfy edge-incidence
-= 2.  Triangle emission follows ascending cell index, which makes every
-output deterministic.
+Meshes come from a table-driven marching cubes over the rescaled grid.
+Vertices are welded by exact position, numbered in order of first
+appearance (_weld): marching cubes keys each crossing by its global edge,
+or by the grid point it lands on, and the cutaway by its coordinates'
+bits.  Every edge interpolates from its lower end, so adjacent cells weld
+exactly and closed components satisfy edge-incidence = 2.  Triangles
+follow ascending cell index, which makes every output deterministic.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc_tables import (CORNER_OFFSETS, CUBE_EDGE_FLAGS, CUBE_TRIANGLES,
-                         EDGE_CORNERS)
+from ._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from .density import DensityGrid
 
 __all__ = [
@@ -31,21 +32,6 @@ __all__ = [
 ]
 
 _AREA_EPS = 1e-12
-
-# per-case unpacked tables: crossed edge list and triangle triples
-_CASE_EDGES = [tuple(e for e in range(12) if (flags >> e) & 1)
-               for flags in CUBE_EDGE_FLAGS.tolist()]
-_CASE_TRIS = []
-for _row in CUBE_TRIANGLES.tolist():
-    _tris = []
-    for _t in range(0, 16, 3):
-        if _row[_t] < 0:
-            break
-        _tris.append((_row[_t], _row[_t + 1], _row[_t + 2]))
-    _CASE_TRIS.append(tuple(_tris))
-_CORNERS = [tuple(ofs) for ofs in CORNER_OFFSETS.tolist()]
-_EDGE_AB = [(int(EDGE_CORNERS[0, e]), int(EDGE_CORNERS[1, e]))
-            for e in range(12)]
 
 
 @dataclass(frozen=True)
@@ -69,11 +55,22 @@ class ContourSet:
     polylines: list  # of (m, 2) float arrays, columns (y, z)
 
 
-def _triangle_area(p0, p1, p2) -> float:
+def _triangle_area(p0, p1, p2):
+    """Area of one triangle, or of many when the coordinates are arrays."""
     ux, uy, uz = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
     vx, vy, vz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def _weld(keys):
+    """Number equal int64 keys 0, 1, ... in order of first appearance:
+    vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i]."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 def _check_iso_level(level: float) -> None:
@@ -86,108 +83,134 @@ def _check_contour_level(level: float) -> None:
         raise ValueError(f"contour level must lie in (0, 100], got {level}")
 
 
+# per cube edge: the offset of its lower corner and its axis
+_EDGE_ENDS = CORNER_OFFSETS[EDGE_CORNERS]
+_EDGE_LO = _EDGE_ENDS.min(axis=0)
+_EDGE_AXIS = np.argmax(_EDGE_ENDS[0] != _EDGE_ENDS[1], axis=1).astype(np.int8)
+
+
+def _crossed_edges(case):
+    """(cells, 12) 0/1 array: edge e is crossed when its corners differ."""
+    case = case[:, None]
+    return ((case >> EDGE_CORNERS[0]) ^ (case >> EDGE_CORNERS[1])) & 1
+
+
 def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     """Extract the iso-level surface of a rescaled grid, level in (0,100)."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
     _check_iso_level(level)
-    vals = grid.values
+    vals = grid.values.ravel()
     n = grid.spec.n_points
-    coords = grid.spec.coords().tolist()
+    coords = grid.spec.coords()
+    strides = np.array([n * n, n, 1])
 
-    below = vals < level
+    below = grid.values < level
     m = n - 1
-    index = np.zeros((m, m, m), dtype=np.int32)
-    for v, (dx, dy, dz) in enumerate(_CORNERS):
-        index |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.int32) << v
-    active = np.argwhere((index != 0) & (index != 255))
+    # temporaries are deleted as soon as they are spent, to bound peak RSS
+    case = np.zeros((m, m, m), dtype=np.uint8)
+    for v, (dx, dy, dz) in enumerate(CORNER_OFFSETS.tolist()):
+        case |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.uint8) << v
+    del below
+    cells = np.flatnonzero((case != 0) & (case != 255))
+    case = case.ravel()[cells]
+    corner = np.ravel_multi_index(np.unravel_index(cells, (m, m, m)), (n, n, n))
+    del cells
 
-    vertices: list[tuple[float, float, float]] = []
-    scalars: list[float] = []
-    vindex: dict[tuple[float, float, float], int] = {}
-    triangles: list[tuple[int, int, int]] = []
+    # One slot per crossed edge, cells ascending and edges ascending within
+    # a cell.  Each edge interpolates from its lower end pa, so the cells
+    # sharing it compute the same bits.
+    slot_cell, slot_edge = np.nonzero(_crossed_edges(case))
+    axis = _EDGE_AXIS[slot_edge]
+    pa = corner[slot_cell] + (_EDGE_LO @ strides)[slot_edge]
+    slot_key = slot_cell * 12 + slot_edge
+    del corner, slot_cell, slot_edge
+    pb = pa + strides[axis]
+    va = vals[pa]
+    dv = vals[pb] - va
+    t = (level - va) / dv
+    scalar = va + t * dv
+    del va, dv
 
-    for ci, cj, ck in active.tolist():
-        case = int(index[ci, cj, ck])
-        edge_vertex = {}
-        for e in _CASE_EDGES[case]:
-            a, b = _EDGE_AB[e]
-            oa, ob = _CORNERS[a], _CORNERS[b]
-            pa = (ci + oa[0], cj + oa[1], ck + oa[2])
-            pb = (ci + ob[0], cj + ob[1], ck + ob[2])
-            if pb < pa:
-                pa, pb = pb, pa
-            va = float(vals[pa])
-            vb = float(vals[pb])
-            t = (level - va) / (vb - va)
-            pos = (coords[pa[0]] + t * (coords[pb[0]] - coords[pa[0]]),
-                   coords[pa[1]] + t * (coords[pb[1]] - coords[pa[1]]),
-                   coords[pa[2]] + t * (coords[pb[2]] - coords[pa[2]]))
-            vid = vindex.get(pos)
-            if vid is None:
-                vid = len(vertices)
-                vindex[pos] = vid
-                vertices.append(pos)
-                scalars.append(va + t * (vb - va))
-            edge_vertex[e] = vid
-        for e0, e1, e2 in _CASE_TRIS[case]:
-            i0, i1, i2 = edge_vertex[e0], edge_vertex[e1], edge_vertex[e2]
-            if i0 == i1 or i1 == i2 or i0 == i2:
-                continue
-            if _triangle_area(vertices[i0], vertices[i1], vertices[i2]) < _AREA_EPS:
-                continue
-            triangles.append((i0, i1, i2))
+    # Two slots have equal positions exactly when they share an edge, or
+    # when both land on the same grid point.  Adjacent coordinates c0 < c1
+    # satisfy c0 + (c1 - c0) == c1 exactly, so an interpolated coordinate
+    # never leaves its edge; it lands on a grid point when it equals an end.
+    keys = 3 * pa + axis
+    pos = np.empty((len(pa), 3))
+    for c in range(3):
+        on = axis == c
+        ia = pa // strides[c] % n
+        ca, cb = coords[ia], coords[ia + on]
+        pos[:, c] = ca + t * (cb - ca)
+        at = on & (pos[:, c] == ca)
+        keys[at] = 3 * n ** 3 + pa[at]
+        at = on & (pos[:, c] == cb)
+        keys[at] = 3 * n ** 3 + pb[at]
+    del pa, pb, axis, t, on, ia, ca, cb, at
+    first, vid = _weld(keys)
+    vertices = pos[first]
+    scalars = scalar[first]
+    del pos, scalar, keys, first
 
-    return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                        np.array(triangles, dtype=np.int64).reshape(-1, 3),
-                        np.array(scalars, dtype=float), float(level))
+    tris = CUBE_TRIANGLES[case, :15].reshape(-1, 5, 3)
+    tri_cell, tri_row = np.nonzero(tris[:, :, 0] >= 0)
+    triangles = vid[np.searchsorted(
+        slot_key, tri_cell[:, None] * 12 + tris[tri_cell, tri_row])]
+    del tris, tri_cell, tri_row, slot_key, vid
+    # a triangle with a repeated vertex has area 0, so this drops it too
+    corners = vertices[triangles].transpose(1, 2, 0)
+    triangles = triangles[_triangle_area(*corners) >= _AREA_EPS]
+    return TriangleMesh(vertices, triangles, scalars, float(level))
 
 
 # ---------------------------------------------------------------- cutaway
 
-def _clip_halfspace(poly, f):
-    """Sutherland-Hodgman clip of a 3D polygon to {p: f(p) >= 0}."""
-    if not poly:
-        return []
-    out = []
-    prev = poly[-1]
-    fprev = f(prev)
-    for cur in poly:
-        fcur = f(cur)
-        if fcur >= 0.0:
-            if fprev < 0.0:
+# the closed octant x<=0, y<=0, z>=0, and its complement as three disjoint
+# convex pieces
+_OCTANT = [lambda p: -p[0], lambda p: -p[1], lambda p: p[2]]
+_COMPLEMENT = [
+    [lambda p: p[0]],
+    [lambda p: -p[0], lambda p: p[1]],
+    [lambda p: -p[0], lambda p: -p[1], lambda p: -p[2]],
+]
+
+
+def _clip(poly, halfspaces):
+    """Sutherland-Hodgman clip of a 3D polygon to {p: f(p) >= 0 for all f}."""
+    for f in halfspaces:
+        if not poly:
+            return []
+        out = []
+        prev = poly[-1]
+        fprev = f(prev)
+        for cur in poly:
+            fcur = f(cur)
+            if (fcur >= 0.0) != (fprev >= 0.0):
                 t = fprev / (fprev - fcur)
                 out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
-            out.append(cur)
-        elif fprev >= 0.0:
-            t = fprev / (fprev - fcur)
-            out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
-        prev, fprev = cur, fcur
-    return out
+            if fcur >= 0.0:
+                out.append(cur)
+            prev, fprev = cur, fcur
+        poly = out
+    return poly
 
 
-def _poly_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    return sum(_triangle_area(poly[0], poly[i], poly[i + 1])
-               for i in range(1, len(poly) - 1))
+def _fan(poly):
+    """Fan triangles of a convex polygon, without those below _AREA_EPS."""
+    fan = ((poly[0], poly[t], poly[t + 1]) for t in range(1, len(poly) - 1))
+    return [tri for tri in fan if _triangle_area(*tri) >= _AREA_EPS]
 
 
-def _octant_part(tri):
-    """Portion of the triangle inside the closed octant x<=0, y<=0, z>=0."""
-    poly = _clip_halfspace(list(tri), lambda p: -p[0])
-    poly = _clip_halfspace(poly, lambda p: -p[1])
-    return _clip_halfspace(poly, lambda p: p[2])
-
-
-def _strictly_inside_octant(p) -> bool:
-    return p[0] < 0.0 and p[1] < 0.0 and p[2] > 0.0
-
-
-def _poly_centroid(poly):
-    n = float(len(poly))
-    return (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n,
-            sum(p[2] for p in poly) / n)
+def _cuts_octant(part) -> bool:
+    """True when a triangle's octant part has area and its centroid lies
+    strictly inside the octant."""
+    area = sum(_triangle_area(part[0], part[i], part[i + 1])
+               for i in range(1, len(part) - 1))
+    if area < _AREA_EPS:
+        return False
+    x, y, z = (sum(p[c] for p in part) / len(part) for c in range(3))
+    return x < 0.0 and y < 0.0 and z > 0.0
 
 
 def trilinear_at(grid: DensityGrid, point) -> float:
@@ -215,7 +238,7 @@ def trilinear_at(grid: DensityGrid, point) -> float:
     return float(c0 * (1 - fz) + c1 * fz)
 
 
-def _fill_polygons(f00, f10, f11, f01, level, center=None):
+def _fill_polygons(f00, f10, f11, f01, level):
     """Polygon(s) covering {f >= level} of one 2D cell, unit coordinates.
 
     Corners are cycled 00 -> 10 -> 11 -> 01; crossings are linearly
@@ -236,7 +259,7 @@ def _fill_polygons(f00, f10, f11, f01, level, center=None):
                 pts[i][1] + t * (pts[j][1] - pts[i][1]))
 
     if mask in (0b0101, 0b1010):
-        mid = 0.25 * (f00 + f10 + f11 + f01) if center is None else center
+        mid = 0.25 * (f00 + f10 + f11 + f01)
         a = 0 if mask == 0b0101 else 1   # one of the two inside corners
         c = a + 2
         xa_prev = cross(a, (a - 1) % 4)
@@ -287,13 +310,19 @@ def _cap_triangles(grid: DensityGrid, level: float):
                 if max(f00, f10, f11, f01) < level:
                     continue
                 for poly in _fill_polygons(f00, f10, f11, f01, level):
-                    mapped = [embed(ua0 + p[0] * (ua1 - ua0),
-                                    ub0 + p[1] * (ub1 - ub0)) for p in poly]
-                    for t in range(1, len(mapped) - 1):
-                        tri = (mapped[0], mapped[t], mapped[t + 1])
-                        if _triangle_area(*tri) >= _AREA_EPS:
-                            caps.append(tri)
+                    caps += _fan([embed(ua0 + p[0] * (ua1 - ua0),
+                                        ub0 + p[1] * (ub1 - ub0)) for p in poly])
     return caps
+
+
+def _position_keys(points):
+    """int64 keys, equal exactly for rows that are equal as floats: each
+    column is coded by its bit patterns after + 0.0 folds -0.0 into 0.0."""
+    s = len(points)
+    x, y, z = (np.unique((col + 0.0).view(np.int64), return_inverse=True)[1]
+               for col in points.T)
+    xy = np.unique(x * s + y, return_inverse=True)[1]
+    return xy * s + z
 
 
 def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
@@ -304,10 +333,6 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     on the three boundary planes wherever the field is at or above the
     mesh's iso level.
     """
-    verts = [tuple(v) for v in mesh.vertices.tolist()]
-    scalars = mesh.vertex_scalar.tolist()
-    changed = False
-
     # Exact early reject.  If no vertex has x < 0 (or none y < 0, or none
     # z > 0), no point of the clipped polygon does either: every clip
     # interpolates between points on one side of that plane, and rounding
@@ -320,65 +345,49 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
              & (corners[:, :, 1] < 0.0).any(axis=1)
              & (corners[:, :, 2] > 0.0).any(axis=1))
 
-    new_tris = []      # list of ("old", (i,j,k)) or ("new", pts)
-    for (i0, i1, i2), reaches in zip(mesh.triangles.tolist(), reach.tolist()):
-        if not reaches:
-            new_tris.append(("old", (i0, i1, i2)))
+    cut_rows, cut_counts, new_points = [], [], []
+    for row, tri in zip(np.flatnonzero(reach).tolist(), corners[reach].tolist()):
+        if not _cuts_octant(_clip(tri, _OCTANT)):
             continue
-        tri = (verts[i0], verts[i1], verts[i2])
-        part = _octant_part(tri)
-        if _poly_area(part) < _AREA_EPS or not _strictly_inside_octant(_poly_centroid(part)):
-            new_tris.append(("old", (i0, i1, i2)))
-            continue
-        changed = True
-        # complement of the open octant as three disjoint convex pieces
-        pieces = [
-            [lambda p: p[0]],
-            [lambda p: -p[0], lambda p: p[1]],
-            [lambda p: -p[0], lambda p: -p[1], lambda p: -p[2]],
-        ]
-        for halfspaces in pieces:
-            poly = list(tri)
-            for f in halfspaces:
-                poly = _clip_halfspace(poly, f)
-            for t in range(1, len(poly) - 1):
-                piece = (poly[0], poly[t], poly[t + 1])
-                if _triangle_area(*piece) >= _AREA_EPS:
-                    new_tris.append(("new", piece))
-
-    if not changed:
+        cut_rows.append(row)
+        count = len(new_points)
+        for halfspaces in _COMPLEMENT:
+            for piece in _fan(_clip(tri, halfspaces)):
+                new_points.extend(piece)
+        cut_counts.append(len(new_points) - count)
+    del corners, reach
+    if not cut_rows:
         return mesh
-
-    out_vertices: list[tuple[float, float, float]] = []
-    out_scalars: list[float] = []
-    vindex: dict[tuple[float, float, float], int] = {}
-    out_triangles: list[tuple[int, int, int]] = []
-
-    def add_vertex(pos, scalar=None):
-        vid = vindex.get(pos)
-        if vid is None:
-            vid = len(out_vertices)
-            vindex[pos] = vid
-            out_vertices.append(pos)
-            out_scalars.append(trilinear_at(grid, pos) if scalar is None else scalar)
-        return vid
-
-    for kind, item in new_tris:
-        if kind == "old":
-            ids = tuple(add_vertex(verts[i], scalars[i]) for i in item)
-        else:
-            ids = tuple(add_vertex(p) for p in item)
-        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
-            out_triangles.append(ids)
-
     for tri in _cap_triangles(grid, mesh.level):
-        ids = tuple(add_vertex(p) for p in tri)
-        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
-            out_triangles.append(ids)
+        new_points.extend(tri)
 
-    return TriangleMesh(np.array(out_vertices, dtype=float).reshape(-1, 3),
-                        np.array(out_triangles, dtype=np.int64).reshape(-1, 3),
-                        np.array(out_scalars, dtype=float), mesh.level)
+    # Corner slots in emission order: each input triangle in turn, kept
+    # ones by their vertices and cut ones by their pieces, then the caps.
+    # Slots weld by position; the first slot of a vertex gives its scalar,
+    # sampled from the grid when that slot is a new point.
+    counts = np.full(len(mesh.triangles), 3)
+    counts[cut_rows] = cut_counts
+    kept = np.ones(len(mesh.triangles), dtype=bool)
+    kept[cut_rows] = False
+    kept_slots = (np.cumsum(counts) - counts)[kept, None] + np.arange(3)
+    fresh = np.ones(len(new_points) + kept_slots.size, dtype=bool)
+    fresh[kept_slots] = False
+    points = np.empty((len(fresh), 3))
+    scalars = np.empty(len(fresh))
+    points[kept_slots] = mesh.vertices[mesh.triangles[kept]]
+    scalars[kept_slots] = mesh.vertex_scalar[mesh.triangles[kept]]
+    points[fresh] = np.array(new_points, dtype=float).reshape(-1, 3)
+    del counts, kept, kept_slots, new_points
+
+    first, ids = _weld(_position_keys(points))
+    vertices = points[first]
+    scalars = scalars[first]
+    for v in np.flatnonzero(fresh[first]).tolist():
+        scalars[v] = trilinear_at(grid, vertices[v].tolist())
+    triangles = ids.reshape(-1, 3)
+    i0, i1, i2 = triangles.T
+    triangles = triangles[(i0 != i1) & (i1 != i2) & (i0 != i2)]
+    return TriangleMesh(vertices, triangles, scalars, mesh.level)
 
 
 # ---------------------------------------------------------- plane contours
@@ -461,20 +470,7 @@ def _chain_segments(segments):
     for si in range(len(segments)):
         if not used[si]:
             used[si] = True
-            line = [segments[si][0], segments[si][1]]
-            point = line[-1]
-            while True:
-                nxt = None
-                for sj, other_end in adjacency.get(point, ()):
-                    if not used[sj]:
-                        nxt = (sj, other_end)
-                        break
-                if nxt is None:
-                    break
-                used[nxt[0]] = True
-                point = segments[nxt[0]][nxt[1]]
-                line.append(point)
-            polylines.append(line)
+            polylines.append([segments[si][0]] + walk(segments[si][1]))
     return [np.array(line, dtype=float) for line in polylines if len(line) >= 2]
 
 
@@ -550,8 +546,5 @@ def is_watertight(mesh: TriangleMesh) -> bool:
 
 
 def surface_area(mesh: TriangleMesh) -> float:
-    total = 0.0
-    for a, b, c in mesh.triangles.tolist():
-        total += _triangle_area(mesh.vertices[a], mesh.vertices[b],
-                                mesh.vertices[c])
-    return total
+    corners = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
+    return float(_triangle_area(*corners).sum())

@@ -1,13 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rscp.cli as cli
-from rscp.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY,
-                      _dump_json, _parse_levels, _parse_range, _sig, main)
+from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
+                      EXIT_VERIFY, _dump_json, _parse_levels, _parse_range,
+                      _sig, main)
 from rscp.verify import ConvergenceError
 
 
@@ -372,3 +379,103 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     message = json.loads(out)["error"]["message"]
     assert "run 1" in message and repr(key) in message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConvergenceError("radial tail bound did not close"), EXIT_VERIFY),
+    (RuntimeError("unexpected"), EXIT_ERROR)])
+def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch, error,
+                                      code):
+    def raise_error(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_state", raise_error)
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "workers": 2, "runs": [
+        {"n": 2, "l": 1, "m": 0, "outputs": ["grid"],
+         "grid": {"n_points": 15}},
+        {"n": 2, "l": 1, "m": 0, "outputs": ["verify"]}]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == code
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["ok", "failed"]
+    assert runs[1]["reason"] == f"{type(error).__name__}: {error}"
+    assert runs[0]["artifacts"] == ["run_000_n2l1m0.vtk"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "run_000_n2l1m0.vtk"]
+
+
+_STATES = [(2, 1, 0), (3, 2, 1), (4, 3, -2), (2, 2, 0), (3, 1, 1), (1, 0, 0)]
+_run_entries = st.fixed_dictionaries(
+    {"n": st.sampled_from(_STATES)},
+    optional={
+        "b": st.sampled_from([0.0, 0.5, -0.5, -4.0]),
+        "c": st.sampled_from([0.0, 0.5, 2.0]),
+        "outputs": st.lists(st.sampled_from(
+            ["grid", "isosurface", "slice", "verify", "movie"]),
+            min_size=1, max_size=3),
+        "level": st.sampled_from([0.0, 5.0, 50.0, 99.9, 100.0, 150.0]),
+        "levels": st.lists(st.sampled_from([-1.0, 10.0, 55.5, 100.0, 101.0]),
+                           max_size=3),
+        "cutaway": st.booleans(),
+        "drop": st.sampled_from(["n", "l", "m"]),
+    })
+_grids = st.fixed_dictionaries(
+    {"n_points": st.sampled_from([3, 5, 7])},
+    optional={"coverage": st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.5])})
+
+
+def _job_run(entry, grid):
+    """Spread the drawn state over n, l, m, then drop a key if asked."""
+    run = dict(entry, grid=grid)
+    run["n"], run["l"], run["m"] = entry["n"]
+    run.pop(run.pop("drop", None), None)
+    return run
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.builds(_job_run, _run_entries, _grids),
+                min_size=1, max_size=3))
+def test_sweep_property_manifest_and_exit_code(runs):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps({"output_dir": str(out), "workers": 2,
+                                    "runs": runs}))
+        try:
+            cli._parse_job(str(path), None, None)
+            parses = True
+        except ValueError:
+            parses = False
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--jobs", str(path)])
+        assert code in {EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, EXIT_IO}
+        assert (out / "manifest.json").exists() == parses
+        if parses:
+            manifest = json.loads((out / "manifest.json").read_text())
+            listed = {name for r in manifest["runs"] for name in r["artifacts"]}
+            assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+        assert list(Path(tmp).rglob(".*.tmp")) == []
+
+
+def test_sweep_exit_code_precedence(tmp_path, capsys, monkeypatch):
+    """I/O errors outrank invalid runs, which outrank failed verification."""
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("radial tail bound did not close")
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "verify_state", no_convergence)
+    monkeypatch.setattr(cli, "_obj_chunks", disk_full)
+    runs = [{"n": 2, "l": 1, "m": 0, "outputs": ["verify"]},
+            {"n": 2, "l": 1, "m": 0, "outputs": ["isosurface"],
+             "level": 150}]
+    path = tmp_path / "job.json"
+    for extra, code in (([], EXIT_VALIDATION), (["isosurface"], EXIT_IO)):
+        job_runs = runs + [{"n": 2, "l": 1, "m": 0, "outputs": extra,
+                            "grid": {"n_points": 15}}]
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                    "runs": job_runs}))
+        assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == code

@@ -5,11 +5,180 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_rpv_grid
+from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from rscp.density import DensityGrid, GridSpec, normalize_relative
-from rscp.surface import (ContourSet, TriangleMesh, apply_cutaway,
+from rscp.states import PotentialParams, StateLabels
+from rscp.surface import (_AREA_EPS, ContourSet, TriangleMesh, _cap_triangles,
+                          _crossed_edges, apply_cutaway,
                           connected_components, is_watertight, marching_cubes,
                           pole_concentration, slice_contour, surface_area,
                           trilinear_at)
+
+# ------------------------- reference: per-cell loop and position-dict weld
+
+_CORNERS = [tuple(ofs) for ofs in CORNER_OFFSETS.tolist()]
+_EDGE_AB = [(int(EDGE_CORNERS[0, e]), int(EDGE_CORNERS[1, e]))
+            for e in range(12)]
+_CASE_EDGES = [tuple(e for e, (a, b) in enumerate(_EDGE_AB)
+                     if (case >> a & 1) != (case >> b & 1))
+               for case in range(256)]
+_CASE_TRIS = [tuple(tuple(row[t:t + 3]) for t in range(0, 15, 3) if row[t] >= 0)
+              for row in CUBE_TRIANGLES.tolist()]
+
+
+def reference_area(p0, p1, p2):
+    ux, uy, uz = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    vx, vy, vz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def reference_clip_halfspace(poly, f):
+    if not poly:
+        return []
+    out = []
+    prev = poly[-1]
+    fprev = f(prev)
+    for cur in poly:
+        fcur = f(cur)
+        if fcur >= 0.0:
+            if fprev < 0.0:
+                t = fprev / (fprev - fcur)
+                out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
+            out.append(cur)
+        elif fprev >= 0.0:
+            t = fprev / (fprev - fcur)
+            out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
+        prev, fprev = cur, fcur
+    return out
+
+
+def reference_marching_cubes(grid, level):
+    vals = grid.values
+    n = grid.spec.n_points
+    coords = grid.spec.coords().tolist()
+
+    below = vals < level
+    m = n - 1
+    index = np.zeros((m, m, m), dtype=np.int32)
+    for v, (dx, dy, dz) in enumerate(_CORNERS):
+        index |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.int32) << v
+    active = np.argwhere((index != 0) & (index != 255))
+
+    vertices, scalars, vindex, triangles = [], [], {}, []
+    for ci, cj, ck in active.tolist():
+        case = int(index[ci, cj, ck])
+        edge_vertex = {}
+        for e in _CASE_EDGES[case]:
+            a, b = _EDGE_AB[e]
+            oa, ob = _CORNERS[a], _CORNERS[b]
+            pa = (ci + oa[0], cj + oa[1], ck + oa[2])
+            pb = (ci + ob[0], cj + ob[1], ck + ob[2])
+            if pb < pa:
+                pa, pb = pb, pa
+            va = float(vals[pa])
+            vb = float(vals[pb])
+            t = (level - va) / (vb - va)
+            pos = (coords[pa[0]] + t * (coords[pb[0]] - coords[pa[0]]),
+                   coords[pa[1]] + t * (coords[pb[1]] - coords[pa[1]]),
+                   coords[pa[2]] + t * (coords[pb[2]] - coords[pa[2]]))
+            vid = vindex.get(pos)
+            if vid is None:
+                vid = len(vertices)
+                vindex[pos] = vid
+                vertices.append(pos)
+                scalars.append(va + t * (vb - va))
+            edge_vertex[e] = vid
+        for e0, e1, e2 in _CASE_TRIS[case]:
+            i0, i1, i2 = edge_vertex[e0], edge_vertex[e1], edge_vertex[e2]
+            if i0 == i1 or i1 == i2 or i0 == i2:
+                continue
+            if reference_area(vertices[i0], vertices[i1], vertices[i2]) < _AREA_EPS:
+                continue
+            triangles.append((i0, i1, i2))
+
+    return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                        np.array(triangles, dtype=np.int64).reshape(-1, 3),
+                        np.array(scalars, dtype=float), float(level))
+
+
+def reference_apply_cutaway(mesh, grid):
+    verts = [tuple(v) for v in mesh.vertices.tolist()]
+    scalars = mesh.vertex_scalar.tolist()
+    changed = False
+    corners = mesh.vertices[mesh.triangles]
+    reach = ((corners[:, :, 0] < 0.0).any(axis=1)
+             & (corners[:, :, 1] < 0.0).any(axis=1)
+             & (corners[:, :, 2] > 0.0).any(axis=1))
+    new_tris = []
+    for (i0, i1, i2), reaches in zip(mesh.triangles.tolist(), reach.tolist()):
+        if not reaches:
+            new_tris.append(("old", (i0, i1, i2)))
+            continue
+        tri = (verts[i0], verts[i1], verts[i2])
+        part = reference_clip_halfspace(list(tri), lambda p: -p[0])
+        part = reference_clip_halfspace(part, lambda p: -p[1])
+        part = reference_clip_halfspace(part, lambda p: p[2])
+        area = sum(reference_area(part[0], part[i], part[i + 1])
+                   for i in range(1, len(part) - 1))
+        n = float(len(part))
+        if area < _AREA_EPS or not (sum(p[0] for p in part) / n < 0.0
+                                    and sum(p[1] for p in part) / n < 0.0
+                                    and sum(p[2] for p in part) / n > 0.0):
+            new_tris.append(("old", (i0, i1, i2)))
+            continue
+        changed = True
+        pieces = [
+            [lambda p: p[0]],
+            [lambda p: -p[0], lambda p: p[1]],
+            [lambda p: -p[0], lambda p: -p[1], lambda p: -p[2]],
+        ]
+        for halfspaces in pieces:
+            poly = list(tri)
+            for f in halfspaces:
+                poly = reference_clip_halfspace(poly, f)
+            for t in range(1, len(poly) - 1):
+                piece = (poly[0], poly[t], poly[t + 1])
+                if reference_area(*piece) >= _AREA_EPS:
+                    new_tris.append(("new", piece))
+    if not changed:
+        return mesh
+
+    out_vertices, out_scalars, vindex, out_triangles = [], [], {}, []
+
+    def add_vertex(pos, scalar=None):
+        vid = vindex.get(pos)
+        if vid is None:
+            vid = len(out_vertices)
+            vindex[pos] = vid
+            out_vertices.append(pos)
+            out_scalars.append(trilinear_at(grid, pos) if scalar is None else scalar)
+        return vid
+
+    for kind, item in new_tris:
+        if kind == "old":
+            ids = tuple(add_vertex(verts[i], scalars[i]) for i in item)
+        else:
+            ids = tuple(add_vertex(p) for p in item)
+        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
+            out_triangles.append(ids)
+    for tri in _cap_triangles(grid, mesh.level):
+        ids = tuple(add_vertex(p) for p in tri)
+        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
+            out_triangles.append(ids)
+
+    return TriangleMesh(np.array(out_vertices, dtype=float).reshape(-1, 3),
+                        np.array(out_triangles, dtype=np.int64).reshape(-1, 3),
+                        np.array(out_scalars, dtype=float), mesh.level)
+
+
+def assert_same_mesh(got, want):
+    for name in ("vertices", "triangles", "vertex_scalar"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.level == want.level
 
 
 def synthetic_grid(n=41, h=2.0, center=(0.0, 0.0, 0.0), radius=1.0):
@@ -38,7 +207,86 @@ def test_empty_mesh_from_empty_level_set():
     assert len(mesh.triangles) == 8
     everywhere_low = DensityGrid(spec=spec, values=np.full((9, 9, 9), 5.0),
                                  max_value=5.0, rescaled=True)
-    assert len(marching_cubes(everywhere_low, 50.0).triangles) == 0
+    empty = marching_cubes(everywhere_low, 50.0)
+    assert len(empty.triangles) == 0
+    assert_same_mesh(empty, reference_marching_cubes(everywhere_low, 50.0))
+    assert empty.vertices.shape == (0, 3) and empty.triangles.shape == (0, 3)
+    assert apply_cutaway(empty, everywhere_low) is empty
+
+
+def test_crossed_edges_are_the_edges_triangulated():
+    for case in range(256):
+        crossed = set(np.flatnonzero(_crossed_edges(np.array([case]))[0]))
+        used = {e for e in CUBE_TRIANGLES[case].tolist() if e >= 0}
+        assert crossed == used, case
+
+
+REAL_CASES = [
+    ((6, 5, 0), (1.0, 0.5, 0.5), 101, (50.0, 99.9)),
+    ((6, 5, 0), (1.0, 0.5, 0.5), 41, (5.0, 10.0)),
+    ((3, 2, 1), (1.0, 0.5, 0.5), 15, (5.0, 30.0, 99.9)),
+    ((2, 1, 0), (2.0, 0.3, 0.7), 41, (20.0,)),
+    ((4, 3, -2), (1.0, 0.5, 0.5), 41, (5.0, 35.0)),
+]
+
+
+@pytest.mark.parametrize("state, params, n_points, levels", REAL_CASES)
+def test_matches_reference_loops_on_real_grids(state, params, n_points, levels):
+    grid = make_rpv_grid(StateLabels(*state), PotentialParams(*params),
+                         n_points)
+    for level in levels:
+        mesh = marching_cubes(grid, level)
+        want = reference_marching_cubes(grid, level)
+        assert_same_mesh(mesh, want)
+        cut = apply_cutaway(mesh, grid)
+        assert cut is not mesh
+        assert_same_mesh(cut, reference_apply_cutaway(want, grid))
+        assert apply_cutaway(cut, grid) is cut
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_reference_loops_with_voxels_at_the_level(seed):
+    """Crossings landing exactly on grid points weld across edges."""
+    rng = np.random.default_rng(seed)
+    level = float(rng.choice([5.0, 50.0, 1.0 / 3.0]))
+    pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
+            0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
+    spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
+    values = rng.choice(pool, size=(9, 9, 9))
+    grid = DensityGrid(spec, values, 100.0, rescaled=True)
+    mesh = marching_cubes(grid, level)
+    want = reference_marching_cubes(grid, level)
+    assert_same_mesh(mesh, want)
+    cut = apply_cutaway(mesh, grid)
+    assert_same_mesh(cut, reference_apply_cutaway(want, grid))
+    assert apply_cutaway(cut, grid) is cut
+
+
+def test_cutaway_welds_signed_zeros_together():
+    grid = synthetic_grid(n=15, h=2.0, radius=1.5)
+    mesh = marching_cubes(grid, 30.0)
+    # a copy of every vertex with its zero coordinates negated; odd
+    # triangles use the copies, so each zero vertex comes in two spellings
+    flipped = np.where(mesh.vertices == 0.0, -0.0, mesh.vertices)
+    assert np.signbit(flipped[flipped == 0.0]).all() and (flipped == 0.0).any()
+    nv = len(mesh.vertices)
+    triangles = mesh.triangles.copy()
+    triangles[1::2] += nv
+    doubled = TriangleMesh(np.vstack([mesh.vertices, flipped]), triangles,
+                           np.tile(mesh.vertex_scalar, 2), mesh.level)
+    cut = apply_cutaway(doubled, grid)
+    assert_same_mesh(cut, reference_apply_cutaway(doubled, grid))
+
+
+def test_cutaway_returns_input_when_nothing_is_cut():
+    grid = synthetic_grid(n=9)
+    # one vertex each at x < 0, y < 0 and z > 0, yet the triangle meets the
+    # closed octant nowhere: a + b + c = 1 with a, b >= 1/2 forces z = -1
+    mesh = TriangleMesh(np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, -1.0],
+                                  [1.0, 1.0, 1.0]]),
+                        np.array([[0, 1, 2]]), np.full(3, 50.0), 50.0)
+    assert apply_cutaway(mesh, grid) is mesh
+    assert reference_apply_cutaway(mesh, grid) is mesh
 
 
 def test_requires_rescaled_grid_and_valid_level():

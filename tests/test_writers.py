@@ -120,6 +120,15 @@ def test_obj_matches_reference(real_grid):
                 == reference_obj(mesh, LABELS, PARAMS, cutaway))
 
 
+def test_obj_streams_in_blocks(monkeypatch, real_grid):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    mesh = marching_cubes(real_grid, 30.0)
+    chunks = list(_obj_chunks(mesh, LABELS, PARAMS, False))
+    assert len(chunks) == (1 + -(-len(mesh.vertices) // 4)
+                           + -(-len(mesh.triangles) // 4))
+    assert "".join(chunks) == reference_obj(mesh, LABELS, PARAMS, False)
+
+
 def test_obj_keeps_negative_zero():
     verts = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5], [2.0, 0.0, -0.0]])
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [2, 1, 0]]),
