@@ -27,9 +27,9 @@ from .states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
 from .surface import (ContourSet, TriangleMesh, apply_cutaway,
                       connected_components, is_watertight, marching_cubes,
                       pole_concentration, slice_contour, surface_area)
-from .verify import (ConvergenceError, VerificationReport, hydrogen_oracle,
-                     ode_residuals, quad_angular_norm, quad_radial_norm,
-                     sweep_statistics, verify_state)
+from .verify import (ConvergenceError, VerificationReport, ode_residuals,
+                     quad_angular_norm, quad_radial_norm, sweep_statistics,
+                     verify_state)
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,5 @@ __all__ = [
     "is_watertight", "surface_area",
     # verification
     "VerificationReport", "ConvergenceError", "quad_radial_norm",
-    "quad_angular_norm", "ode_residuals", "hydrogen_oracle",
-    "sweep_statistics", "verify_state",
+    "quad_angular_norm", "ode_residuals", "sweep_statistics", "verify_state",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -327,8 +328,7 @@ def cmd_verify(args) -> int:
 @dataclass(frozen=True)
 class RunSpec:
     index: int
-    labels: StateLabels
-    params: PotentialParams
+    state: dict                 # n, l, m, Z, b, c as read; cmd_sweep validates
     n_points: int
     extent: float | None
     coverage: float
@@ -338,9 +338,23 @@ class RunSpec:
     cutaway: bool
 
     @property
+    def labels(self) -> StateLabels:
+        return StateLabels(self.state["n"], self.state["l"], self.state["m"])
+
+    @property
+    def params(self) -> PotentialParams:
+        return PotentialParams(self.state["Z"], self.state["b"],
+                               self.state["c"])
+
+    @property
     def stem(self) -> str:
-        return (f"run_{self.index:03d}_n{self.labels.n}"
-                f"l{self.labels.l}m{self.labels.m}")
+        return (f"run_{self.index:03d}_n{self.state['n']}"
+                f"l{self.state['l']}m{self.state['m']}")
+
+    def state_record(self) -> dict:
+        """The state for the manifest; a non-finite value becomes a string."""
+        return {k: v if math.isfinite(v) else str(v)
+                for k, v in self.state.items()}
 
 
 @dataclass(frozen=True)
@@ -374,11 +388,10 @@ def _parse_job(path: str, output_override: str | None,
         gridcfg = entry.get("grid", {})
         runs.append(RunSpec(
             index=i,
-            labels=StateLabels(int(entry["n"]), int(entry["l"]),
-                               int(entry["m"])),
-            params=PotentialParams(float(entry.get("Z", 1.0)),
-                                   float(entry.get("b", 0.0)),
-                                   float(entry.get("c", 0.0))),
+            state={"n": int(entry["n"]), "l": int(entry["l"]),
+                   "m": int(entry["m"]), "Z": float(entry.get("Z", 1.0)),
+                   "b": float(entry.get("b", 0.0)),
+                   "c": float(entry.get("c", 0.0))},
             n_points=int(gridcfg.get("n_points", 151)),
             extent=(float(gridcfg["extent"]) if "extent" in gridcfg
                     else None),
@@ -398,11 +411,11 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
     An exception ends the run, not the sweep: the record lists what was
     written before it, with status io_error for an OSError, else failed.
     """
-    q = map_quantum_numbers(run.labels, run.params)
+    labels, params = run.labels, run.params
+    q = map_quantum_numbers(labels, params)
     record = {
         "index": run.index,
-        "state": {"n": run.labels.n, "l": run.labels.l, "m": run.labels.m,
-                  "Z": run.params.Z, "b": run.params.b, "c": run.params.c},
+        "state": run.state_record(),
         "quasi": {"m_prime": q.m_prime, "gamma1": q.gamma1,
                   "l_prime": q.l_prime, "n_prime": q.n_prime,
                   "energy": q.energy},
@@ -413,8 +426,8 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
     try:
         grid = None
         if any(o in run.outputs for o in ("grid", "isosurface", "slice")):
-            grid = _resolve_grid(run.labels, run.params, run.n_points,
-                                 run.extent, run.coverage)
+            grid = _resolve_grid(labels, params, run.n_points, run.extent,
+                                 run.coverage)
         for kind in run.outputs:
             if kind == "grid":
                 name = run.stem + ".vtk"
@@ -424,15 +437,15 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
                 if run.cutaway:
                     mesh = apply_cutaway(mesh, grid)
                 name = run.stem + ".obj"
-                _write(_obj_chunks(mesh, run.labels, run.params, run.cutaway),
+                _write(_obj_chunks(mesh, labels, params, run.cutaway),
                        out_dir / name)
             elif kind == "slice":
                 contours = slice_contour(grid, list(run.levels))
                 name = run.stem + "_slice.csv"
-                _write(_slice_chunks(contours, run.labels, run.params),
+                _write(_slice_chunks(contours, labels, params),
                        out_dir / name)
             else:
-                report = verify_state(run.labels, run.params)
+                report = verify_state(labels, params)
                 name = run.stem + "_verify.json"
                 _write([_dump_json(report.as_dict())], out_dir / name)
                 if not report.all_passed:
@@ -472,9 +485,7 @@ def cmd_sweep(args) -> int:
         if run.index in invalid:
             records[run.index] = {
                 "index": run.index,
-                "state": {"n": run.labels.n, "l": run.labels.l,
-                          "m": run.labels.m, "Z": run.params.Z,
-                          "b": run.params.b, "c": run.params.c},
+                "state": run.state_record(),
                 "status": "invalid",
                 "reason": invalid[run.index],
                 "artifacts": [],

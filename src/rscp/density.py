@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .specfun import UalpSpec, _evaluator, kummer_coefficients
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
@@ -183,7 +182,7 @@ def grid_mass(grid: DensityGrid) -> float:
 
 @lru_cache(maxsize=8)
 def _gauss_nodes(n: int):
-    return roots_legendre(n)
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _radial_cumulative(q: QuasiNumbers, params: PotentialParams, h: float,

@@ -2,10 +2,11 @@
 
 Every check here avoids the evaluation path it is judging: normalization
 integrals and expectations apply weighted Gauss rules (Jacobi, Laguerre),
-exact on polynomial-times-weight integrands, to the served functions;
-differential-equation residuals rebuild the polynomial factors from a
-term-ratio recurrence (sharing only log_gamma with the main code), and
-the hydrogen oracle goes through scipy's Laguerre/Legendre routines.
+exact on polynomial-times-weight integrands, to the served functions,
+with nodes and weights built here from the classical three-term
+recurrences; differential-equation residuals rebuild the polynomial
+factors from a term-ratio recurrence (sharing only log_gamma with the
+main code).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import (betaln, eval_genlaguerre, eval_jacobi, gammaln,
-                           logsumexp, lpmv, roots_genlaguerre, roots_jacobi)
 
 from .density import DensityGrid, grid_mass
 from .specfun import UalpSpec, angular_H
@@ -29,7 +28,6 @@ __all__ = [
     "quad_radial_norm",
     "quad_angular_norm",
     "ode_residuals",
-    "hydrogen_oracle",
     "sweep_statistics",
     "verify_state",
     "radial_domain",
@@ -42,31 +40,85 @@ class ConvergenceError(RuntimeError):
     """Raised when the radial tail bound does not close."""
 
 
-# Gauss rules return nodes and log-weights.  scipy's float weights carry
-# the mass of the weight, which overflows for large orders, so they are
-# rebuilt from the nodes in the Christoffel form and normalized in log
-# space (Golub & Welsch, Math. Comp. 23, 1969).
+# Gauss rules return nodes and log-weights.  The nodes are the
+# eigenvalues of the symmetric tridiagonal Jacobi matrix of the monic
+# three-term recurrence, each polished by one Newton step on the
+# recurrence-evaluated polynomial (Golub & Welsch, Math. Comp. 23, 1969,
+# 221; Abramowitz & Stegun 22.7).  Float weights would carry the mass of
+# the weight, which overflows for large orders, so the weights come from
+# the nodes in the Christoffel form, normalized in log space.
+
+def _jacobi_p(n: int, a: float, b: float, y):
+    """P_n^(a,b)(y) by the three-term recurrence (A&S 22.7.1)."""
+    p0, p1 = np.ones_like(y), 0.5 * (a - b + (a + b + 2.0) * y)
+    if n == 0:
+        return p0
+    for k in range(2, n + 1):
+        s = 2.0 * k + a + b
+        p0, p1 = p1, ((s - 1.0) * (s * (s - 2.0) * y + a * a - b * b) * p1
+                      - 2.0 * (k + a - 1.0) * (k + b - 1.0) * s * p0) \
+            / (2.0 * k * (k + a + b) * (s - 2.0))
+    return p1
+
+
+def _laguerre_l(n: int, a: float, x):
+    """L_n^(a)(x) by the three-term recurrence (A&S 22.7.12)."""
+    p0, p1 = np.ones_like(x), 1.0 + a - x
+    if n == 0:
+        return p0
+    for k in range(1, n):
+        p0, p1 = p1, ((2.0 * k + 1.0 + a - x) * p1 - (k + a) * p0) / (k + 1.0)
+    return p1
+
+
+def _eigenvalues(diag, off):
+    """Eigenvalues of the symmetric tridiagonal matrix (diag, off)."""
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+
+
+def _log_normalized(log_w, log_mass: float):
+    """Shift log-weights so that their exponentials sum to exp(log_mass)."""
+    top = log_w.max()
+    return log_w - (math.log(np.sum(np.exp(log_w - top))) + top) + log_mass
+
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(n: int, alpha: float, beta: float):
-    """n-point Gauss rule for (1-t)^alpha t^beta dt on (0, 1)."""
-    with np.errstate(over="ignore"):
-        y = roots_jacobi(n, alpha, beta)[0]
-    # w_i ~ 1 / ((1 - y_i^2) P_n'(y_i)^2), P_n' ~ P_(n-1)^(alpha+1, beta+1)
+    """n-point Gauss rule for (1-t)^alpha t^beta dt on (0, 1).
+
+    alpha + beta > -1; here alpha = m' >= 0 and beta >= -1/2.
+    """
+    a, b = alpha, beta
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.full(n, (b - a) / (a + b + 2.0))  # k = 0, also when a + b = 0
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off = 2.0 / s * np.sqrt((k + a) * (k + b) * k * (k + a + b)
+                            / ((s + 1.0) * (s - 1.0)))
+    y = _eigenvalues(diag, off)
+    # P_n' = (n + a + b + 1)/2 P_(n-1)^(a+1, b+1)
+    y -= _jacobi_p(n, a, b, y) / (
+        0.5 * (n + a + b + 1.0) * _jacobi_p(n - 1, a + 1.0, b + 1.0, y))
+    # w_i ~ 1 / ((1 - y_i^2) P_n'(y_i)^2)
     log_w = -np.log1p(-y * y) - 2.0 * np.log(np.abs(
-        eval_jacobi(n - 1, alpha + 1.0, beta + 1.0, y)))
-    return (0.5 * (1.0 + y),
-            log_w - logsumexp(log_w) + betaln(alpha + 1.0, beta + 1.0))
+        _jacobi_p(n - 1, a + 1.0, b + 1.0, y)))
+    log_beta = (math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                - math.lgamma(a + b + 2.0))
+    return 0.5 * (1.0 + y), _log_normalized(log_w, log_beta)
 
 
 @lru_cache(maxsize=256)
 def _laguerre_rule(n: int, alpha: float):
     """n-point Gauss rule for w^alpha e^-w dw on (0, inf)."""
-    x = roots_genlaguerre(n, alpha)[0]
-    # w_i ~ 1 / (x_i L_n'(x_i)^2), L_n' = -L_(n-1)^(alpha+1)
+    k = np.arange(1.0, n)
+    x = _eigenvalues(2.0 * np.arange(n) + alpha + 1.0,
+                     np.sqrt(k * (k + alpha)))
+    # L_n' = -L_(n-1)^(alpha+1)
+    x += _laguerre_l(n, alpha, x) / _laguerre_l(n - 1, alpha + 1.0, x)
+    # w_i ~ 1 / (x_i L_n'(x_i)^2)
     log_w = -np.log(x) - 2.0 * np.log(np.abs(
-        eval_genlaguerre(n - 1, alpha + 1.0, x)))
-    return x, log_w - logsumexp(log_w) + gammaln(alpha + 1.0)
+        _laguerre_l(n - 1, alpha + 1.0, x)))
+    return x, _log_normalized(log_w, math.lgamma(alpha + 1.0))
 
 
 def _angular_moment(labels: StateLabels, params: PotentialParams,
@@ -257,37 +309,6 @@ def ode_residuals(labels: StateLabels, params: PotentialParams,
         angular_max = max(angular_max, abs(residual) / scale)
 
     return float(radial_max), float(angular_max)
-
-
-# ---------------------------------------------------------- hydrogen oracle
-
-def hydrogen_oracle(n: int, l: int, m: int, point, Z: float = 1.0) -> float:
-    """Textbook hydrogen density |psi_nlm|^2 via scipy special functions.
-
-    Deliberately a separate code path: generalized Laguerre and integer
-    Legendre evaluation come from scipy, normalization from factorials.
-    """
-    x, y, z = (float(point[0]), float(point[1]), float(point[2]))
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        if l > 0:
-            return 0.0
-        lag = eval_genlaguerre(n - 1, 1, 0.0)
-        radial = math.sqrt((2.0 * Z / n) ** 3
-                           * math.factorial(n - 1)
-                           / (2.0 * n * math.factorial(n))) * lag
-        return radial * radial / (4.0 * math.pi)
-    rho = 2.0 * Z * r / n
-    am = abs(m)
-    norm = math.sqrt((2.0 * Z / n) ** 3 * math.factorial(n - l - 1)
-                     / (2.0 * n * math.factorial(n + l)))
-    radial = norm * math.exp(-rho / 2.0) * rho ** l \
-        * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
-    ct = z / r
-    leg = lpmv(am, l, ct)
-    ynorm = (2 * l + 1) / (4.0 * math.pi) \
-        * math.factorial(l - am) / math.factorial(l + am)
-    return radial * radial * ynorm * leg * leg
 
 
 # --------------------------------------------------------------- reporting

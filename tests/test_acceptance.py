@@ -16,11 +16,12 @@ from rscp.density import (GridSpec, auto_extent, build_grid, density_at,
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.surface import (apply_cutaway, connected_components, is_watertight,
                           marching_cubes, pole_concentration)
-from rscp.verify import (angular_expectation_abs_x, hydrogen_oracle,
-                         ode_residuals, quad_angular_norm, quad_radial_norm,
+from rscp.verify import (angular_expectation_abs_x, ode_residuals,
+                         quad_angular_norm, quad_radial_norm,
                          radial_expectation_r)
 from rscp.cli import main as cli_main
 
+from _hydrogen import hydrogen_oracle
 from conftest import TABLE1_STATES
 
 SUITE = [(StateLabels(n, l, m), PotentialParams(1.0, 0.5, c))

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rscp
 import rscp.cli as cli
 from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                       EXIT_VERIFY, _dump_json, _parse_levels, _parse_range,
@@ -272,6 +276,38 @@ def test_dump_json_rejects_non_finite():
             _dump_json({"x": [1.0, bad]})
 
 
+# ------------------------------------------------------ runtime dependencies
+
+_CHILD = """
+import sys
+import rscp
+argv = sys.argv[1:]
+if argv:
+    from rscp.cli import main
+    assert main(argv) == 0
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["grid", "--n", "2", "--l", "1", "--m", "0", "--N", "3"],
+    ["verify", "--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "10"]])
+def test_cold_commands_do_not_import_scipy(tmp_path, argv):
+    # a fresh interpreter, so modules the test session loaded do not count
+    src = str(Path(rscp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    if argv:
+        argv = argv + ["--output", str(tmp_path / "out")]
+    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+    if argv:
+        assert (tmp_path / "out").stat().st_size > 0
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -379,6 +415,36 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     message = json.loads(out)["error"]["message"]
     assert "run 1" in message and repr(key) in message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("state, reason, shown", [
+    ({"n": 2, "l": 2, "m": 0}, "l must satisfy", {}),
+    ({"n": 3, "l": 1, "m": -2}, "|m| must be <= l", {}),
+    ({"n": 2, "l": 1, "m": 0, "c": -0.5}, "c must be >= 0", {}),
+    ({"n": 2, "l": 1, "m": 0, "Z": 0.0}, "Z must be positive", {}),
+    ({"n": 2, "l": 1, "m": 0, "b": math.inf}, "b must be finite",
+     {"b": "inf"}),
+    ({"n": 2, "l": 1, "m": 0, "c": math.nan}, "c must be finite",
+     {"c": "nan"}),
+])
+def test_sweep_inadmissible_state_is_invalid_run(tmp_path, capsys, state,
+                                                 reason, shown):
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "runs": [
+        JOB["runs"][0], dict(state, outputs=["grid", "verify"])]}))
+    code, _ = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    text = (out / "manifest.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    runs = json.loads(text)["runs"]
+    assert [r["status"] for r in runs] == ["ok", "invalid"]
+    assert reason in runs[1]["reason"]
+    assert runs[1]["artifacts"] == []
+    want = {"Z": 1.0, "b": 0.0, "c": 0.0, **state, **shown}
+    assert runs[1]["state"] == want
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "run_000_n2l1m0.vtk", "run_000_n2l1m0_slice.csv"]
 
 
 @pytest.mark.parametrize("error, code", [

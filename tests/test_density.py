@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from rscp.density import (DegenerateGridError, DensityGrid, GridSpec,
-                          auto_extent, build_grid, density_at, grid_mass,
-                          normalize_relative)
+                          _gauss_nodes, auto_extent, build_grid, density_at,
+                          grid_mass, normalize_relative)
 from rscp.states import PotentialParams, StateLabels
 
 H_210 = (StateLabels(2, 1, 0), PotentialParams())
@@ -207,3 +208,11 @@ def test_backend_determinism_bitwise():
     a = build_grid(*RING, spec)
     b = build_grid(*RING, spec)
     assert np.array_equal(a.values, b.values)
+
+
+def test_gauss_nodes_match_scipy():
+    # the auto_extent panels: numpy's Legendre rule against scipy's
+    x, w = _gauss_nodes(256)
+    xs, ws = roots_legendre(256)
+    assert np.max(np.abs(x - xs)) < 1e-13
+    assert np.max(np.abs(w - ws)) < 1e-13

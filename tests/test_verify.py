@@ -6,17 +6,19 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import (betaln, gammaln, logsumexp, roots_genlaguerre,
+                           roots_jacobi)
 
 from rscp import specfun, states
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers, radial_u)
 from rscp.verify import (CheckResult, _jacobi_rule, _laguerre_rule,
-                         angular_expectation_abs_x, hydrogen_oracle,
-                         ode_residuals, quad_angular_norm, quad_radial_norm,
-                         radial_domain, radial_expectation_r,
-                         sweep_statistics, verify_state)
+                         angular_expectation_abs_x, ode_residuals,
+                         quad_angular_norm, quad_radial_norm, radial_domain,
+                         radial_expectation_r, sweep_statistics, verify_state)
+
+from _hydrogen import hydrogen_oracle
 
 # ----------------------------------------------------------- Gauss rules
 
@@ -44,6 +46,77 @@ def test_laguerre_rule_exact_moments(n, alpha):
         got = logsumexp(log_w + j * np.log(x))
         want = gammaln(alpha + j + 1.0)
         assert abs(got - want) < 1e-14 * max(1.0, want), j
+
+
+# scipy's rules as an oracle for the numpy ones
+_ORACLE_ALPHAS = (0.0, 0.3, 1.0, 2.5, 10.0, 100.0, 2000.0)
+
+
+def _log_or_nan(w):
+    """log of scipy's float weights; nan where they overflowed or vanished."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(w) & (w > 0.0), np.log(w), np.nan)
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+@pytest.mark.parametrize("beta", (-0.5, 0.0, 0.37, 1.0, 7.5, 60.0))
+def test_jacobi_rule_matches_scipy(alpha, beta):
+    # at alpha = 100 scipy's own weights miss 50-digit values by up to
+    # 2.6e-12, ours by 4e-14 (test_jacobi_rule_high_precision)
+    tol = 1e-12 if alpha < 100.0 else 5e-12
+    for n in range(1, 16):
+        t, log_w = _jacobi_rule(n, alpha, beta)
+        with np.errstate(over="ignore"):
+            y, w = roots_jacobi(n, alpha, beta)
+        assert np.max(np.abs(2.0 * t - 1.0 - y)) < 1e-15, n
+        # scipy's weights are for (1-y)^alpha (1+y)^beta dy on (-1, 1)
+        ref = _log_or_nan(w) - (alpha + beta + 1.0) * math.log(2.0)
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(log_w - ref)[finite] < tol), n
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+def test_laguerre_rule_matches_scipy(alpha):
+    for n in range(1, 16):
+        x, log_w = _laguerre_rule(n, alpha)
+        with np.errstate(over="ignore"):
+            xs, w = roots_genlaguerre(n, alpha)
+        assert np.max(np.abs(x - xs) / xs) < 1e-14, n
+        ref = _log_or_nan(w)
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(log_w - ref)[finite] < 1e-12), n
+
+
+def test_jacobi_rule_high_precision():
+    # 50-digit roots and Christoffel weights, with the exact constant
+    # Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!) on (0, 1); the
+    # Newton step brings every node within one ulp
+    mp = pytest.importorskip("mpmath")
+    t, log_w = _jacobi_rule(15, 100.0, -0.5)
+    with mp.workdps(50):
+        n, a, b = 15, mp.mpf(100), mp.mpf(-0.5)
+        log_c = (mp.loggamma(n + a + 1) + mp.loggamma(n + b + 1)
+                 - mp.loggamma(n + a + b + 1) - mp.loggamma(n + 1))
+        for yi, lwi in zip(2.0 * t - 1.0, log_w):
+            y = mp.findroot(lambda v: mp.jacobi(n, a, b, v), mp.mpf(yi))
+            dp = (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, y)
+            assert abs(yi - float(y)) <= np.spacing(abs(yi))
+            assert abs(lwi - float(log_c - mp.log((1 - y * y) * dp * dp))) \
+                < 1e-13
+
+
+def test_laguerre_rule_high_precision():
+    # as above, with the constant Gamma(n+a+1) / n! and L_n' = -L_(n-1)^(a+1)
+    mp = pytest.importorskip("mpmath")
+    x, log_w = _laguerre_rule(15, 100.0)
+    with mp.workdps(50):
+        n, a = 15, mp.mpf(100)
+        log_c = mp.loggamma(n + a + 1) - mp.loggamma(n + 1)
+        for xi, lwi in zip(x, log_w):
+            r = mp.findroot(lambda v: mp.laguerre(n, a, v), mp.mpf(xi))
+            dl = mp.laguerre(n - 1, a + 1, r)
+            assert abs(xi - float(r)) <= np.spacing(xi)
+            assert abs(lwi - float(log_c - mp.log(r * dl * dl))) < 1e-13
 
 
 _SCAN_BARRIERS = (0.0, 1e-10, 1e-6, 1e-3, 0.5, 10.0, 100.0)
