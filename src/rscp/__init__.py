@@ -17,19 +17,17 @@ cross-checks everything against independent numerical oracles.
 from .density import (DegenerateGridError, DensityGrid, GridSpec,
                       auto_extent, build_grid, density_at, grid_mass,
                       normalize_relative)
-from .specfun import (SignedLogValue, UalpSpec, angular_H,
-                      angular_H_derivatives, kummer_terminating, log_gamma,
+from .specfun import (UalpSpec, angular_H, kummer_coefficients, log_gamma,
                       ualp_coefficients)
 from .states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
-                     PotentialParams, QuasiNumbers, StateLabels, energy,
+                     PotentialParams, QuasiNumbers, StateLabels,
                      map_quantum_numbers, potential_V, radial_u,
                      wavefunction_modulus_sq)
 from .surface import (ContourSet, TriangleMesh, apply_cutaway,
                       connected_components, is_watertight, marching_cubes,
                       pole_concentration, slice_contour, surface_area)
 from .verify import (ConvergenceError, VerificationReport, ode_residuals,
-                     quad_angular_norm, quad_radial_norm, sweep_statistics,
-                     verify_state)
+                     quad_angular_norm, quad_radial_norm, verify_state)
 
 __version__ = "0.1.0"
 
@@ -38,11 +36,11 @@ __all__ = [
     # states
     "PotentialParams", "StateLabels", "QuasiNumbers",
     "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
-    "map_quantum_numbers", "potential_V", "radial_u", "energy",
+    "map_quantum_numbers", "potential_V", "radial_u",
     "wavefunction_modulus_sq",
     # special functions
-    "SignedLogValue", "UalpSpec", "log_gamma", "kummer_terminating",
-    "ualp_coefficients", "angular_H", "angular_H_derivatives",
+    "UalpSpec", "log_gamma", "kummer_coefficients", "ualp_coefficients",
+    "angular_H",
     # density grids
     "GridSpec", "DensityGrid", "DegenerateGridError", "density_at",
     "build_grid", "normalize_relative", "grid_mass", "auto_extent",
@@ -52,5 +50,5 @@ __all__ = [
     "is_watertight", "surface_area",
     # verification
     "VerificationReport", "ConvergenceError", "quad_radial_norm",
-    "quad_angular_norm", "ode_residuals", "sweep_statistics", "verify_state",
+    "quad_angular_norm", "ode_residuals", "verify_state",
 ]

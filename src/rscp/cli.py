@@ -367,42 +367,67 @@ class JobSpec:
 _RUN_OUTPUTS = ("grid", "isosurface", "slice", "verify")
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer, an integral float or an integer string, as an int."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, str))
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _parse_run(i: int, entry) -> RunSpec:
+    if not isinstance(entry, dict):
+        raise ValueError(f"a run must be an object, got {json.dumps(entry)}")
+    for key in ("n", "l", "m"):
+        if key not in entry:
+            raise ValueError(f"missing required key {key!r}")
+    outputs = tuple(entry.get("outputs", ("grid",)))
+    for o in outputs:
+        if o not in _RUN_OUTPUTS:
+            raise ValueError(f"unknown output kind {o!r}")
+    gridcfg = entry.get("grid", {})
+    if not isinstance(gridcfg, dict):
+        raise ValueError(f"grid must be an object, got {json.dumps(gridcfg)}")
+    return RunSpec(
+        index=i,
+        state={"n": _integer(entry["n"], "n"), "l": _integer(entry["l"], "l"),
+               "m": _integer(entry["m"], "m"),
+               "Z": float(entry.get("Z", 1.0)),
+               "b": float(entry.get("b", 0.0)),
+               "c": float(entry.get("c", 0.0))},
+        n_points=_integer(gridcfg.get("n_points", 151), "n_points"),
+        extent=(float(gridcfg["extent"]) if "extent" in gridcfg else None),
+        coverage=float(gridcfg.get("coverage", 0.999)),
+        outputs=outputs,
+        level=float(entry.get("level", 50.0)),
+        levels=tuple(float(v) for v in
+                     entry.get("levels", [10.0 * j for j in range(1, 11)])),
+        cutaway=bool(entry.get("cutaway", False)),
+    )
+
+
 def _parse_job(path: str, output_override: str | None,
                workers_override: int | None) -> JobSpec:
+    """Read a job file; any malformed entry is a ValueError naming its run."""
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict) or "runs" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("runs"), list):
         raise ValueError("job file must be an object with a 'runs' list")
-    out_dir = Path(output_override or raw.get("output_dir", "."))
-    workers = workers_override or int(raw.get("workers", 2))
+    out_dir = output_override or raw.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ValueError("output_dir must be a string,"
+                         f" got {json.dumps(out_dir)}")
+    workers = (workers_override if workers_override is not None
+               else _integer(raw.get("workers", 2), "workers"))
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     runs = []
     for i, entry in enumerate(raw["runs"]):
-        for key in ("n", "l", "m"):
-            if key not in entry:
-                raise ValueError(f"run {i}: missing required key {key!r}")
-        outputs = tuple(entry.get("outputs", ("grid",)))
-        for o in outputs:
-            if o not in _RUN_OUTPUTS:
-                raise ValueError(f"run {i}: unknown output kind {o!r}")
-        gridcfg = entry.get("grid", {})
-        runs.append(RunSpec(
-            index=i,
-            state={"n": int(entry["n"]), "l": int(entry["l"]),
-                   "m": int(entry["m"]), "Z": float(entry.get("Z", 1.0)),
-                   "b": float(entry.get("b", 0.0)),
-                   "c": float(entry.get("c", 0.0))},
-            n_points=int(gridcfg.get("n_points", 151)),
-            extent=(float(gridcfg["extent"]) if "extent" in gridcfg
-                    else None),
-            coverage=float(gridcfg.get("coverage", 0.999)),
-            outputs=outputs,
-            level=float(entry.get("level", 50.0)),
-            levels=tuple(float(v) for v in
-                         entry.get("levels", [10.0 * j for j in range(1, 11)])),
-            cutaway=bool(entry.get("cutaway", False)),
-        ))
-    return JobSpec(out_dir, workers, tuple(runs))
+        try:
+            runs.append(_parse_run(i, entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"run {i}: {exc}") from None
+    return JobSpec(Path(out_dir), workers, tuple(runs))
 
 
 def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
@@ -555,14 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, help="fixed r for a theta sweep")
     p.add_argument("--theta", type=float, help="fixed theta for an r sweep")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("grid", help="write the rescaled density as VTK")
     _add_state_flags(p)
     _add_grid_flags(p)
     p.add_argument("--output", help="file path (default: stdout)")
-    p.add_argument("--format", choices=["vtk"], default="vtk")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("isosurface", help="extract an iso level as OBJ")
@@ -572,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutaway", action="store_true",
                    help="remove the x<0, y<0, z>0 octant and cap it")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.add_argument("--format", choices=["obj"], default="obj")
     p.set_defaults(func=cmd_isosurface)
 
     p = sub.add_parser("slice", help="x=0 quadrant contours as CSV")
@@ -581,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="10:100:10",
                    help="a:b:step or comma list (default 10:100:10)")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("verify", help="independent checks as a JSON report")
@@ -589,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100,
                    help="interior sample count for residual checks")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run a JSON job file of batch exports")

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import UalpSpec, _evaluator, kummer_coefficients
+from .specfun import UalpSpec, _evaluator, _horner, kummer_coefficients
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
                      _radial_log_prefactor, map_quantum_numbers)
 
@@ -115,12 +115,8 @@ def _density(s, z, payload):
     if m_prime != 0.0:
         dead = dead | (sin2 == 0.0)
         t = t + m_prime * np.log(np.where(sin2 > 0.0, sin2, 1.0))
-    S = np.full_like(t, a[-1])
-    for p in range(len(a) - 2, -1, -1):
-        S = S * x2 + a[p]
-    F = np.full_like(t, d[-1])
-    for p in range(len(d) - 2, -1, -1):
-        F = F * w + d[p]
+    S = _horner(a, x2)
+    F = _horner(d, w)
     out = np.exp(t) * S * S * F * F / (_TWO_PI * safe)
     out[dead] = 0.0
     return out
@@ -177,6 +173,9 @@ def normalize_relative(grid: DensityGrid) -> DensityGrid:
 
 def grid_mass(grid: DensityGrid) -> float:
     """Riemann sum of the raw density over the cube."""
+    if grid.rescaled:
+        raise ValueError("grid_mass needs the raw build_grid result,"
+                         " not a rescaled grid")
     return float(grid.values.sum()) * grid.spec.spacing ** 3
 
 

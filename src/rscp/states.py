@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import UalpSpec, angular_H, kummer_terminating, log_gamma
+from .specfun import UalpSpec, angular_H, log_gamma
 
 __all__ = [
     "PotentialParams",
@@ -28,7 +28,6 @@ __all__ = [
     "map_quantum_numbers",
     "potential_V",
     "radial_u",
-    "energy",
     "wavefunction_modulus_sq",
 ]
 
@@ -158,6 +157,16 @@ def _radial_log_prefactor(q: QuasiNumbers, params: PotentialParams) -> float:
             - log_gamma(2.0 * q.l_prime + 2.0))
 
 
+def _kummer_terms(n_r: int, beta: float, w):
+    """F(-n_r, beta, w) by t_{j+1} = t_j (j-n_r) w / ((beta+j)(j+1))."""
+    t = np.ones_like(w)
+    s = np.ones_like(w)
+    for j in range(n_r):
+        t = t * ((j - n_r) * w / ((beta + j) * (j + 1)))
+        s = s + t
+    return s
+
+
 def radial_u(q: QuasiNumbers, params: PotentialParams, r):
     """Reduced radial function u(r), normalized to int u^2 dr = 1.
 
@@ -173,15 +182,10 @@ def radial_u(q: QuasiNumbers, params: PotentialParams, r):
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
     amp = np.exp(pref + (q.l_prime + 1.0) * logw - 0.5 * w)
-    u = amp * kummer_terminating(q.n_r, 2.0 * q.l_prime + 2.0, w)
+    u = amp * _kummer_terms(q.n_r, 2.0 * q.l_prime + 2.0, w)
     if arr.ndim == 0:
         return float(u)
     return u
-
-
-def energy(q: QuasiNumbers) -> float:
-    """Bound-state energy E = -Z^2/(2 n'^2), stored at mapping time."""
-    return q.energy
 
 
 def wavefunction_modulus_sq(labels: StateLabels, params: PotentialParams,

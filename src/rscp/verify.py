@@ -28,7 +28,6 @@ __all__ = [
     "quad_radial_norm",
     "quad_angular_norm",
     "ode_residuals",
-    "sweep_statistics",
     "verify_state",
     "radial_domain",
     "radial_expectation_r",
@@ -380,7 +379,10 @@ class VerificationReport:
 def verify_state(labels: StateLabels, params: PotentialParams,
                  n_samples: int = 100,
                  grid: DensityGrid | None = None) -> VerificationReport:
-    """Full verification bundle for one state; grid check is optional."""
+    """Full verification bundle for one state.
+
+    The grid check is optional; ``grid`` is the raw ``build_grid`` result.
+    """
     q = map_quantum_numbers(labels, params)
     rnorm = quad_radial_norm(labels, params)
     anorm = quad_angular_norm(labels, params)
@@ -388,35 +390,3 @@ def verify_state(labels: StateLabels, params: PotentialParams,
     mass = None if grid is None else grid_mass(grid)
     return VerificationReport(labels, params, q, rnorm, anorm, rres, ares,
                               mass)
-
-
-def sweep_statistics(entries, levels=None, grids=None) -> list[dict]:
-    """Expectation-value table over (labels, params) pairs.
-
-    Each row carries <r> and <|cos theta|> by quadrature; when a
-    DensityGrid is supplied for the row (grids[i] not None) the pole
-    concentration is reported per level.  Inadmissible states are kept
-    in the table with admissible=False and the reason, never dropped.
-    """
-    from .surface import pole_concentration
-
-    rows = []
-    for i, (labels, params) in enumerate(entries):
-        row = {"n": labels.n, "l": labels.l, "m": labels.m,
-               "Z": params.Z, "b": params.b, "c": params.c}
-        try:
-            map_quantum_numbers(labels, params)
-        except ValueError as exc:
-            row.update(admissible=False, reason=str(exc))
-            rows.append(row)
-            continue
-        row.update(admissible=True, reason="")
-        row["r_mean"] = radial_expectation_r(labels, params)
-        row["abs_cos_mean"] = angular_expectation_abs_x(labels, params)
-        grid = None if grids is None else grids[i]
-        if grid is not None and levels:
-            row["pole_concentration"] = {
-                float(level): pole_concentration(grid, float(level))
-                for level in levels}
-        rows.append(row)
-    return rows

@@ -417,6 +417,49 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("job, workers, message", [
+    ({"runs": [{"n": None, "l": 1, "m": 0}]}, None,
+     "run 1: n must be an integer, got null"),
+    ({"runs": [{"n": 2.7, "l": 1, "m": 0}]}, None,
+     "run 1: n must be an integer, got 2.7"),
+    ({"runs": [{"n": True, "l": 1, "m": 0}]}, None,
+     "run 1: n must be an integer, got true"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "grid": {"n_points": 15.5}}]}, None,
+     "run 1: n_points must be an integer, got 15.5"),
+    ({"runs": [[2, 1, 0]]}, None, "run 1: a run must be an object"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "grid": [15]}]}, None,
+     "run 1: grid must be an object"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "b": None}]}, None, "run 1: "),
+    ({"runs": {"n": 2, "l": 1, "m": 0}}, None, "a 'runs' list"),
+    ({"runs": [], "workers": None}, None, "workers must be an integer"),
+    ({"runs": [], "workers": 2}, "0", "workers must be >= 1, got 0"),
+])
+def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
+                                                 workers, message):
+    """Each malformed entry is exit 2 with a JSON error naming its run."""
+    if isinstance(job["runs"], list) and job["runs"]:
+        job = dict(job, runs=[JOB["runs"][0], *job["runs"]])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(job, output_dir=str(tmp_path / "out"))))
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path),
+                        *(["--workers", workers] if workers else []))
+    assert code == EXIT_VALIDATION
+    assert message in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_job_integer_forms(tmp_path):
+    """An integral float or an integer string still parses as an int."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"workers": "3", "runs": [
+        {"n": 2.0, "l": "1", "m": " 0", "grid": {"n_points": "15"}}]}))
+    job = cli._parse_job(str(path), None, None)
+    run, = job.runs
+    assert job.workers == 3 and run.n_points == 15
+    assert [run.state[k] for k in "nlm"] == [2, 1, 0]
+    assert all(type(run.state[k]) is int for k in "nlm")
+
+
 @pytest.mark.parametrize("state, reason, shown", [
     ({"n": 2, "l": 2, "m": 0}, "l must satisfy", {}),
     ({"n": 3, "l": 1, "m": -2}, "|m| must be <= l", {}),

@@ -184,6 +184,14 @@ def test_grid_mass_zero_grid():
     assert grid_mass(zero) == 0.0
 
 
+def test_grid_mass_rejects_rescaled_grid():
+    # grid_mass sums the raw density; a rescaled grid peaks at 100
+    grid = build_grid(*H_210, GridSpec(21, 10.0))
+    with pytest.raises(ValueError, match="raw build_grid"):
+        grid_mass(normalize_relative(grid))
+    assert grid_mass(grid) < 1.0
+
+
 # ------------------------------------------------------------- octant mirror
 
 

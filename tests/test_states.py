@@ -7,7 +7,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from rscp.states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
-                         PotentialParams, StateLabels, energy,
+                         PotentialParams, StateLabels,
                          map_quantum_numbers, potential_V, radial_u,
                          wavefunction_modulus_sq)
 from rscp.verify import ode_residuals, radial_domain, radial_expectation_r
@@ -228,16 +228,16 @@ def test_radial_ode_residual():
 def test_energy_examples():
     q1 = map_quantum_numbers(StateLabels(1, 0, 0), PotentialParams())
     assert q1.n_prime == 1.0
-    assert energy(q1) == -0.5
+    assert q1.energy == -0.5
     q2 = map_quantum_numbers(StateLabels(2, 1, 0), PotentialParams())
-    assert energy(q2) == -0.125
+    assert q2.energy == -0.125
     q3 = map_quantum_numbers(StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5))
-    assert math.isclose(energy(q3), -0.0529429, abs_tol=5e-8)
+    assert math.isclose(q3.energy, -0.0529429, abs_tol=5e-8)
 
 
 def test_energy_monotone_in_n_prime():
     params = PotentialParams(1.0, 0.5, 0.5)
-    es = [energy(map_quantum_numbers(StateLabels(n, 1, 0), params))
+    es = [map_quantum_numbers(StateLabels(n, 1, 0), params).energy
           for n in range(2, 7)]
     assert all(x < y < 0.0 for x, y in zip(es, es[1:]))
 

@@ -16,7 +16,7 @@ from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
 from rscp.verify import (CheckResult, _jacobi_rule, _laguerre_rule,
                          angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm, radial_domain,
-                         radial_expectation_r, sweep_statistics, verify_state)
+                         radial_expectation_r, verify_state)
 
 from _hydrogen import hydrogen_oracle
 
@@ -347,30 +347,6 @@ def test_verify_state_without_grid():
     assert report.grid_mass_value is None
     assert all(c.name != "grid_mass" for c in report.checks)
     assert report.all_passed
-
-
-def test_sweep_statistics_rows():
-    entries = [
-        (StateLabels(4, 1, 0), PotentialParams(1, 0.0, 0.5)),
-        (StateLabels(4, 1, 0), PotentialParams(1, -0.5, 0.5)),   # inadmissible
-        (StateLabels(4, 1, 0), PotentialParams(1, 5.0, 0.5)),
-    ]
-    rows = sweep_statistics(entries)
-    assert len(rows) == 3
-    assert rows[0]["admissible"] and rows[2]["admissible"]
-    assert not rows[1]["admissible"]
-    assert rows[1]["reason"]
-    assert "r_mean" not in rows[1]
-    assert rows[2]["r_mean"] > rows[0]["r_mean"]
-
-
-def test_sweep_statistics_pole_rows(ring_650_grid):
-    entries = [(StateLabels(6, 5, 0), PotentialParams(1, 0.5, 0.5))]
-    rows = sweep_statistics(entries, levels=[10, 50, 90],
-                            grids=[ring_650_grid])
-    pc = rows[0]["pole_concentration"]
-    assert list(pc) == [10.0, 50.0, 90.0]
-    assert pc[10.0] < pc[50.0] < pc[90.0]
 
 
 def test_abs_cos_grows_with_c():
