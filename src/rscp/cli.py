@@ -6,8 +6,13 @@ output files.  Nothing here writes timestamps into data files, JSON key
 order is fixed by construction, and sweep workers only parallelize
 independent files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-verification
-failure, 4 I/O error.
+The file commands (grid, isosurface, slice, verify) are one-run jobs: the
+flags become a ``RunSpec``, which is checked and written by the same steps
+as a sweep run, so a command and a sweep run with the same fields write
+the same bytes.
+
+Exit codes: 0 success, 1 an error of no documented kind, 2 validation
+error, 3 numerical-verification failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .surface import (_check_contour_level, _check_iso_level, apply_cutaway,
                       marching_cubes, slice_contour)
 from .verify import ConvergenceError, verify_state
 
-__all__ = ["main", "build_parser", "JobSpec", "RunSpec"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,16 +108,6 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_ERROR
 
 
-def _error_payload(exc: Exception) -> str:
-    return _dump_json({"error": {"type": type(exc).__name__,
-                                 "message": str(exc)}})
-
-
-def _state_of(args) -> tuple[StateLabels, PotentialParams]:
-    return (StateLabels(args.n, args.l, args.m),
-            PotentialParams(args.Z, args.b, args.c))
-
-
 def _metadata_line(labels: StateLabels, params: PotentialParams) -> str:
     q = map_quantum_numbers(labels, params)
     return (f"state n={labels.n} l={labels.l} m={labels.m}"
@@ -153,13 +148,64 @@ def _parse_levels(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-# ------------------------------------------------------------- grid assembly
+# --------------------------------------------------------------------- runs
 
-def _resolve_grid(labels, params, n_points, extent, coverage) -> DensityGrid:
-    half = extent if extent is not None else auto_extent(labels, params,
-                                                         coverage)
-    grid = build_grid(labels, params, GridSpec(n_points, half))
-    return normalize_relative(grid)
+@dataclass(frozen=True)
+class RunSpec:
+    """One file-producing run: a state, its grid and the outputs to write.
+
+    A sweep run and a file command are both a RunSpec, and the field
+    defaults are the defaults of the job-file keys and the command flags.
+    """
+    state: dict                 # n, l, m, Z, b, c as read; _check_run validates
+    outputs: tuple[str, ...] = ("grid",)
+    index: int = 0
+    n_points: int = 151
+    extent: float | None = None  # None: auto from coverage
+    coverage: float = 0.999
+    level: float = 50.0
+    levels: tuple[float, ...] = tuple(10.0 * j for j in range(1, 11))
+    cutaway: bool = False
+
+    @property
+    def labels(self) -> StateLabels:
+        return StateLabels(self.state["n"], self.state["l"], self.state["m"])
+
+    @property
+    def params(self) -> PotentialParams:
+        return PotentialParams(self.state["Z"], self.state["b"],
+                               self.state["c"])
+
+    @property
+    def stem(self) -> str:
+        return (f"run_{self.index:03d}_n{self.state['n']}"
+                f"l{self.state['l']}m{self.state['m']}")
+
+    def state_record(self) -> dict:
+        """The state for the manifest; a non-finite float becomes a string."""
+        return {k: str(v) if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in self.state.items()}
+
+
+def _check_run(run: RunSpec) -> None:
+    """Check every field before any work; a ValueError names the first bad one."""
+    map_quantum_numbers(run.labels, run.params)
+    GridSpec(run.n_points, run.extent if run.extent is not None else 1.0)
+    _check_coverage(run.coverage)
+    _check_iso_level(run.level)
+    for level in run.levels:
+        _check_contour_level(level)
+
+
+def _resolve_grid(run: RunSpec) -> DensityGrid | None:
+    """The rescaled grid the run's outputs read; None when none reads one."""
+    if all(kind == "verify" for kind in run.outputs):
+        return None
+    labels, params = run.labels, run.params
+    half = (run.extent if run.extent is not None
+            else auto_extent(labels, params, run.coverage))
+    return normalize_relative(build_grid(labels, params,
+                                         GridSpec(run.n_points, half)))
 
 
 # ------------------------------------------------------------------ writers
@@ -246,10 +292,34 @@ def _slice_chunks(contours, labels, params):
                        for vi, (y, z) in enumerate(line)])
 
 
+# ---------------------------------------------------------------- artifacts
+
+def _artifact(kind: str, run: RunSpec, grid: DensityGrid | None):
+    """One output of a run as ``(suffix, chunks, passed)``.
+
+    ``suffix`` follows the run's stem in a sweep; ``passed`` is false only
+    for a verify report with a failed check.
+    """
+    labels, params = run.labels, run.params
+    if kind == "grid":
+        return ".vtk", _vtk_chunks(grid), True
+    if kind == "isosurface":
+        mesh = marching_cubes(grid, run.level)
+        if run.cutaway:
+            mesh = apply_cutaway(mesh, grid)
+        return ".obj", _obj_chunks(mesh, labels, params, run.cutaway), True
+    if kind == "slice":
+        contours = slice_contour(grid, run.levels)
+        return "_slice.csv", _slice_chunks(contours, labels, params), True
+    report = verify_state(labels, params)
+    return "_verify.json", [_dump_json(report.as_dict())], report.all_passed
+
+
 # ----------------------------------------------------------------- commands
 
 def cmd_state(args) -> int:
-    labels, params = _state_of(args)
+    labels = StateLabels(args.n, args.l, args.m)
+    params = PotentialParams(args.Z, args.b, args.c)
     q = map_quantum_numbers(labels, params)
     payload = {
         "n": labels.n, "l": labels.l, "m": labels.m,
@@ -291,71 +361,24 @@ def cmd_potential(args) -> int:
     return EXIT_OK
 
 
-def cmd_grid(args) -> int:
-    labels, params = _state_of(args)
-    grid = _resolve_grid(labels, params, args.N, args.extent, args.coverage)
-    _write(_vtk_chunks(grid), args.output)
-    return EXIT_OK
+# the command flags that set a RunSpec field, under the field's name
+_RUN_FLAGS = ("n_points", "extent", "coverage", "level", "levels", "cutaway")
 
 
-def cmd_isosurface(args) -> int:
-    labels, params = _state_of(args)
-    grid = _resolve_grid(labels, params, args.N, args.extent, args.coverage)
-    mesh = marching_cubes(grid, args.level)
-    if args.cutaway:
-        mesh = apply_cutaway(mesh, grid)
-    _write(_obj_chunks(mesh, labels, params, args.cutaway), args.output)
-    return EXIT_OK
-
-
-def cmd_slice(args) -> int:
-    labels, params = _state_of(args)
-    grid = _resolve_grid(labels, params, args.N, args.extent, args.coverage)
-    contours = slice_contour(grid, _parse_levels(args.levels))
-    _write(_slice_chunks(contours, labels, params), args.output)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    labels, params = _state_of(args)
-    report = verify_state(labels, params, n_samples=args.samples)
-    _write([_dump_json(report.as_dict())], args.output)
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+def cmd_file(args) -> int:
+    """grid, isosurface, slice or verify: a one-run job written to --output."""
+    fields = {k: v for k, v in vars(args).items() if k in _RUN_FLAGS}
+    if "levels" in fields:
+        fields["levels"] = tuple(_parse_levels(fields["levels"]))
+    run = RunSpec({k: getattr(args, k) for k in ("n", "l", "m", "Z", "b", "c")},
+                  (args.command,), **fields)
+    _check_run(run)
+    _, chunks, passed = _artifact(args.command, run, _resolve_grid(run))
+    _write(chunks, args.output)
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 # -------------------------------------------------------------------- sweep
-
-@dataclass(frozen=True)
-class RunSpec:
-    index: int
-    state: dict                 # n, l, m, Z, b, c as read; cmd_sweep validates
-    n_points: int
-    extent: float | None
-    coverage: float
-    outputs: tuple[str, ...]
-    level: float
-    levels: tuple[float, ...]
-    cutaway: bool
-
-    @property
-    def labels(self) -> StateLabels:
-        return StateLabels(self.state["n"], self.state["l"], self.state["m"])
-
-    @property
-    def params(self) -> PotentialParams:
-        return PotentialParams(self.state["Z"], self.state["b"],
-                               self.state["c"])
-
-    @property
-    def stem(self) -> str:
-        return (f"run_{self.index:03d}_n{self.state['n']}"
-                f"l{self.state['l']}m{self.state['m']}")
-
-    def state_record(self) -> dict:
-        """The state for the manifest; a non-finite value becomes a string."""
-        return {k: v if math.isfinite(v) else str(v)
-                for k, v in self.state.items()}
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -382,7 +405,7 @@ def _parse_run(i: int, entry) -> RunSpec:
     for key in ("n", "l", "m"):
         if key not in entry:
             raise ValueError(f"missing required key {key!r}")
-    outputs = tuple(entry.get("outputs", ("grid",)))
+    outputs = tuple(entry.get("outputs", RunSpec.outputs))
     for o in outputs:
         if o not in _RUN_OUTPUTS:
             raise ValueError(f"unknown output kind {o!r}")
@@ -393,17 +416,16 @@ def _parse_run(i: int, entry) -> RunSpec:
         index=i,
         state={"n": _integer(entry["n"], "n"), "l": _integer(entry["l"], "l"),
                "m": _integer(entry["m"], "m"),
-               "Z": float(entry.get("Z", 1.0)),
-               "b": float(entry.get("b", 0.0)),
-               "c": float(entry.get("c", 0.0))},
-        n_points=_integer(gridcfg.get("n_points", 151), "n_points"),
+               **{k: float(entry.get(k, getattr(PotentialParams, k)))
+                  for k in ("Z", "b", "c")}},
+        n_points=_integer(gridcfg.get("n_points", RunSpec.n_points),
+                          "n_points"),
         extent=(float(gridcfg["extent"]) if "extent" in gridcfg else None),
-        coverage=float(gridcfg.get("coverage", 0.999)),
+        coverage=float(gridcfg.get("coverage", RunSpec.coverage)),
         outputs=outputs,
-        level=float(entry.get("level", 50.0)),
-        levels=tuple(float(v) for v in
-                     entry.get("levels", [10.0 * j for j in range(1, 11)])),
-        cutaway=bool(entry.get("cutaway", False)),
+        level=float(entry.get("level", RunSpec.level)),
+        levels=tuple(float(v) for v in entry.get("levels", RunSpec.levels)),
+        cutaway=bool(entry.get("cutaway", RunSpec.cutaway)),
     )
 
 
@@ -425,7 +447,7 @@ def _parse_job(path: str, output_override: str | None,
     for i, entry in enumerate(raw["runs"]):
         try:
             runs.append(_parse_run(i, entry))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"run {i}: {exc}") from None
     return JobSpec(Path(out_dir), workers, tuple(runs))
 
@@ -436,8 +458,7 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
     An exception ends the run, not the sweep: the record lists what was
     written before it, with status io_error for an OSError, else failed.
     """
-    labels, params = run.labels, run.params
-    q = map_quantum_numbers(labels, params)
+    q = map_quantum_numbers(run.labels, run.params)
     record = {
         "index": run.index,
         "state": run.state_record(),
@@ -449,33 +470,14 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
         "artifacts": [],
     }
     try:
-        grid = None
-        if any(o in run.outputs for o in ("grid", "isosurface", "slice")):
-            grid = _resolve_grid(labels, params, run.n_points, run.extent,
-                                 run.coverage)
+        grid = _resolve_grid(run)
         for kind in run.outputs:
-            if kind == "grid":
-                name = run.stem + ".vtk"
-                _write(_vtk_chunks(grid), out_dir / name)
-            elif kind == "isosurface":
-                mesh = marching_cubes(grid, run.level)
-                if run.cutaway:
-                    mesh = apply_cutaway(mesh, grid)
-                name = run.stem + ".obj"
-                _write(_obj_chunks(mesh, labels, params, run.cutaway),
-                       out_dir / name)
-            elif kind == "slice":
-                contours = slice_contour(grid, list(run.levels))
-                name = run.stem + "_slice.csv"
-                _write(_slice_chunks(contours, labels, params),
-                       out_dir / name)
-            else:
-                report = verify_state(labels, params)
-                name = run.stem + "_verify.json"
-                _write([_dump_json(report.as_dict())], out_dir / name)
-                if not report.all_passed:
-                    record["status"] = "verify_failed"
-                    record["reason"] = "verification checks failed"
+            suffix, chunks, passed = _artifact(kind, run, grid)
+            name = run.stem + suffix
+            _write(chunks, out_dir / name)
+            if not passed:
+                record["status"] = "verify_failed"
+                record["reason"] = "verification checks failed"
             record["artifacts"].append(name)
     except Exception as exc:
         record["status"] = "io_error" if isinstance(exc, OSError) else "failed"
@@ -486,38 +488,26 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
 
 def cmd_sweep(args) -> int:
     job = _parse_job(args.jobs, args.output_dir, args.workers)
-    try:
-        job.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_IO
+    job.output_dir.mkdir(parents=True, exist_ok=True)
 
     # every run validates up front; invalid runs are reported, never dropped
-    invalid: dict[int, str] = {}
+    records: dict[int, dict] = {}
+    todo = []
     for run in job.runs:
         try:
-            map_quantum_numbers(run.labels, run.params)
-            GridSpec(run.n_points, run.extent if run.extent else 1.0)
-            _check_coverage(run.coverage)
-            _check_iso_level(run.level)
-            for level in run.levels:
-                _check_contour_level(level)
+            _check_run(run)
         except ValueError as exc:
-            invalid[run.index] = str(exc)
-
-    records: dict[int, dict] = {}
-    for run in job.runs:
-        if run.index in invalid:
             records[run.index] = {
                 "index": run.index,
                 "state": run.state_record(),
                 "status": "invalid",
-                "reason": invalid[run.index],
+                "reason": str(exc),
                 "artifacts": [],
             }
+        else:
+            todo.append(run)
 
-    todo = [run for run in job.runs if run.index not in invalid]
-    codes = {EXIT_VALIDATION} if invalid else set()
+    codes = {EXIT_VALIDATION} if records else set()
     with ThreadPoolExecutor(max_workers=job.workers) as pool:
         futures = {pool.submit(_execute_run, run, job.output_dir): run
                    for run in todo}
@@ -526,11 +516,7 @@ def cmd_sweep(args) -> int:
             codes.add(code)
 
     manifest = {"runs": [records[i] for i in sorted(records)]}
-    try:
-        _write([_dump_json(manifest)], job.output_dir / "manifest.json")
-    except OSError as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_IO
+    _write([_dump_json(manifest)], job.output_dir / "manifest.json")
 
     for code in (EXIT_IO, EXIT_VALIDATION, EXIT_VERIFY, EXIT_ERROR):
         if code in codes:
@@ -548,18 +534,20 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--Z", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=0.0)
+    for name in ("Z", "b", "c"):
+        p.add_argument(f"--{name}", type=float,
+                       default=getattr(PotentialParams, name))
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--N", type=int, default=151,
-                   help="odd voxel count per axis (default 151)")
-    p.add_argument("--extent", type=float, default=None,
+    p.add_argument("--N", dest="n_points", metavar="N", type=int,
+                   default=RunSpec.n_points,
+                   help="odd voxel count per axis (default %(default)s)")
+    p.add_argument("--extent", type=float, default=RunSpec.extent,
                    help="half box size; omitted means auto from coverage")
-    p.add_argument("--coverage", type=float, default=0.999,
-                   help="radial probability captured by the auto extent")
+    p.add_argument("--coverage", type=float, default=RunSpec.coverage,
+                   help="radial probability captured by the auto extent"
+                        " (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,31 +574,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     _add_grid_flags(p)
     p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_file)
 
     p = sub.add_parser("isosurface", help="extract an iso level as OBJ")
     _add_state_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--level", type=float, default=50.0)
-    p.add_argument("--cutaway", action="store_true",
+    p.add_argument("--level", type=float, default=RunSpec.level,
+                   help="percent of the peak (default %(default)s)")
+    p.add_argument("--cutaway", action="store_true", default=RunSpec.cutaway,
                    help="remove the x<0, y<0, z>0 octant and cap it")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_isosurface)
+    p.set_defaults(func=cmd_file)
 
     p = sub.add_parser("slice", help="x=0 quadrant contours as CSV")
     _add_state_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--levels", default="10:100:10",
-                   help="a:b:step or comma list (default 10:100:10)")
+    p.add_argument("--levels", default=",".join(map(_sig, RunSpec.levels)),
+                   help="a:b:step or comma list (default %(default)s)")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_slice)
+    p.set_defaults(func=cmd_file)
 
     p = sub.add_parser("verify", help="independent checks as a JSON report")
     _add_state_flags(p)
-    p.add_argument("--samples", type=int, default=100,
-                   help="interior sample count for residual checks")
     p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_file)
 
     p = sub.add_parser("sweep", help="run a JSON job file of batch exports")
     p.add_argument("--jobs", required=True, help="job file path")
@@ -627,9 +614,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ConvergenceError, OSError) as exc:
-        sys.stdout.write(_error_payload(exc))
+        sys.stdout.write(_dump_json({"error": {"type": type(exc).__name__,
+                                               "message": str(exc)}}))
         return _exit_code(exc)
 
 
 if __name__ == "__main__":
     sys.exit(main())
+

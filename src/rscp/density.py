@@ -79,7 +79,6 @@ class DensityGrid:
     max_value: float
     labels: StateLabels | None = None
     params: PotentialParams | None = None
-    quasi: QuasiNumbers | None = None
     rescaled: bool = False
 
     def flat_values(self) -> np.ndarray:
@@ -96,7 +95,7 @@ def _state_payload(labels: StateLabels, params: PotentialParams):
     rad2 = 2.0 * _radial_log_prefactor(q, params)
     lp1 = q.l_prime + 1.0
     q2 = 2.0 * params.Z / q.n_prime
-    return q, (a, d, ang2, q.m_prime, q.gamma1, rad2, lp1, q2)
+    return a, d, ang2, q.m_prime, q.gamma1, rad2, lp1, q2
 
 
 def _density(s, z, payload):
@@ -124,7 +123,7 @@ def _density(s, z, payload):
 
 def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
     """rho at one point or arrays of points; axis limits return 0."""
-    _, payload = _state_payload(labels, params)
+    payload = _state_payload(labels, params)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     za = np.atleast_1d(np.asarray(z, dtype=float))
@@ -143,7 +142,7 @@ def build_grid(labels: StateLabels, params: PotentialParams,
     the x, y, z >= 0 octant is evaluated and mirrored by index.  The
     result is bitwise the voxel-by-voxel evaluation of the whole lattice.
     """
-    q, payload = _state_payload(labels, params)
+    payload = _state_payload(labels, params)
     c = (spec.n_points - 1) // 2
     half = spec.coords()[c:]
     s = half[:, None] ** 2 + half[None, :] ** 2
@@ -154,7 +153,7 @@ def build_grid(labels: StateLabels, params: PotentialParams,
     mirror = np.abs(np.arange(spec.n_points) - c)
     values = octant[np.ix_(mirror, mirror, mirror)]
     return DensityGrid(spec, values, float(values.max()),
-                       labels, params, q, rescaled=False)
+                       labels, params, rescaled=False)
 
 
 def normalize_relative(grid: DensityGrid) -> DensityGrid:

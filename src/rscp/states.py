@@ -96,15 +96,25 @@ class QuasiNumbers:
     energy: float
 
 
+def _float_of(name: str, value: int) -> float:
+    """An integer term of label ``name`` as the float it adds as."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large: the quasi quantum numbers"
+                         f" overflow a float, got {name}={value}") from None
+
+
 def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNumbers:
     """Physical (n, l, m) + (Z, b, c) -> quasi quantum numbers.
 
     m' = sqrt(b + m^2); gamma1 = (1 + sqrt(1+4c))/2 for c > 0, else the
     parity (l-|m|) mod 2; l' = 2k + gamma1 + m'; n' = n_r + l' + 1;
     E = -Z^2 / (2 n'^2).  Only the regular gamma1 branch is normalizable
-    for c > 0, which forces l - |m| odd there.
+    for c > 0, which forces l - |m| odd there.  A label too large for
+    that float arithmetic is a ValueError naming it.
     """
-    order_sq = params.b + labels.m * labels.m
+    order_sq = params.b + _float_of("m", labels.m * labels.m)
     if order_sq < 0.0:
         raise ImaginaryOrderError(
             f"imaginary order: b + m^2 = {order_sq} < 0 (no real bound state)")
@@ -120,8 +130,8 @@ def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNu
         gamma1 = float(n_theta % 2)
         k = (n_theta - int(gamma1)) // 2
     n_r = labels.n - labels.l - 1
-    l_prime = 2 * k + gamma1 + m_prime
-    n_prime = n_r + l_prime + 1.0
+    l_prime = _float_of("l", 2 * k) + gamma1 + m_prime
+    n_prime = _float_of("n", n_r) + l_prime + 1.0
     lam = l_prime * (l_prime + 1.0)
     e = -params.Z * params.Z / (2.0 * n_prime * n_prime)
     return QuasiNumbers(m_prime, gamma1, k, l_prime, n_r, n_prime, lam, e)

@@ -474,17 +474,14 @@ def _chain_segments(segments):
     return [np.array(line, dtype=float) for line in polylines if len(line) >= 2]
 
 
-def slice_contour(grid: DensityGrid, levels=None) -> list[ContourSet]:
+def slice_contour(grid: DensityGrid, levels) -> list[ContourSet]:
     """Contours of the x=0 plane restricted to the quadrant y,z >= 0.
 
-    Levels default to 10, 20, ..., 100 on the rescaled field; the level
-    100 set degenerates to at most isolated points and yields no
-    polylines.
+    Levels are percentages of the rescaled field's peak; the level 100
+    set degenerates to at most isolated points and yields no polylines.
     """
     if not grid.rescaled:
         raise ValueError("slice_contour requires a rescaled grid")
-    if levels is None:
-        levels = [10.0 * i for i in range(1, 11)]
     c = (grid.spec.n_points - 1) // 2
     plane = grid.values[c, c:, c:]
     q = grid.spec.coords()[c:].tolist()

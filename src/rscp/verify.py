@@ -377,7 +377,6 @@ class VerificationReport:
 
 
 def verify_state(labels: StateLabels, params: PotentialParams,
-                 n_samples: int = 100,
                  grid: DensityGrid | None = None) -> VerificationReport:
     """Full verification bundle for one state.
 
@@ -386,7 +385,7 @@ def verify_state(labels: StateLabels, params: PotentialParams,
     q = map_quantum_numbers(labels, params)
     rnorm = quad_radial_norm(labels, params)
     anorm = quad_angular_norm(labels, params)
-    rres, ares = ode_residuals(labels, params, n_samples=n_samples)
+    rres, ares = ode_residuals(labels, params)
     mass = None if grid is None else grid_mass(grid)
     return VerificationReport(labels, params, q, rnorm, anorm, rres, ares,
                               mass)

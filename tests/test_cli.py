@@ -83,6 +83,22 @@ def test_state_inadmissible_is_validation_error(capsys):
     assert doc["error"]["message"]
 
 
+# labels whose quasi quantum numbers overflow a float, and the label named
+OVERFLOWING = [({"n": 10 ** 400, "l": 1, "m": 0}, "n"),
+               ({"n": 10 ** 400 + 1, "l": 10 ** 400, "m": 0}, "l"),
+               ({"n": 10 ** 200 + 1, "l": 10 ** 200, "m": 10 ** 200}, "m")]
+
+
+@pytest.mark.parametrize("state, name", OVERFLOWING)
+def test_state_overflowing_label_is_validation_error(capsys, state, name):
+    code, out = run_cli(capsys, "state", *(f"--{k}={v}"
+                                           for k, v in state.items()))
+    assert code == EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{name} is too large")
+
+
 def test_non_finite_input_is_validation_error(tmp_path, capsys):
     vtk = tmp_path / "d.vtk"
     for argv in (["state", "--n", "2", "--l", "1", "--m", "0", "--b", "nan"],
@@ -430,6 +446,8 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     ({"runs": [{"n": 2, "l": 1, "m": 0, "grid": [15]}]}, None,
      "run 1: grid must be an object"),
     ({"runs": [{"n": 2, "l": 1, "m": 0, "b": None}]}, None, "run 1: "),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "Z": 10 ** 400}]}, None,
+     "run 1: int too large to convert to float"),
     ({"runs": {"n": 2, "l": 1, "m": 0}}, None, "a 'runs' list"),
     ({"runs": [], "workers": None}, None, "workers must be an integer"),
     ({"runs": [], "workers": 2}, "0", "workers must be >= 1, got 0"),
@@ -469,6 +487,7 @@ def test_sweep_job_integer_forms(tmp_path):
      {"b": "inf"}),
     ({"n": 2, "l": 1, "m": 0, "c": math.nan}, "c must be finite",
      {"c": "nan"}),
+    *((state, f"{name} is too large", {}) for state, name in OVERFLOWING),
 ])
 def test_sweep_inadmissible_state_is_invalid_run(tmp_path, capsys, state,
                                                  reason, shown):
@@ -588,3 +607,84 @@ def test_sweep_exit_code_precedence(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
                                     "runs": job_runs}))
         assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == code
+
+
+# ------------------------------------------------ file commands as one-run jobs
+
+
+# every field given; the first run cuts away, the second sets its extent
+PARITY_RUNS = [
+    {"n": 6, "l": 5, "m": 0, "Z": 1.0, "b": 0.5, "c": 0.5,
+     "grid": {"n_points": 15, "coverage": 0.99}, "level": 30.0,
+     "levels": [25.0, 75.0], "cutaway": True},
+    {"n": 3, "l": 2, "m": 1, "Z": 2.0, "b": -0.5, "c": 0.5,
+     "grid": {"n_points": 15, "extent": 6.0, "coverage": 0.99},
+     "level": 60.0, "levels": [50.0], "cutaway": False},
+]
+SUFFIX = {"grid": ".vtk", "isosurface": ".obj", "slice": "_slice.csv",
+          "verify": "_verify.json"}
+
+
+def _without_defaults(run):
+    """The run with level, levels, coverage and cutaway left out."""
+    run = {k: v for k, v in run.items()
+           if k not in ("level", "levels", "cutaway")}
+    run["grid"] = {k: v for k, v in run["grid"].items() if k != "coverage"}
+    return run
+
+
+def _command_argv(kind, run):
+    """The file command that describes the same run as a job entry."""
+    argv = [kind] + [f"--{k}={run[k]}" for k in ("n", "l", "m", "Z", "b", "c")]
+    if kind == "verify":
+        return argv
+    grid = run["grid"]
+    argv.append(f"--N={grid['n_points']}")
+    argv += [f"--{k}={grid[k]}" for k in ("extent", "coverage") if k in grid]
+    if kind == "isosurface":
+        argv += [f"--level={run['level']}"] if "level" in run else []
+        argv += ["--cutaway"] if run.get("cutaway") else []
+    if kind == "slice" and "levels" in run:
+        argv.append("--levels=" + ",".join(map(str, run["levels"])))
+    return argv
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["flags", "defaults"])
+def test_file_commands_write_the_sweep_artifacts(tmp_path, capsys, given):
+    runs = [run if given else _without_defaults(run) for run in PARITY_RUNS]
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "runs": [
+        dict(run, outputs=list(SUFFIX)) for run in runs]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_OK
+    for i, run in enumerate(runs):
+        stem = f"run_{i:03d}_n{run['n']}l{run['l']}m{run['m']}"
+        for kind, suffix in SUFFIX.items():
+            target = tmp_path / (kind + suffix)
+            argv = _command_argv(kind, run) + ["--output", str(target)]
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            assert target.read_bytes() == (out / (stem + suffix)).read_bytes()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"extent": 0}, "half_extent must be positive and finite, got 0.0"),
+    ({"extent": 5, "coverage": 2}, "coverage must lie in (0, 1), got 2.0")])
+def test_file_command_is_checked_like_a_sweep_run(tmp_path, capsys, grid,
+                                                  message):
+    """A field no output reads is still checked, before any work."""
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "runs": [
+        JOB["runs"][0], {"n": 2, "l": 1, "m": 0, "grid": grid}]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_VALIDATION
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["ok", "invalid"]
+    assert runs[1]["reason"] == message
+
+    target = tmp_path / "d.vtk"
+    flags = [f"--{k}={v}" for k, v in grid.items()]
+    code, text = run_cli(capsys, "grid", "--n", "2", "--l", "1", "--m", "0",
+                         *flags, "--output", str(target))
+    assert code == EXIT_VALIDATION
+    assert json.loads(text)["error"]["message"] == message
+    assert not target.exists()

@@ -405,10 +405,10 @@ def test_hydrogen_two_lobes(hydrogen_210_grid):
 # ------------------------------------------------------------ plane contour
 
 
-def test_slice_default_levels(hydrogen_210_grid):
-    sets = slice_contour(hydrogen_210_grid)
-    assert len(sets) == 10
-    assert [s.level for s in sets] == [10.0 * i for i in range(1, 11)]
+def test_slice_one_set_per_level(hydrogen_210_grid):
+    levels = [10.0 * i for i in range(1, 11)]
+    sets = slice_contour(hydrogen_210_grid, levels)
+    assert [s.level for s in sets] == levels
     assert all(isinstance(s, ContourSet) for s in sets)
 
 
