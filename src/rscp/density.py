@@ -178,17 +178,22 @@ def grid_mass(grid: DensityGrid) -> float:
     return float(grid.values.sum()) * grid.spec.spacing ** 3
 
 
+# Gauss-Legendre nodes per panel and panels over [0, h] in _radial_cumulative
+_RADIAL_NODES = 256
+_RADIAL_PANELS = 8
+
+
 @lru_cache(maxsize=8)
 def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _radial_cumulative(q: QuasiNumbers, params: PotentialParams, h: float,
-                       nodes: int = 256, panels: int = 8) -> float:
+def _radial_cumulative(q: QuasiNumbers, params: PotentialParams,
+                       h: float) -> float:
     """int_0^h u^2 dr by fixed Gauss-Legendre panels (plenty for coverage)."""
     from .states import radial_u
-    x0, w0 = _gauss_nodes(nodes)
-    edges = np.linspace(0.0, h, panels + 1)
+    x0, w0 = _gauss_nodes(_RADIAL_NODES)
+    edges = np.linspace(0.0, h, _RADIAL_PANELS + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -11,7 +11,6 @@ follow ascending cell index, which makes every output deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,10 @@ _AREA_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup; vertex_scalar holds the interpolated field."""
+    """Indexed triangle soup of the iso level's surface."""
 
-    vertices: np.ndarray       # (nv, 3) float
-    triangles: np.ndarray      # (nt, 3) int
-    vertex_scalar: np.ndarray  # (nv,) float
+    vertices: np.ndarray   # (nv, 3) float
+    triangles: np.ndarray  # (nt, 3) int
     level: float
 
     def __post_init__(self):
@@ -129,7 +127,6 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     va = vals[pa]
     dv = vals[pb] - va
     t = (level - va) / dv
-    scalar = va + t * dv
     del va, dv
 
     # Two slots have equal positions exactly when they share an edge, or
@@ -150,8 +147,7 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     del pa, pb, axis, t, on, ia, ca, cb, at
     first, vid = _weld(keys)
     vertices = pos[first]
-    scalars = scalar[first]
-    del pos, scalar, keys, first
+    del pos, keys, first
 
     tris = CUBE_TRIANGLES[case, :15].reshape(-1, 5, 3)
     tri_cell, tri_row = np.nonzero(tris[:, :, 0] >= 0)
@@ -161,81 +157,15 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     # a triangle with a repeated vertex has area 0, so this drops it too
     corners = vertices[triangles].transpose(1, 2, 0)
     triangles = triangles[_triangle_area(*corners) >= _AREA_EPS]
-    return TriangleMesh(vertices, triangles, scalars, float(level))
+    return TriangleMesh(vertices, triangles, float(level))
 
 
 # ---------------------------------------------------------------- cutaway
-
-# the closed octant x<=0, y<=0, z>=0, and its complement as three disjoint
-# convex pieces
-_OCTANT = [lambda p: -p[0], lambda p: -p[1], lambda p: p[2]]
-_COMPLEMENT = [
-    [lambda p: p[0]],
-    [lambda p: -p[0], lambda p: p[1]],
-    [lambda p: -p[0], lambda p: -p[1], lambda p: -p[2]],
-]
-
-
-def _clip(poly, halfspaces):
-    """Sutherland-Hodgman clip of a 3D polygon to {p: f(p) >= 0 for all f}."""
-    for f in halfspaces:
-        if not poly:
-            return []
-        out = []
-        prev = poly[-1]
-        fprev = f(prev)
-        for cur in poly:
-            fcur = f(cur)
-            if (fcur >= 0.0) != (fprev >= 0.0):
-                t = fprev / (fprev - fcur)
-                out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
-            if fcur >= 0.0:
-                out.append(cur)
-            prev, fprev = cur, fcur
-        poly = out
-    return poly
-
 
 def _fan(poly):
     """Fan triangles of a convex polygon, without those below _AREA_EPS."""
     fan = ((poly[0], poly[t], poly[t + 1]) for t in range(1, len(poly) - 1))
     return [tri for tri in fan if _triangle_area(*tri) >= _AREA_EPS]
-
-
-def _cuts_octant(part) -> bool:
-    """True when a triangle's octant part has area and its centroid lies
-    strictly inside the octant."""
-    area = sum(_triangle_area(part[0], part[i], part[i + 1])
-               for i in range(1, len(part) - 1))
-    if area < _AREA_EPS:
-        return False
-    x, y, z = (sum(p[c] for p in part) / len(part) for c in range(3))
-    return x < 0.0 and y < 0.0 and z > 0.0
-
-
-def trilinear_at(grid: DensityGrid, point) -> float:
-    """Trilinear field sample; points must lie inside the grid cube."""
-    spec = grid.spec
-    d = spec.spacing
-    h = spec.half_extent
-    idx = []
-    frac = []
-    for t in range(3):
-        u = (point[t] + h) / d
-        i = int(math.floor(u))
-        i = min(max(i, 0), spec.n_points - 2)
-        idx.append(i)
-        frac.append(min(max(u - i, 0.0), 1.0))
-    v = grid.values
-    i, j, k = idx
-    fx, fy, fz = frac
-    c00 = v[i, j, k] * (1 - fx) + v[i + 1, j, k] * fx
-    c10 = v[i, j + 1, k] * (1 - fx) + v[i + 1, j + 1, k] * fx
-    c01 = v[i, j, k + 1] * (1 - fx) + v[i + 1, j, k + 1] * fx
-    c11 = v[i, j + 1, k + 1] * (1 - fx) + v[i + 1, j + 1, k + 1] * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return float(c0 * (1 - fz) + c1 * fz)
 
 
 def _fill_polygons(f00, f10, f11, f01, level):
@@ -328,66 +258,46 @@ def _position_keys(points):
 def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     """Remove the octant x<0, y<0, z>0 and cap the exposed cross-section.
 
-    Triangles only touching the octant boundary are kept verbatim, so a
-    second application is the identity.  Caps are generated from the grid
-    on the three boundary planes wherever the field is at or above the
-    mesh's iso level.
+    No triangle may cross an axis plane, which holds for every marching
+    cubes mesh: the grid is vertex-aligned with x = y = z = 0 among its
+    planes, and each triangle stays inside one cell.  So each triangle lies
+    wholly inside the closed octant or wholly outside it, and the cutaway
+    drops whole triangles: those with area whose centroid is strictly
+    inside.  The rest, including triangles only touching the octant
+    boundary, are kept verbatim, so a second application is the identity.
+    Caps are generated from the grid on the three boundary planes wherever
+    the field is at or above the mesh's iso level.
+
+    Raises ValueError when a triangle has vertices strictly on both sides
+    of an axis plane.
     """
-    # Exact early reject.  If no vertex has x < 0 (or none y < 0, or none
-    # z > 0), no point of the clipped polygon does either: every clip
-    # interpolates between points on one side of that plane, and rounding
-    # keeps the result there.  The clip against the plane then keeps only
-    # points on it, and later clips interpolate between such points, so the
-    # octant part lies in the plane exactly and its centroid is never
-    # strictly inside the octant.
     corners = mesh.vertices[mesh.triangles]
-    reach = ((corners[:, :, 0] < 0.0).any(axis=1)
-             & (corners[:, :, 1] < 0.0).any(axis=1)
-             & (corners[:, :, 2] > 0.0).any(axis=1))
-
-    cut_rows, cut_counts, new_points = [], [], []
-    for row, tri in zip(np.flatnonzero(reach).tolist(), corners[reach].tolist()):
-        if not _cuts_octant(_clip(tri, _OCTANT)):
-            continue
-        cut_rows.append(row)
-        count = len(new_points)
-        for halfspaces in _COMPLEMENT:
-            for piece in _fan(_clip(tri, halfspaces)):
-                new_points.extend(piece)
-        cut_counts.append(len(new_points) - count)
-    del corners, reach
-    if not cut_rows:
+    for c in range(3):
+        col = corners[:, :, c]
+        if ((col < 0.0).any(axis=1) & (col > 0.0).any(axis=1)).any():
+            raise ValueError("apply_cutaway: a triangle crosses the plane "
+                             f"{'xyz'[c]} = 0")
+    centroid = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3
+    cut = np.flatnonzero((centroid[:, 0] < 0.0) & (centroid[:, 1] < 0.0)
+                         & (centroid[:, 2] > 0.0))
+    cut = cut[_triangle_area(*corners[cut].transpose(1, 2, 0)) >= _AREA_EPS]
+    del corners, centroid
+    if not len(cut):
         return mesh
-    for tri in _cap_triangles(grid, mesh.level):
-        new_points.extend(tri)
 
-    # Corner slots in emission order: each input triangle in turn, kept
-    # ones by their vertices and cut ones by their pieces, then the caps.
-    # Slots weld by position; the first slot of a vertex gives its scalar,
-    # sampled from the grid when that slot is a new point.
-    counts = np.full(len(mesh.triangles), 3)
-    counts[cut_rows] = cut_counts
-    kept = np.ones(len(mesh.triangles), dtype=bool)
-    kept[cut_rows] = False
-    kept_slots = (np.cumsum(counts) - counts)[kept, None] + np.arange(3)
-    fresh = np.ones(len(new_points) + kept_slots.size, dtype=bool)
-    fresh[kept_slots] = False
-    points = np.empty((len(fresh), 3))
-    scalars = np.empty(len(fresh))
-    points[kept_slots] = mesh.vertices[mesh.triangles[kept]]
-    scalars[kept_slots] = mesh.vertex_scalar[mesh.triangles[kept]]
-    points[fresh] = np.array(new_points, dtype=float).reshape(-1, 3)
-    del counts, kept, kept_slots, new_points
-
-    first, ids = _weld(_position_keys(points))
-    vertices = points[first]
-    scalars = scalars[first]
-    for v in np.flatnonzero(fresh[first]).tolist():
-        scalars[v] = trilinear_at(grid, vertices[v].tolist())
+    # Corner slots in emission order, the kept triangles then the caps,
+    # welded by position.  Each slot is a row of mesh.vertices or a cap
+    # point, so positions are keyed once per row.
+    caps = np.array(_cap_triangles(grid, mesh.level), dtype=float)
+    rows = np.concatenate([mesh.vertices, caps.reshape(-1, 3)])
+    slots = np.concatenate([np.delete(mesh.triangles, cut, axis=0).ravel(),
+                            np.arange(len(mesh.vertices), len(rows))])
+    del cut, caps
+    first, ids = _weld(_position_keys(rows)[slots])
     triangles = ids.reshape(-1, 3)
     i0, i1, i2 = triangles.T
     triangles = triangles[(i0 != i1) & (i1 != i2) & (i0 != i2)]
-    return TriangleMesh(vertices, triangles, scalars, mesh.level)
+    return TriangleMesh(rows[slots[first]], triangles, mesh.level)
 
 
 # ---------------------------------------------------------- plane contours
@@ -534,12 +444,11 @@ def connected_components(mesh: TriangleMesh) -> int:
 
 def is_watertight(mesh: TriangleMesh) -> bool:
     """True when every undirected edge belongs to exactly 2 triangles."""
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in mesh.triangles.tolist():
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    return bool(counts) and all(v == 2 for v in counts.values())
+    t = mesh.triangles.astype(np.int64)
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    _, counts = np.unique(edges, axis=0, return_counts=True)
+    return len(counts) > 0 and bool((counts == 2).all())
 
 
 def surface_area(mesh: TriangleMesh) -> float:

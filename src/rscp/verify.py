@@ -212,12 +212,12 @@ def _series_coefficients(q: QuasiNumbers):
     return [c / scale for c in coeffs]
 
 
-def _angular_value_and_derivatives(x: float, q: QuasiNumbers):
-    """(H, H', H'') of an unnormalized colatitude solution at interior x."""
+def _angular_value_and_derivatives(x: float, q: QuasiNumbers, coeffs):
+    """(H, H', H'') of an unnormalized colatitude solution at interior x,
+    from coeffs = _series_coefficients(q)."""
     mp = q.m_prime
     g1 = q.gamma1
     k = q.k
-    coeffs = _series_coefficients(q)
     # S(x) = sum_nu a_nu x^(2k - 2nu) and its two derivatives
     s = s1 = s2 = 0.0
     for nu, a in enumerate(coeffs):
@@ -295,8 +295,9 @@ def ode_residuals(labels: StateLabels, params: PotentialParams,
         radial_max = max(radial_max, abs(residual) / scale)
 
     angular_max = 0.0
+    coeffs = _series_coefficients(q)
     for x in rng.uniform(0.005, 0.995, size=n_samples):
-        H, H1, H2 = _angular_value_and_derivatives(float(x), q)
+        H, H1, H2 = _angular_value_and_derivatives(float(x), q, coeffs)
         one = 1.0 - x * x
         t_dd = one * H2
         t_d = -2.0 * x * H1

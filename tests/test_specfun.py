@@ -11,7 +11,7 @@ from rscp.specfun import (UalpSpec, _horner, angular_H, kummer_coefficients,
                           log_gamma, ualp_coefficients)
 from rscp import states
 from rscp.states import QuasiNumbers
-from rscp.verify import _angular_value_and_derivatives
+from rscp.verify import _angular_value_and_derivatives, _series_coefficients
 
 # ---------------------------------------------------------------- log_gamma
 
@@ -188,7 +188,8 @@ def test_angular_matches_independent_ode_solution():
         xs = rng.uniform(0.05, 0.95, size=50) * rng.choice([-1.0, 1.0], 50)
         # the even extension |x|^gamma1 for non-integer gamma1
         at = xs if float(spec.gamma1).is_integer() else np.abs(xs)
-        ref = np.array([_angular_value_and_derivatives(float(x), q)[0]
+        coeffs = _series_coefficients(q)
+        ref = np.array([_angular_value_and_derivatives(float(x), q, coeffs)[0]
                         for x in at])
         ours = angular_H(spec, xs)
         scale = np.dot(ours, ref) / np.dot(ref, ref)

@@ -12,8 +12,7 @@ from rscp.states import PotentialParams, StateLabels
 from rscp.surface import (_AREA_EPS, ContourSet, TriangleMesh, _cap_triangles,
                           _crossed_edges, apply_cutaway,
                           connected_components, is_watertight, marching_cubes,
-                          pole_concentration, slice_contour, surface_area,
-                          trilinear_at)
+                          pole_concentration, slice_contour, surface_area)
 
 # ------------------------- reference: per-cell loop and position-dict weld
 
@@ -66,7 +65,7 @@ def reference_marching_cubes(grid, level):
         index |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.int32) << v
     active = np.argwhere((index != 0) & (index != 255))
 
-    vertices, scalars, vindex, triangles = [], [], {}, []
+    vertices, vindex, triangles = [], {}, []
     for ci, cj, ck in active.tolist():
         case = int(index[ci, cj, ck])
         edge_vertex = {}
@@ -88,7 +87,6 @@ def reference_marching_cubes(grid, level):
                 vid = len(vertices)
                 vindex[pos] = vid
                 vertices.append(pos)
-                scalars.append(va + t * (vb - va))
             edge_vertex[e] = vid
         for e0, e1, e2 in _CASE_TRIS[case]:
             i0, i1, i2 = edge_vertex[e0], edge_vertex[e1], edge_vertex[e2]
@@ -100,12 +98,11 @@ def reference_marching_cubes(grid, level):
 
     return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
                         np.array(triangles, dtype=np.int64).reshape(-1, 3),
-                        np.array(scalars, dtype=float), float(level))
+                        float(level))
 
 
 def reference_apply_cutaway(mesh, grid):
     verts = [tuple(v) for v in mesh.vertices.tolist()]
-    scalars = mesh.vertex_scalar.tolist()
     changed = False
     corners = mesh.vertices[mesh.triangles]
     reach = ((corners[:, :, 0] < 0.0).any(axis=1)
@@ -145,20 +142,19 @@ def reference_apply_cutaway(mesh, grid):
     if not changed:
         return mesh
 
-    out_vertices, out_scalars, vindex, out_triangles = [], [], {}, []
+    out_vertices, vindex, out_triangles = [], {}, []
 
-    def add_vertex(pos, scalar=None):
+    def add_vertex(pos):
         vid = vindex.get(pos)
         if vid is None:
             vid = len(out_vertices)
             vindex[pos] = vid
             out_vertices.append(pos)
-            out_scalars.append(trilinear_at(grid, pos) if scalar is None else scalar)
         return vid
 
     for kind, item in new_tris:
         if kind == "old":
-            ids = tuple(add_vertex(verts[i], scalars[i]) for i in item)
+            ids = tuple(add_vertex(verts[i]) for i in item)
         else:
             ids = tuple(add_vertex(p) for p in item)
         if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
@@ -170,15 +166,24 @@ def reference_apply_cutaway(mesh, grid):
 
     return TriangleMesh(np.array(out_vertices, dtype=float).reshape(-1, 3),
                         np.array(out_triangles, dtype=np.int64).reshape(-1, 3),
-                        np.array(out_scalars, dtype=float), mesh.level)
+                        mesh.level)
 
 
 def assert_same_mesh(got, want):
-    for name in ("vertices", "triangles", "vertex_scalar"):
+    for name in ("vertices", "triangles"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
     assert got.level == want.level
+
+
+def assert_no_triangle_crosses_an_axis_plane(mesh):
+    """The premise of the whole-triangle cutaway: no triangle has vertices
+    strictly on both sides of x = 0, y = 0 or z = 0."""
+    corners = mesh.vertices[mesh.triangles]
+    below = (corners < 0.0).any(axis=1)
+    above = (corners > 0.0).any(axis=1)
+    assert not (below & above).any()
 
 
 def synthetic_grid(n=41, h=2.0, center=(0.0, 0.0, 0.0), radius=1.0):
@@ -227,6 +232,9 @@ REAL_CASES = [
     ((3, 2, 1), (1.0, 0.5, 0.5), 15, (5.0, 30.0, 99.9)),
     ((2, 1, 0), (2.0, 0.3, 0.7), 41, (20.0,)),
     ((4, 3, -2), (1.0, 0.5, 0.5), 41, (5.0, 35.0)),
+    # half-extent about 1988: the clip's prev + 1*(cur - prev) is not exact
+    # there, so a rounding sliver of the reference would show
+    ((30, 10, 3), (1.0, 2.0, 0.0), 51, (5.0, 50.0)),
 ]
 
 
@@ -238,6 +246,7 @@ def test_matches_reference_loops_on_real_grids(state, params, n_points, levels):
         mesh = marching_cubes(grid, level)
         want = reference_marching_cubes(grid, level)
         assert_same_mesh(mesh, want)
+        assert_no_triangle_crosses_an_axis_plane(mesh)
         cut = apply_cutaway(mesh, grid)
         assert cut is not mesh
         assert_same_mesh(cut, reference_apply_cutaway(want, grid))
@@ -257,6 +266,7 @@ def test_matches_reference_loops_with_voxels_at_the_level(seed):
     mesh = marching_cubes(grid, level)
     want = reference_marching_cubes(grid, level)
     assert_same_mesh(mesh, want)
+    assert_no_triangle_crosses_an_axis_plane(mesh)
     cut = apply_cutaway(mesh, grid)
     assert_same_mesh(cut, reference_apply_cutaway(want, grid))
     assert apply_cutaway(cut, grid) is cut
@@ -273,18 +283,27 @@ def test_cutaway_welds_signed_zeros_together():
     triangles = mesh.triangles.copy()
     triangles[1::2] += nv
     doubled = TriangleMesh(np.vstack([mesh.vertices, flipped]), triangles,
-                           np.tile(mesh.vertex_scalar, 2), mesh.level)
+                           mesh.level)
     cut = apply_cutaway(doubled, grid)
     assert_same_mesh(cut, reference_apply_cutaway(doubled, grid))
 
 
-def test_cutaway_returns_input_when_nothing_is_cut():
+def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():
     grid = synthetic_grid(n=9)
-    # one vertex each at x < 0, y < 0 and z > 0, yet the triangle meets the
-    # closed octant nowhere: a + b + c = 1 with a, b >= 1/2 forces z = -1
+    # vertices on both sides of x = 0 and of y = 0
     mesh = TriangleMesh(np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, -1.0],
                                   [1.0, 1.0, 1.0]]),
-                        np.array([[0, 1, 2]]), np.full(3, 50.0), 50.0)
+                        np.array([[0, 1, 2]]), 50.0)
+    with pytest.raises(ValueError, match="crosses the plane x = 0"):
+        apply_cutaway(mesh, grid)
+
+
+def test_cutaway_keeps_triangles_without_area():
+    grid = synthetic_grid(n=9)
+    # centroid strictly inside the octant, but the corners are collinear
+    mesh = TriangleMesh(np.array([[-1.0, -1.0, 1.0], [-0.5, -0.5, 0.5],
+                                  [-0.25, -0.25, 0.25]]),
+                        np.array([[0, 1, 2]]), 50.0)
     assert apply_cutaway(mesh, grid) is mesh
     assert reference_apply_cutaway(mesh, grid) is mesh
 
@@ -303,7 +322,7 @@ def test_requires_rescaled_grid_and_valid_level():
         marching_cubes(grid, -3.0)
 
 
-def test_sphere_radius_topology_and_scalars():
+def test_sphere_radius_and_topology():
     grid = synthetic_grid(n=41, h=2.0, radius=1.5)
     level = 50.0
     mesh = marching_cubes(grid, level)
@@ -313,7 +332,6 @@ def test_sphere_radius_topology_and_scalars():
     assert np.all(np.abs(r - want) < grid.spec.spacing)
     assert is_watertight(mesh)
     assert connected_components(mesh) == 1
-    assert np.all(np.abs(mesh.vertex_scalar - level) < 1e-9)
     assert mesh.level == level
 
 
@@ -333,9 +351,9 @@ def test_levels_nest():
     r_lo = np.linalg.norm(mesh_lo.vertices, axis=1)
     r_hi = np.linalg.norm(mesh_hi.vertices, axis=1)
     assert r_hi.max() < r_lo.min()
-    # every high-level vertex sits at field value >= lo (inside the lo shell)
-    for p in mesh_hi.vertices[::7]:
-        assert trilinear_at(grid, p) >= lo - 1e-6
+    # every high-level vertex sits inside the lo shell of the cone field
+    field = 100.0 * (1.0 - np.linalg.norm(mesh_hi.vertices, axis=1) / 1.6)
+    assert field.min() >= lo
 
 
 def test_surface_area_matches_sphere():
@@ -348,8 +366,7 @@ def test_surface_area_matches_sphere():
 def test_triangle_mesh_index_validation():
     with pytest.raises(ValueError):
         TriangleMesh(vertices=np.zeros((2, 3)),
-                     triangles=np.array([[0, 1, 2]]),
-                     vertex_scalar=np.zeros(2), level=50.0)
+                     triangles=np.array([[0, 1, 2]]), level=50.0)
 
 
 # ----------------------------------------------------------------- cutaway

@@ -131,13 +131,12 @@ def test_obj_streams_in_blocks(monkeypatch, real_grid):
 
 def test_obj_keeps_negative_zero():
     verts = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5], [2.0, 0.0, -0.0]])
-    mesh = TriangleMesh(verts, np.array([[0, 1, 2], [2, 1, 0]]),
-                        np.zeros(3), 25.0)
+    mesh = TriangleMesh(verts, np.array([[0, 1, 2], [2, 1, 0]]), 25.0)
     text = "".join(_obj_chunks(mesh, LABELS, PARAMS, False))
     assert text == reference_obj(mesh, LABELS, PARAMS, False)
     assert "v 0 -0 1.5\nv -0 0 1.5\n" in text
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64),
-                         np.zeros(0), 25.0)
+                         25.0)
     assert ("".join(_obj_chunks(empty, LABELS, PARAMS, True))
             == reference_obj(empty, LABELS, PARAMS, True))
 
