@@ -130,6 +130,11 @@ def _parse_range(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+# Each level is a full contour pass over the plane; the cap also ends a
+# range whose step is too small to move the level.
+_MAX_LEVELS = 1000
+
+
 def _parse_levels(text: str) -> list[float]:
     """Either a:b:step (inclusive) or a comma-separated list."""
     if ":" in text:
@@ -142,6 +147,9 @@ def _parse_levels(text: str) -> list[float]:
         levels = []
         v = a
         while v <= b + 1e-9 * max(1.0, abs(b)):
+            if len(levels) == _MAX_LEVELS:
+                raise ValueError(f"levels {text!r} gives more than"
+                                 f" {_MAX_LEVELS} levels")
             levels.append(v)
             v += step
         return levels
@@ -193,6 +201,8 @@ def _check_run(run: RunSpec) -> None:
     GridSpec(run.n_points, run.extent if run.extent is not None else 1.0)
     _check_coverage(run.coverage)
     _check_iso_level(run.level)
+    if not run.levels:
+        raise ValueError("levels must not be empty")
     for level in run.levels:
         _check_contour_level(level)
 

@@ -96,6 +96,12 @@ class QuasiNumbers:
     energy: float
 
 
+# The radial factor and the Gauss-Laguerre rule of verify loop over n - l - 1
+# terms, and that rule's dense Jacobi matrix has (n - l)^2 entries (8 MB at
+# n = 1000): their cost grows without bound in n.
+_MAX_N = 1000
+
+
 def _float_of(name: str, value: int) -> float:
     """An integer term of label ``name`` as the float it adds as."""
     try:
@@ -132,6 +138,9 @@ def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNu
     n_r = labels.n - labels.l - 1
     l_prime = _float_of("l", 2 * k) + gamma1 + m_prime
     n_prime = _float_of("n", n_r) + l_prime + 1.0
+    if labels.n > _MAX_N:
+        raise ValueError(f"n is too large: at most {_MAX_N} is served,"
+                         f" got n={labels.n}")
     lam = l_prime * (l_prime + 1.0)
     e = -params.Z * params.Z / (2.0 * n_prime * n_prime)
     return QuasiNumbers(m_prime, gamma1, k, l_prime, n_r, n_prime, lam, e)

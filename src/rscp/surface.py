@@ -7,6 +7,13 @@ or by the grid point it lands on, and the cutaway by its coordinates'
 bits.  Every edge interpolates from its lower end, so adjacent cells weld
 exactly and closed components satisfy edge-incidence = 2.  Triangles
 follow ascending cell index, which makes every output deterministic.
+
+The cutaway caps and the slice contours come from one marching-squares
+routine over a grid plane (_march_squares); only its table differs.  The
+cap table fans the polygons covering {f >= level} and starts a crossing
+where the polygon cycle meets it, not always at the edge's lower end.  So
+a cap point can differ in its last bits from the marching-cubes vertex on
+the same edge, and cutaway meshes have open seams on the cut planes.
 """
 
 from __future__ import annotations
@@ -160,90 +167,102 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     return TriangleMesh(vertices, triangles, float(level))
 
 
-# ---------------------------------------------------------------- cutaway
+# ------------------------------------------------------- marching squares
 
-def _fan(poly):
-    """Fan triangles of a convex polygon, without those below _AREA_EPS."""
-    fan = ((poly[0], poly[t], poly[t + 1]) for t in range(1, len(poly) - 1))
-    return [tri for tri in fan if _triangle_area(*tri) >= _AREA_EPS]
+# Corners 0..3 of a plane cell (a, b) are (a, b), (a+1, b), (a+1, b+1) and
+# (a, b+1), at these unit-square positions.
+_UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def _fill_polygons(f00, f10, f11, f01, level):
-    """Polygon(s) covering {f >= level} of one 2D cell, unit coordinates.
+def _table(shapes, saddles_inside, width):
+    """(32, rows, width, 2) table of directed corner pairs (i, j), -1 padded.
 
-    Corners are cycled 00 -> 10 -> 11 -> 01; crossings are linearly
-    interpolated.  The ambiguous saddles are resolved by the cell-center
-    mean (midpoint decision).
+    shapes[case] lists the case's shapes, '|'-separated, each a run of
+    points: 'i' is corner i and 'ij' the crossing on edge i-j,
+    interpolated from i.  Row case + 16 serves a cell whose center is
+    inside, where a saddle takes its shapes from saddles_inside.  Each
+    shape is fanned from its first point into rows of width points.
     """
-    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    fs = [f00, f10, f11, f01]
-    mask = sum(1 << i for i in range(4) if fs[i] >= level)
-    if mask == 0:
-        return []
-    if mask == 0b1111:
-        return [pts]
-
-    def cross(i, j):
-        t = (level - fs[i]) / (fs[j] - fs[i])
-        return (pts[i][0] + t * (pts[j][0] - pts[i][0]),
-                pts[i][1] + t * (pts[j][1] - pts[i][1]))
-
-    if mask in (0b0101, 0b1010):
-        mid = 0.25 * (f00 + f10 + f11 + f01)
-        a = 0 if mask == 0b0101 else 1   # one of the two inside corners
-        c = a + 2
-        xa_prev = cross(a, (a - 1) % 4)
-        xa_next = cross(a, (a + 1) % 4)
-        xc_prev = cross(c, (c - 1) % 4)
-        xc_next = cross(c, (c + 1) % 4)
-        if mid >= level:
-            return [[pts[a], xa_next, xc_prev, pts[c], xc_next, xa_prev]]
-        return [[pts[a], xa_next, xa_prev], [pts[c], xc_next, xc_prev]]
-
-    poly = []
-    for i in range(4):
-        j = (i + 1) % 4
-        if fs[i] >= level:
-            poly.append(pts[i])
-        if (fs[i] >= level) != (fs[j] >= level):
-            poly.append(cross(i, j))
-    return [poly]
+    cases = []
+    inside = [saddles_inside.get(case, s) for case, s in enumerate(shapes)]
+    for spec in shapes + inside:
+        rows = []
+        for shape in filter(None, spec.split("|")):
+            pts = [(int(p[0]), int(p[-1])) for p in shape.split()]
+            rows += [pts[:1] + pts[t:t + width - 1]
+                     for t in range(1, len(pts) - width + 2)]
+        cases.append(rows)
+    table = np.full((32, max(map(len, cases)), width, 2), -1)
+    for key, rows in enumerate(cases):
+        table[key, :len(rows)] = np.reshape(rows, (-1, width, 2))
+    return table
 
 
-def _cap_triangles(grid: DensityGrid, level: float):
-    """Cap triangles on the three exposed octant boundary planes."""
-    spec = grid.spec
-    c = (spec.n_points - 1) // 2
-    coords = spec.coords().tolist()
+def _march_squares(f, u, v, level, table):
+    """The table's rows in every cell of the 2D field f, cells in row-major
+    order: a (k, width, 2) array of points in the (u, v) coordinates.
+
+    Bit i of a cell's case is f_i >= level, and a saddle is resolved by its
+    center value (the midpoint decider, Nielson & Hamann 1991).  The pair
+    (i, j) is the point p = P_i + t (P_j - P_i) of the unit square, with
+    t = (level - f_i) / (f_j - f_i), at u0 + p (u1 - u0) in the plane.
+    """
+    fc = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]],
+                  axis=-1).reshape(-1, 4)
+    case = ((fc >= level) << np.arange(4)).sum(axis=1)
+    mid = 0.25 * (((fc[:, 0] + fc[:, 1]) + fc[:, 2]) + fc[:, 3])
+    key = case + 16 * (mid >= level)
+    cell, row = np.nonzero(table[key, :, 0, 0] >= 0)
+    ends = table[key[cell], row]
+    i, j = ends[..., 0], ends[..., 1]
+    fi, fj = fc[cell[:, None], i], fc[cell[:, None], j]
+    # a corner is the pair (i, i): its t multiplies a zero step
+    t = (level - fi) / np.where(i == j, 1.0, fj - fi)
+    p = _UNIT[i] + t[..., None] * (_UNIT[j] - _UNIT[i])
+    a, b = np.divmod(cell, f.shape[1] - 1)
+    lo = np.stack([u[a], v[b]], axis=-1)[:, None]
+    hi = np.stack([u[a + 1], v[b + 1]], axis=-1)[:, None]
+    return lo + p * (hi - lo)
+
+
+# The polygons covering {f >= level}, corners cycled 0 -> 1 -> 2 -> 3: each
+# crossing is interpolated from the corner before it in that cycle, or on a
+# saddle from its inside corner.
+_CAP_TABLE = _table(
+    ["", "0 01 30", "01 1 12", "0 1 12 30", "12 2 23", "0 01 03|2 23 21",
+     "01 1 2 23", "0 1 2 23 30", "23 3 30", "0 01 23 3", "1 12 10|3 30 32",
+     "0 1 12 23 3", "12 2 3 30", "0 01 12 2 3", "01 1 2 3 30", "0 1 2 3"],
+    {5: "0 01 21 2 23 03", 10: "1 12 32 3 30 10"}, 3)
+
+# Contour segments; every crossing is interpolated from its edge's lower
+# corner, so the cells sharing an edge compute the same point.  Adjacent
+# coordinates satisfy u0 + (u1 - u0) == u1, so p = 0 or 1 lands exactly on
+# the grid line.
+_SEG_TABLE = _table(
+    ["", "03 01", "01 12", "03 12", "12 32", "01 03|12 32", "01 32",
+     "32 03", "32 03", "32 01", "01 12|32 03", "12 32", "12 03", "01 12",
+     "03 01", ""],
+    {5: "01 12|32 03", 10: "01 03|12 32"}, 2)
+
+
+def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
+    """(k, 3, 3) cap triangles on the three exposed octant boundary planes,
+    without those below _AREA_EPS."""
+    c = (grid.spec.n_points - 1) // 2
+    coords = grid.spec.coords()
+    neg, pos = coords[:c + 1], coords[c:]
     vals = grid.values
-    n = spec.n_points
-    caps = []
+    caps = np.concatenate([
+        np.insert(_march_squares(plane, u, v, level, _CAP_TABLE), axis, 0.0,
+                  axis=2)
+        for axis, plane, u, v in (
+            (0, vals[c, :c + 1, c:], neg, pos),      # x=0, y<=0, z>=0
+            (1, vals[:c + 1, c, c:], neg, pos),      # y=0, x<=0, z>=0
+            (2, vals[:c + 1, :c + 1, c], neg, neg))])  # z=0, x<=0, y<=0
+    return caps[_triangle_area(*caps.transpose(1, 2, 0)) >= _AREA_EPS]
 
-    # (plane slice, first-axis cell range, second-axis cell range, embed)
-    planes = [
-        (vals[c, :, :], range(0, c), range(c, n - 1),
-         lambda u, v: (0.0, u, v)),                      # x=0, y<=0, z>=0
-        (vals[:, c, :], range(0, c), range(c, n - 1),
-         lambda u, v: (u, 0.0, v)),                      # y=0, x<=0, z>=0
-        (vals[:, :, c], range(0, c), range(0, c),
-         lambda u, v: (u, v, 0.0)),                      # z=0, x<=0, y<=0
-    ]
-    for plane, arange, brange, embed in planes:
-        for a in arange:
-            ua0, ua1 = coords[a], coords[a + 1]
-            for b in brange:
-                ub0, ub1 = coords[b], coords[b + 1]
-                f00 = float(plane[a, b])
-                f10 = float(plane[a + 1, b])
-                f11 = float(plane[a + 1, b + 1])
-                f01 = float(plane[a, b + 1])
-                if max(f00, f10, f11, f01) < level:
-                    continue
-                for poly in _fill_polygons(f00, f10, f11, f01, level):
-                    caps += _fan([embed(ua0 + p[0] * (ua1 - ua0),
-                                        ub0 + p[1] * (ub1 - ub0)) for p in poly])
-    return caps
 
+# ---------------------------------------------------------------- cutaway
 
 def _position_keys(points):
     """int64 keys, equal exactly for rows that are equal as floats: each
@@ -288,7 +307,7 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     # Corner slots in emission order, the kept triangles then the caps,
     # welded by position.  Each slot is a row of mesh.vertices or a cap
     # point, so positions are keyed once per row.
-    caps = np.array(_cap_triangles(grid, mesh.level), dtype=float)
+    caps = _cap_triangles(grid, mesh.level)
     rows = np.concatenate([mesh.vertices, caps.reshape(-1, 3)])
     slots = np.concatenate([np.delete(mesh.triangles, cut, axis=0).ravel(),
                             np.arange(len(mesh.vertices), len(rows))])
@@ -301,52 +320,6 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
 
 
 # ---------------------------------------------------------- plane contours
-
-_SEG_CASES = {
-    0b0001: [(3, 0)], 0b0010: [(0, 1)], 0b0100: [(1, 2)], 0b1000: [(2, 3)],
-    0b0011: [(3, 1)], 0b0110: [(0, 2)], 0b1100: [(1, 3)], 0b1001: [(2, 0)],
-    0b1110: [(3, 0)], 0b1101: [(0, 1)], 0b1011: [(1, 2)], 0b0111: [(2, 3)],
-}
-
-
-def _square_segments(F, ucoords, vcoords, level):
-    """Marching-squares segments over a 2D field; returns point pairs."""
-    nu, nv = F.shape
-    segments = []
-    for a in range(nu - 1):
-        for b in range(nv - 1):
-            fs = (float(F[a, b]), float(F[a + 1, b]),
-                  float(F[a + 1, b + 1]), float(F[a, b + 1]))
-            mask = sum(1 << i for i in range(4) if fs[i] >= level)
-            if mask in (0, 0b1111):
-                continue
-            corners = ((ucoords[a], vcoords[b]), (ucoords[a + 1], vcoords[b]),
-                       (ucoords[a + 1], vcoords[b + 1]), (ucoords[a], vcoords[b + 1]))
-
-            def edge_point(e):
-                i, j = e, (e + 1) % 4
-                # canonical orientation so shared edges interpolate identically
-                if corners[j] < corners[i]:
-                    i, j = j, i
-                t = (level - fs[i]) / (fs[j] - fs[i])
-                return (corners[i][0] + t * (corners[j][0] - corners[i][0]),
-                        corners[i][1] + t * (corners[j][1] - corners[i][1]))
-
-            if mask in (0b0101, 0b1010):
-                mid = 0.25 * sum(fs)
-                inside_center = mid >= level
-                if mask == 0b0101:
-                    pairs = [(0, 1), (2, 3)] if inside_center else [(0, 3), (1, 2)]
-                else:
-                    pairs = [(0, 3), (1, 2)] if inside_center else [(0, 1), (2, 3)]
-            else:
-                pairs = _SEG_CASES[mask]
-            for e0, e1 in pairs:
-                p0, p1 = edge_point(e0), edge_point(e1)
-                if p0 != p1:
-                    segments.append((p0, p1))
-    return segments
-
 
 def _chain_segments(segments):
     """Join shared endpoints into polylines; closed loops repeat the start."""
@@ -394,12 +367,14 @@ def slice_contour(grid: DensityGrid, levels) -> list[ContourSet]:
         raise ValueError("slice_contour requires a rescaled grid")
     c = (grid.spec.n_points - 1) // 2
     plane = grid.values[c, c:, c:]
-    q = grid.spec.coords()[c:].tolist()
+    q = grid.spec.coords()[c:]
     out = []
     for level in levels:
         _check_contour_level(level)
-        segs = _square_segments(plane, q, q, float(level))
-        out.append(ContourSet(float(level), _chain_segments(segs)))
+        segs = _march_squares(plane, q, q, float(level), _SEG_TABLE)
+        segs = segs[(segs[:, 0] != segs[:, 1]).any(axis=1)].tolist()
+        out.append(ContourSet(float(level), _chain_segments(
+            [(tuple(p0), tuple(p1)) for p0, p1 in segs])))
     return out
 
 

@@ -48,6 +48,11 @@ def test_parse_range_and_levels():
         _parse_range("0:2:1")
     with pytest.raises(ValueError):
         _parse_levels("10:100:0")
+    assert len(_parse_levels("1:1000:1")) == 1000
+    # a step that does not move the level would append for ever
+    for text in ("1:1001:1", "10:100:1e-16", "10:100:1e-15"):
+        with pytest.raises(ValueError, match="more than 1000 levels"):
+            _parse_levels(text)
 
 
 # -------------------------------------------------------------------- state
@@ -97,6 +102,26 @@ def test_state_overflowing_label_is_validation_error(capsys, state, name):
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith(f"{name} is too large")
+
+
+@pytest.mark.parametrize("n", [10 ** 12, 1001])
+def test_huge_n_is_validation_error(tmp_path, capsys, n):
+    """A large n is refused up front: its radial series would not end."""
+    vtk = tmp_path / "d.vtk"
+    for argv in (["state"], ["grid", "--N", "3", "--output", str(vtk)]):
+        code, out = run_cli(capsys, *argv, "--n", str(n), "--l", "0",
+                            "--m", "0")
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"]["message"].startswith(
+            "n is too large")
+    assert not vtk.exists()
+
+
+def test_state_accepts_n_1000(capsys):
+    code, out = run_cli(capsys, "state", "--n", "1000", "--l", "0",
+                        "--m", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["n_r"] == 999
 
 
 def test_non_finite_input_is_validation_error(tmp_path, capsys):
@@ -252,6 +277,15 @@ def test_slice_custom_levels(capsys):
     assert levels <= {25.0, 75.0}
 
 
+def test_slice_bad_level_range_is_validation_error(capsys):
+    for levels, message in (("10:100:1e-16", "more than 1000 levels"),
+                            ("100:10:5", "levels must not be empty")):
+        code, out = run_cli(capsys, "slice", "--n", "2", "--l", "1", "--m",
+                            "0", "--N", "15", "--levels", levels)
+        assert code == EXIT_VALIDATION
+        assert message in json.loads(out)["error"]["message"]
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -401,6 +435,19 @@ def test_sweep_bad_output_kind(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_sweep_empty_levels_is_invalid_run(tmp_path, capsys):
+    job = dict(JOB, output_dir=str(tmp_path / "out"))
+    job["runs"] = [JOB["runs"][0], dict(JOB["runs"][2], levels=[])]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, _ = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["ok", "invalid"]
+    assert runs[1]["reason"] == "levels must not be empty"
+    assert runs[1]["artifacts"] == []
+
+
 @pytest.mark.parametrize("field", [{"level": 150}, {"levels": [10, 150]},
                                    {"grid": {"n_points": 21,
                                              "coverage": 1.5}}])
@@ -488,6 +535,8 @@ def test_sweep_job_integer_forms(tmp_path):
     ({"n": 2, "l": 1, "m": 0, "c": math.nan}, "c must be finite",
      {"c": "nan"}),
     *((state, f"{name} is too large", {}) for state, name in OVERFLOWING),
+    ({"n": 10 ** 12, "l": 0, "m": 0}, "n is too large", {}),
+    ({"n": 1001, "l": 0, "m": 0}, "n is too large", {}),
 ])
 def test_sweep_inadmissible_state_is_invalid_run(tmp_path, capsys, state,
                                                  reason, shown):

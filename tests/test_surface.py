@@ -9,6 +9,7 @@ from conftest import make_rpv_grid
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from rscp.density import DensityGrid, GridSpec, normalize_relative
 from rscp.states import PotentialParams, StateLabels
+from rscp import surface
 from rscp.surface import (_AREA_EPS, ContourSet, TriangleMesh, _cap_triangles,
                           _crossed_edges, apply_cutaway,
                           connected_components, is_watertight, marching_cubes,
@@ -159,14 +160,154 @@ def reference_apply_cutaway(mesh, grid):
             ids = tuple(add_vertex(p) for p in item)
         if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
             out_triangles.append(ids)
-    for tri in _cap_triangles(grid, mesh.level):
-        ids = tuple(add_vertex(p) for p in tri)
+    for tri in _cap_triangles(grid, mesh.level).tolist():
+        ids = tuple(add_vertex(tuple(p)) for p in tri)
         if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
             out_triangles.append(ids)
 
     return TriangleMesh(np.array(out_vertices, dtype=float).reshape(-1, 3),
                         np.array(out_triangles, dtype=np.int64).reshape(-1, 3),
                         mesh.level)
+
+
+# ------------------- reference: per-cell marching squares for caps and slices
+
+def reference_fan(poly):
+    fan = ((poly[0], poly[t], poly[t + 1]) for t in range(1, len(poly) - 1))
+    return [tri for tri in fan if reference_area(*tri) >= _AREA_EPS]
+
+
+def reference_fill_polygons(f00, f10, f11, f01, level):
+    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    fs = [f00, f10, f11, f01]
+    mask = sum(1 << i for i in range(4) if fs[i] >= level)
+    if mask == 0:
+        return []
+    if mask == 0b1111:
+        return [pts]
+
+    def cross(i, j):
+        t = (level - fs[i]) / (fs[j] - fs[i])
+        return (pts[i][0] + t * (pts[j][0] - pts[i][0]),
+                pts[i][1] + t * (pts[j][1] - pts[i][1]))
+
+    if mask in (0b0101, 0b1010):
+        mid = 0.25 * (f00 + f10 + f11 + f01)
+        a = 0 if mask == 0b0101 else 1
+        c = a + 2
+        xa_prev = cross(a, (a - 1) % 4)
+        xa_next = cross(a, (a + 1) % 4)
+        xc_prev = cross(c, (c - 1) % 4)
+        xc_next = cross(c, (c + 1) % 4)
+        if mid >= level:
+            return [[pts[a], xa_next, xc_prev, pts[c], xc_next, xa_prev]]
+        return [[pts[a], xa_next, xa_prev], [pts[c], xc_next, xc_prev]]
+
+    poly = []
+    for i in range(4):
+        j = (i + 1) % 4
+        if fs[i] >= level:
+            poly.append(pts[i])
+        if (fs[i] >= level) != (fs[j] >= level):
+            poly.append(cross(i, j))
+    return [poly]
+
+
+def reference_cap_triangles(grid, level):
+    spec = grid.spec
+    c = (spec.n_points - 1) // 2
+    coords = spec.coords().tolist()
+    vals = grid.values
+    n = spec.n_points
+    caps = []
+    planes = [
+        (vals[c, :, :], range(0, c), range(c, n - 1),
+         lambda u, v: (0.0, u, v)),
+        (vals[:, c, :], range(0, c), range(c, n - 1),
+         lambda u, v: (u, 0.0, v)),
+        (vals[:, :, c], range(0, c), range(0, c),
+         lambda u, v: (u, v, 0.0)),
+    ]
+    for plane, arange, brange, embed in planes:
+        for a in arange:
+            ua0, ua1 = coords[a], coords[a + 1]
+            for b in brange:
+                ub0, ub1 = coords[b], coords[b + 1]
+                f00 = float(plane[a, b])
+                f10 = float(plane[a + 1, b])
+                f11 = float(plane[a + 1, b + 1])
+                f01 = float(plane[a, b + 1])
+                if max(f00, f10, f11, f01) < level:
+                    continue
+                for poly in reference_fill_polygons(f00, f10, f11, f01, level):
+                    caps += reference_fan([embed(ua0 + p[0] * (ua1 - ua0),
+                                                 ub0 + p[1] * (ub1 - ub0))
+                                           for p in poly])
+    return caps
+
+
+_SEG_CASES = {
+    0b0001: [(3, 0)], 0b0010: [(0, 1)], 0b0100: [(1, 2)], 0b1000: [(2, 3)],
+    0b0011: [(3, 1)], 0b0110: [(0, 2)], 0b1100: [(1, 3)], 0b1001: [(2, 0)],
+    0b1110: [(3, 0)], 0b1101: [(0, 1)], 0b1011: [(1, 2)], 0b0111: [(2, 3)],
+}
+
+
+def reference_slice_segments(grid, level):
+    """The segments slice_contour chains at one level, as point pairs."""
+    c = (grid.spec.n_points - 1) // 2
+    F = grid.values[c, c:, c:]
+    q = grid.spec.coords()[c:].tolist()
+    nu, nv = F.shape
+    segments = []
+    for a in range(nu - 1):
+        for b in range(nv - 1):
+            fs = (float(F[a, b]), float(F[a + 1, b]),
+                  float(F[a + 1, b + 1]), float(F[a, b + 1]))
+            mask = sum(1 << i for i in range(4) if fs[i] >= level)
+            if mask in (0, 0b1111):
+                continue
+            corners = ((q[a], q[b]), (q[a + 1], q[b]),
+                       (q[a + 1], q[b + 1]), (q[a], q[b + 1]))
+
+            def edge_point(e):
+                i, j = e, (e + 1) % 4
+                if corners[j] < corners[i]:
+                    i, j = j, i
+                t = (level - fs[i]) / (fs[j] - fs[i])
+                return (corners[i][0] + t * (corners[j][0] - corners[i][0]),
+                        corners[i][1] + t * (corners[j][1] - corners[i][1]))
+
+            if mask in (0b0101, 0b1010):
+                inside_center = 0.25 * sum(fs) >= level
+                if mask == 0b0101:
+                    pairs = [(0, 1), (2, 3)] if inside_center else [(0, 3), (1, 2)]
+                else:
+                    pairs = [(0, 3), (1, 2)] if inside_center else [(0, 1), (2, 3)]
+            else:
+                pairs = _SEG_CASES[mask]
+            for e0, e1 in pairs:
+                p0, p1 = edge_point(e0), edge_point(e1)
+                if p0 != p1:
+                    segments.append((p0, p1))
+    return segments
+
+
+def assert_same_caps_and_segments(grid, level, monkeypatch):
+    """Cap triangles and slice segments equal the reference loops' bitwise."""
+    got = _cap_triangles(grid, level)
+    want = np.array(reference_cap_triangles(grid, level),
+                    dtype=float).reshape(-1, 3, 3)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    chained = []
+    monkeypatch.setattr(surface, "_chain_segments",
+                        lambda segments: chained.append(segments) or [])
+    slice_contour(grid, [level])
+    got, want = chained[0], reference_slice_segments(grid, float(level))
+    assert len(got) == len(want)
+    assert (np.array(got, dtype=float).reshape(-1, 2, 2).tobytes()
+            == np.array(want, dtype=float).reshape(-1, 2, 2).tobytes())
 
 
 def assert_same_mesh(got, want):
@@ -417,6 +558,44 @@ def test_hydrogen_two_lobes(hydrogen_210_grid):
     mesh = marching_cubes(hydrogen_210_grid, 50.0)
     assert is_watertight(mesh)
     assert connected_components(mesh) == 2
+
+
+# --------------------------------------------------------- marching squares
+
+MS_STATES = [
+    ((6, 5, 0), (1.0, 0.5, 0.5)),
+    ((2, 1, 0), (1.0, 0.5, 0.5)),
+    ((4, 2, 0), (1.0, 0.0, 0.0)),
+    ((5, 2, 1), (1.0, 0.5, 3.0)),
+    ((4, 3, -2), (1.0, 0.5, 0.5)),
+    ((6, 1, 0), (1.0, 1e-3, 1e-3)),
+    ((30, 10, 3), (2.0, 2.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("n_points", [3, 15, 51, 151])
+@pytest.mark.parametrize("state, params", MS_STATES)
+def test_caps_and_slices_match_reference_loops_on_real_grids(
+        state, params, n_points, monkeypatch):
+    grid = make_rpv_grid(StateLabels(*state), PotentialParams(*params),
+                         n_points)
+    for level in (5.0, 10.0, 20.0, 35.0, 50.0, 75.0, 99.9, 100.0):
+        assert_same_caps_and_segments(grid, level, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_caps_and_slices_match_reference_loops_on_random_grids(seed,
+                                                               monkeypatch):
+    """Corners at the level or 1 ulp either side, 0 and 100 give crossings
+    at t = 0 and 1, saddle centers at the level and degenerate segments."""
+    rng = np.random.default_rng(seed)
+    level = float(rng.choice([5.0, 50.0, 1.0 / 3.0, 100.0]))
+    pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
+            0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
+    spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
+    grid = DensityGrid(spec, rng.choice(pool, size=(9, 9, 9)), 100.0,
+                       rescaled=True)
+    assert_same_caps_and_segments(grid, level, monkeypatch)
 
 
 # ------------------------------------------------------------ plane contour
