@@ -117,6 +117,11 @@ def _metadata_line(labels: StateLabels, params: PotentialParams) -> str:
             f" energy={_sig(q.energy)}")
 
 
+# One CSV line per sample: a million is a 24 MB file written in seconds; the
+# cap stops a count that would exhaust memory before any output.
+_MAX_SAMPLES = 1_000_000
+
+
 def _parse_range(text: str) -> list[float]:
     """start:stop:count -> evenly spaced samples, both ends included."""
     parts = text.split(":")
@@ -124,8 +129,9 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"range must be start:stop:count, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     count = int(parts[2])
-    if count < 2:
-        raise ValueError(f"range needs at least 2 samples, got {count}")
+    if not 2 <= count <= _MAX_SAMPLES:
+        raise ValueError(f"range needs 2 to {_MAX_SAMPLES} samples,"
+                         f" got {count}")
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
 

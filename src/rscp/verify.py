@@ -5,8 +5,10 @@ integrals and expectations apply weighted Gauss rules (Jacobi, Laguerre),
 exact on polynomial-times-weight integrands, to the served functions,
 with nodes and weights built here from the classical three-term
 recurrences; differential-equation residuals rebuild the polynomial
-factors from a term-ratio recurrence (sharing only log_gamma with the
-main code).
+factors as the Laguerre and Jacobi polynomials of those same
+recurrences.  They share their recurrences with the Gauss rules and
+nothing with the served path, which sums both factors in the power
+basis.
 """
 
 from __future__ import annotations
@@ -70,6 +72,23 @@ def _laguerre_l(n: int, a: float, x):
     return p1
 
 
+def _jacobi_derivative(j: int, n: int, a: float, b: float, y):
+    """d^j/dy^j P_n^(a,b)(y) = (n+a+b+1)_j / 2^j P_(n-j)^(a+j,b+j)(y)
+    (A&S 22.8); zero for j > n."""
+    if j > n:
+        return np.zeros_like(y)
+    return (math.prod(0.5 * (n + a + b + 1.0 + i) for i in range(j))
+            * _jacobi_p(n - j, a + j, b + j, y))
+
+
+def _laguerre_derivative(j: int, n: int, a: float, x):
+    """d^j/dx^j L_n^(a)(x) = (-1)^j L_(n-j)^(a+j)(x) (A&S 22.8); zero
+    for j > n."""
+    if j > n:
+        return np.zeros_like(x)
+    return (-1.0) ** j * _laguerre_l(n - j, a + j, x)
+
+
 def _eigenvalues(diag, off):
     """Eigenvalues of the symmetric tridiagonal matrix (diag, off)."""
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
@@ -95,9 +114,7 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     off = 2.0 / s * np.sqrt((k + a) * (k + b) * k * (k + a + b)
                             / ((s + 1.0) * (s - 1.0)))
     y = _eigenvalues(diag, off)
-    # P_n' = (n + a + b + 1)/2 P_(n-1)^(a+1, b+1)
-    y -= _jacobi_p(n, a, b, y) / (
-        0.5 * (n + a + b + 1.0) * _jacobi_p(n - 1, a + 1.0, b + 1.0, y))
+    y -= _jacobi_p(n, a, b, y) / _jacobi_derivative(1, n, a, b, y)
     # w_i ~ 1 / ((1 - y_i^2) P_n'(y_i)^2)
     log_w = -np.log1p(-y * y) - 2.0 * np.log(np.abs(
         _jacobi_p(n - 1, a + 1.0, b + 1.0, y)))
@@ -112,8 +129,7 @@ def _laguerre_rule(n: int, alpha: float):
     k = np.arange(1.0, n)
     x = _eigenvalues(2.0 * np.arange(n) + alpha + 1.0,
                      np.sqrt(k * (k + alpha)))
-    # L_n' = -L_(n-1)^(alpha+1)
-    x += _laguerre_l(n, alpha, x) / _laguerre_l(n - 1, alpha + 1.0, x)
+    x -= _laguerre_l(n, alpha, x) / _laguerre_derivative(1, n, alpha, x)
     # w_i ~ 1 / (x_i L_n'(x_i)^2)
     log_w = -np.log(x) - 2.0 * np.log(np.abs(
         _laguerre_l(n - 1, alpha + 1.0, x)))
@@ -194,64 +210,31 @@ def angular_expectation_abs_x(labels: StateLabels, params: PotentialParams) -> f
 
 # ------------------------------------------------------------ ODE residuals
 
-def _series_coefficients(q: QuasiNumbers):
-    """Colatitude polynomial coefficients by term-ratio recurrence.
-
-    Descending even powers x^(2k), x^(2k-2), ...; the equation is
-    homogeneous, so the seed is 1 and the list is rescaled to unit max
-    magnitude.  Nothing here is shared with the main evaluation path.
-    """
-    k, g1, lp = q.k, q.gamma1, q.l_prime
-    coeffs = [1.0]
-    for nu in range(k):
-        num = -(k - nu) * (lp - nu) * (2 * k + 2 * g1 - 2 * nu) \
-            * (2 * k + 2 * g1 - 2 * nu - 1)
-        den = (nu + 1) * (k + g1 - nu) * (2 * lp - 2 * nu) * (2 * lp - 2 * nu - 1)
-        coeffs.append(coeffs[-1] * num / den)
-    scale = max(abs(c) for c in coeffs)
-    return [c / scale for c in coeffs]
+def _product(f, g):
+    """(fg, (fg)', (fg)'') from the triples (f, f', f'') and (g, g', g'')."""
+    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1],
+            f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2])
 
 
-def _angular_value_and_derivatives(x: float, q: QuasiNumbers, coeffs):
-    """(H, H', H'') of an unnormalized colatitude solution at interior x,
-    from coeffs = _series_coefficients(q)."""
-    mp = q.m_prime
-    g1 = q.gamma1
-    k = q.k
-    # S(x) = sum_nu a_nu x^(2k - 2nu) and its two derivatives
-    s = s1 = s2 = 0.0
-    for nu, a in enumerate(coeffs):
-        p = 2 * (k - nu)
-        xp = x ** p
-        s += a * xp
-        if p >= 1:
-            s1 += a * p * x ** (p - 1)
-        if p >= 2:
-            s2 += a * p * (p - 1) * x ** (p - 2)
+def _angular_solution(q: QuasiNumbers, x):
+    """(H, H', H'') of an unnormalized colatitude solution at 0 < x < 1:
+    H = A B S with A = (1-x^2)^(m'/2), B = x^gamma1 and
+    S = P_k^(gamma1-1/2, m')(1 - 2x^2); integer gamma1 also takes x < 0."""
+    mp, g1, y = q.m_prime, q.gamma1, 1.0 - 2.0 * x * x
+    P, P1, P2 = (_jacobi_derivative(j, q.k, g1 - 0.5, mp, y) for j in range(3))
     one = 1.0 - x * x
-    A = one ** (mp / 2.0)
-    A1 = -mp * x * one ** (mp / 2.0 - 1.0)
-    A2 = (-mp * one + mp * (mp - 2.0) * x * x) * one ** (mp / 2.0 - 2.0)
-    if g1 == 0.0:
-        B, B1, B2 = 1.0, 0.0, 0.0
-    elif g1 == 1.0:
-        B, B1, B2 = x, 1.0, 0.0
-    else:
-        B = x ** g1
-        B1 = g1 * x ** (g1 - 1.0)
-        B2 = g1 * (g1 - 1.0) * x ** (g1 - 2.0)
-    H = A * B * s
-    H1 = A1 * B * s + A * B1 * s + A * B * s1
-    H2 = (A2 * B * s + A * B2 * s + A * B * s2
-          + 2.0 * (A1 * B1 * s + A1 * B * s1 + A * B1 * s1))
-    return H, H1, H2
+    A = (one ** (mp / 2.0), -mp * x * one ** (mp / 2.0 - 1.0),
+         (-mp * one + mp * (mp - 2.0) * x * x) * one ** (mp / 2.0 - 2.0))
+    B = (x ** g1, g1 * x ** (g1 - 1.0), g1 * (g1 - 1.0) * x ** (g1 - 2.0))
+    # S = P(1 - 2x^2), so S' = -4x P' and S'' = 16x^2 P'' - 4P'
+    return _product(_product(A, B), (P, -4.0 * x * P1,
+                                      16.0 * x * x * P2 - 4.0 * P1))
 
 
-def _kummer_coeffs_local(n_r: int, beta: float):
-    coeffs = [1.0]
-    for j in range(n_r):
-        coeffs.append(coeffs[-1] * (-n_r + j) / ((beta + j) * (j + 1)))
-    return coeffs
+def _max_relative(terms) -> float:
+    """Largest |sum of the terms| / sum of |terms| over the samples."""
+    scale = sum(np.abs(t) for t in terms) + 1e-300
+    return float(np.max(np.abs(sum(terms)) / scale, initial=0.0))
 
 
 def ode_residuals(labels: StateLabels, params: PotentialParams,
@@ -265,50 +248,31 @@ def ode_residuals(labels: StateLabels, params: PotentialParams,
     """
     q = map_quantum_numbers(labels, params)
     rng = np.random.default_rng(seed)
-    Z, c = params.Z, params.c
-    lp = q.l_prime
-    lam = q.lam
+    Z, c, lp, lam = params.Z, params.c, q.l_prime, q.lam
     qw = 2.0 * Z / q.n_prime
-    energy2 = 2.0 * q.energy * energy_scale
 
-    dcoef = _kummer_coeffs_local(q.n_r, 2.0 * lp + 2.0)
+    # u = exp(-w/2) w^(l'+1) F, F ~ L_(n_r)^(2l'+1)(w), w = qw r; the factor
+    # exp(-w/2) w^(l'-1) is divided out of u'' + [2E + 2Z/r - lambda/r^2] u = 0
     R = radial_domain(q, params)
-    radial_max = 0.0
-    for r in rng.uniform(0.02 * R, 0.9 * R, size=n_samples):
-        w = qw * r
-        F = F1 = F2 = 0.0
-        for j, d in enumerate(dcoef):
-            wj = w ** j
-            F += d * wj
-            if j >= 1:
-                F1 += d * j * w ** (j - 1)
-            if j >= 2:
-                F2 += d * j * (j - 1) * w ** (j - 2)
-        # common factor exp(-w/2) w^(l'-1) divided out of u'' + [...]u = 0
-        t_dd = qw * qw * (((lp + 1.0) * lp - (lp + 1.0) * w + 0.25 * w * w) * F
-                          + (2.0 * (lp + 1.0) - w) * w * F1 + w * w * F2)
-        t_e = energy2 * w * w * F
-        t_coul = (2.0 * Z / r) * w * w * F
-        t_cent = -(lam / (r * r)) * w * w * F
-        residual = t_dd + t_e + t_coul + t_cent
-        scale = abs(t_dd) + abs(t_e) + abs(t_coul) + abs(t_cent) + 1e-300
-        radial_max = max(radial_max, abs(residual) / scale)
+    r = rng.uniform(0.02 * R, 0.9 * R, size=n_samples)
+    w = qw * r
+    F, F1, F2 = (_laguerre_derivative(j, q.n_r, 2.0 * lp + 1.0, w)
+                 for j in range(3))
+    radial_max = _max_relative((
+        qw * qw * (((lp + 1.0) * lp - (lp + 1.0) * w + 0.25 * w * w) * F
+                   + (2.0 * (lp + 1.0) - w) * w * F1 + w * w * F2),
+        2.0 * q.energy * energy_scale * w * w * F, (2.0 * Z / r) * w * w * F,
+        -(lam / (r * r)) * w * w * F))
 
-    angular_max = 0.0
-    coeffs = _series_coefficients(q)
-    for x in rng.uniform(0.005, 0.995, size=n_samples):
-        H, H1, H2 = _angular_value_and_derivatives(float(x), q, coeffs)
-        one = 1.0 - x * x
-        t_dd = one * H2
-        t_d = -2.0 * x * H1
-        t_lam = lam * H
-        t_m = -(q.m_prime ** 2 / one) * H
-        t_c = -(c / (x * x)) * H if c > 0.0 else 0.0
-        residual = t_dd + t_d + t_lam + t_m + t_c
-        scale = abs(t_dd) + abs(t_d) + abs(t_lam) + abs(t_m) + abs(t_c) + 1e-300
-        angular_max = max(angular_max, abs(residual) / scale)
+    # (1-x^2) H'' - 2x H' + [lambda - m'^2/(1-x^2) - c/x^2] H = 0
+    x = rng.uniform(0.005, 0.995, size=n_samples)
+    H, H1, H2 = _angular_solution(q, x)
+    one = 1.0 - x * x
+    angular_max = _max_relative((
+        one * H2, -2.0 * x * H1, lam * H, -(q.m_prime ** 2 / one) * H,
+        -(c / (x * x)) * H))
 
-    return float(radial_max), float(angular_max)
+    return radial_max, angular_max
 
 
 # --------------------------------------------------------------- reporting
@@ -370,7 +334,9 @@ class VerificationReport:
                       "l_prime": self.quasi.l_prime, "n_r": self.quasi.n_r,
                       "n_prime": self.quasi.n_prime, "lambda": self.quasi.lam,
                       "energy": self.quasi.energy},
-            "checks": [{"name": c.name, "value": c.value,
+            # a non-finite value (a failed check) is written as its string
+            "checks": [{"name": c.name, "value": c.value
+                        if math.isfinite(c.value) else str(c.value),
                         "reference": c.reference, "tolerance": c.tolerance,
                         "passed": c.passed} for c in self.checks],
             "all_passed": self.all_passed,
@@ -383,10 +349,8 @@ def verify_state(labels: StateLabels, params: PotentialParams,
 
     The grid check is optional; ``grid`` is the raw ``build_grid`` result.
     """
-    q = map_quantum_numbers(labels, params)
-    rnorm = quad_radial_norm(labels, params)
-    anorm = quad_angular_norm(labels, params)
-    rres, ares = ode_residuals(labels, params)
-    mass = None if grid is None else grid_mass(grid)
-    return VerificationReport(labels, params, q, rnorm, anorm, rres, ares,
-                              mass)
+    return VerificationReport(
+        labels, params, map_quantum_numbers(labels, params),
+        quad_radial_norm(labels, params), quad_angular_norm(labels, params),
+        *ode_residuals(labels, params),
+        None if grid is None else grid_mass(grid))

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import rscp
 import rscp.cli as cli
 from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                      EXIT_VERIFY, _dump_json, _parse_levels, _parse_range,
-                      _sig, main)
+                      EXIT_VERIFY, _MAX_SAMPLES, _dump_json, _parse_levels,
+                      _parse_range, _sig, main)
 from rscp.verify import ConvergenceError
 
 
@@ -46,6 +46,11 @@ def test_parse_range_and_levels():
         _parse_range("0:2")
     with pytest.raises(ValueError):
         _parse_range("0:2:1")
+    # the count is checked before the list is built
+    assert len(_parse_range(f"0:1:{_MAX_SAMPLES}")) == _MAX_SAMPLES
+    for count in (_MAX_SAMPLES + 1, 10**12):
+        with pytest.raises(ValueError, match=f"2 to {_MAX_SAMPLES} samples"):
+            _parse_range(f"0:1:{count}")
     with pytest.raises(ValueError):
         _parse_levels("10:100:0")
     assert len(_parse_levels("1:1000:1")) == 1000
@@ -172,6 +177,14 @@ def test_potential_pole_only_when_term_present(capsys):
     rows = [ln.split(",") for ln in out.strip().split("\n")[2:]]
     assert rows[1][1] != ""
     assert math.isclose(float(rows[1][1]), -0.5, rel_tol=1e-9)
+
+
+def test_potential_huge_range_is_validation_error(capsys):
+    for flags in (["--r-range", "1:2:1000000000000", "--theta", "0.5"],
+                  ["--theta-range", "0:1:1000001", "--r", "1.0"]):
+        code, out = run_cli(capsys, "potential", *flags)
+        assert code == EXIT_VALIDATION
+        assert "samples" in json.loads(out)["error"]["message"]
 
 
 def test_potential_requires_exactly_one_sweep(capsys):
@@ -317,6 +330,22 @@ def test_verify_convergence_error_exits_3(capsys, monkeypatch):
     assert json.loads(out) == {"error": {
         "type": "ConvergenceError",
         "message": "radial tail bound did not close"}}
+
+
+def test_verify_non_finite_check_is_written_as_string(capsys):
+    # the served angular factor overflows at k = 499 (a NaN norm); the
+    # report still parses, names the value, and the command exits 3
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(capsys, "verify", "--n", "1000", "--l", "999",
+                            "--m", "0", "--b", "0.5", "--c", "0.5")
+    assert code == EXIT_VERIFY
+    assert "NaN" not in out and "Infinity" not in out
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["angular_norm"]["value"] == "nan"
+    assert checks["angular_norm"]["passed"] is False
+    assert doc["all_passed"] is False
+    assert checks["angular_residual_max"]["passed"] is True
 
 
 def test_dump_json_rejects_non_finite():

@@ -11,7 +11,7 @@ from rscp.specfun import (UalpSpec, _horner, angular_H, kummer_coefficients,
                           log_gamma, ualp_coefficients)
 from rscp import states
 from rscp.states import QuasiNumbers
-from rscp.verify import _angular_value_and_derivatives, _series_coefficients
+from rscp.verify import _angular_solution
 
 # ---------------------------------------------------------------- log_gamma
 
@@ -175,26 +175,45 @@ def test_angular_orthonormality():
 # ------------------------------------------------------------- derivatives
 
 
+def _angular_quasi(spec: UalpSpec) -> QuasiNumbers:
+    lp = spec.l_prime
+    return QuasiNumbers(spec.m_prime, spec.gamma1, spec.k, lp, 0, lp + 1.0,
+                        lp * (lp + 1.0), -0.5 / (lp + 1.0) ** 2)
+
+
 def test_angular_matches_independent_ode_solution():
-    """The served H is a constant times verify's series solution of
+    """The served H is a constant times verify's Jacobi-form solution of
     (1-x^2)H'' - 2xH' + [l'(l'+1) - m'^2/(1-x^2) - c/x^2] H = 0,
     whose ODE residual acceptance criterion 3 checks, at x of both signs."""
     rng = np.random.default_rng(7)
     for spec in [UalpSpec(0, 1.0, 0.0), UalpSpec(1, 1.3660254, 0.7071068),
                  UalpSpec(2, 3.7015621, 0.7071068), UalpSpec(2, 0.0, 3.0)]:
-        lp = spec.l_prime
-        q = QuasiNumbers(spec.m_prime, spec.gamma1, spec.k, lp, 0, lp + 1.0,
-                         lp * (lp + 1.0), -0.5 / (lp + 1.0) ** 2)
         xs = rng.uniform(0.05, 0.95, size=50) * rng.choice([-1.0, 1.0], 50)
         # the even extension |x|^gamma1 for non-integer gamma1
         at = xs if float(spec.gamma1).is_integer() else np.abs(xs)
-        coeffs = _series_coefficients(q)
-        ref = np.array([_angular_value_and_derivatives(float(x), q, coeffs)[0]
-                        for x in at])
+        ref = _angular_solution(_angular_quasi(spec), at)[0]
         ours = angular_H(spec, xs)
         scale = np.dot(ours, ref) / np.dot(ref, ref)
         err = np.max(np.abs(ours - scale * ref)) / np.max(np.abs(ours))
         assert err < 1e-12, (spec, err)
+
+
+@pytest.mark.parametrize("spec", [UalpSpec(10, 1.3660254, 0.7071068),
+                                  UalpSpec(14, 1.0, 0.0),
+                                  UalpSpec(29, 0.0, 20.0)])
+def test_angular_ode_solution_at_high_degree(spec):
+    """verify's Jacobi-form H against a 50-digit evaluation; the served
+    power-basis H is off by 1e-7 and more at these degrees."""
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(-0.95, 0.95, 40)
+    at = xs if float(spec.gamma1).is_integer() else np.abs(xs)
+    with mp.workdps(50):
+        k, g1, m = spec.k, mp.mpf(spec.gamma1), mp.mpf(spec.m_prime)
+        want = np.array([float((1 - x * x) ** (m / 2) * x ** g1
+                               * mp.jacobi(k, g1 - 0.5, m, 1 - 2 * x * x))
+                         for x in map(mp.mpf, at.tolist())])
+    ours = _angular_solution(_angular_quasi(spec), at)[0]
+    assert np.max(np.abs(ours - want)) / np.max(np.abs(want)) < 1e-12
 
 
 def test_ualpspec_invariants():

@@ -560,6 +560,43 @@ def test_hydrogen_two_lobes(hydrogen_210_grid):
     assert connected_components(mesh) == 2
 
 
+def reference_is_watertight(mesh):
+    """The row form: sorted edge pairs counted by np.unique(axis=0)."""
+    t = mesh.triangles.astype(np.int64)
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    _, counts = np.unique(edges, axis=0, return_counts=True)
+    return len(counts) > 0 and bool((counts == 2).all())
+
+
+def test_is_watertight_matches_row_unique_form(hydrogen_210_grid,
+                                               ring_650_grid):
+    tetra = TriangleMesh(np.eye(4)[:, :3],
+                         np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]]),
+                         50.0)
+    meshes = {
+        "tetrahedron": tetra,
+        "open tetrahedron": TriangleMesh(tetra.vertices, tetra.triangles[:3],
+                                         50.0),
+        "empty": TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int),
+                              50.0),
+        "sphere": marching_cubes(synthetic_grid(n=31, radius=1.5), 35.0),
+        "hydrogen": marching_cubes(hydrogen_210_grid, 50.0),
+    }
+    for level in (5.0, 20.0, 50.0):
+        mesh = marching_cubes(ring_650_grid, level)
+        meshes[f"ring {level}"] = mesh
+        meshes[f"ring cutaway {level}"] = apply_cutaway(mesh, ring_650_grid)
+    answers = {}
+    for name, mesh in meshes.items():
+        answers[name] = is_watertight(mesh)
+        assert answers[name] == reference_is_watertight(mesh), name
+    # both answers occur, and the caps leave open seams on some cutaways
+    assert answers["tetrahedron"] and answers["sphere"]
+    assert not answers["open tetrahedron"] and not answers["empty"]
+    assert not all(answers[f"ring cutaway {v}"] for v in (5.0, 20.0, 50.0))
+
+
 # --------------------------------------------------------- marching squares
 
 MS_STATES = [

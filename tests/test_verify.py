@@ -6,14 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import (betaln, gammaln, logsumexp, roots_genlaguerre,
-                           roots_jacobi)
+from scipy.special import (betaln, gammaln, genlaguerre, jacobi, logsumexp,
+                           roots_genlaguerre, roots_jacobi)
 
 from rscp import specfun, states
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers, radial_u)
-from rscp.verify import (CheckResult, _jacobi_rule, _laguerre_rule,
+from rscp.verify import (CheckResult, _jacobi_derivative, _jacobi_rule,
+                         _laguerre_derivative, _laguerre_rule,
                          angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm, radial_domain,
                          radial_expectation_r, verify_state)
@@ -251,6 +252,66 @@ def test_residual_detects_wrong_energy():
     rres, _ = ode_residuals(StateLabels(2, 1, 0),
                             PotentialParams(1, 0.5, 0.5), energy_scale=1.01)
     assert rres > 1e-3
+
+
+# where the power-basis series of the old residuals cancelled: hydrogen
+# (n,1,0) from n = 22 and (n,n-1,0) from n = 30, mixed l, and the
+# large-barrier and near-hydrogen states
+RESIDUAL_SCAN = (
+    [(StateLabels(n, 1, 0), PotentialParams()) for n in (22, 30, 40, 100, 200)]
+    + [(StateLabels(n, n - 1, 0), PotentialParams()) for n in (30, 60, 200)]
+    + [(StateLabels(28, 14, 0), PotentialParams()),
+       (StateLabels(60, 31, 0), PotentialParams(1, 0.5, 0.5)),
+       (StateLabels(100, 51, 0), PotentialParams(1, 0.5, 10)),
+       (StateLabels(16, 1, 0), PotentialParams(1, 100, 1)),
+       (StateLabels(10, 1, 0), PotentialParams(1, 1e4, 1)),
+       (StateLabels(8, 1, 0), PotentialParams(1, 1e6, 1)),
+       (StateLabels(14, 1, 0), PotentialParams(1, 1e6, 1)),
+       (StateLabels(6, 1, 0), PotentialParams(1, 1e-3, 1e-3)),
+       (StateLabels(100, 1, 0), PotentialParams(1, 0.5, 0.5))])
+
+
+def test_residuals_scan_high_degree_and_barriers():
+    for labels, params in RESIDUAL_SCAN:
+        rres, ares = ode_residuals(labels, params)
+        assert rres < 1e-6 and ares < 1e-6, (labels, params, rres, ares)
+        rres, _ = ode_residuals(labels, params, energy_scale=1.01)
+        assert rres > 1e-3, (labels, params, rres)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n_r", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1])
+def test_residuals_low_degrees(k, n_r, m):
+    # l - |m| = 2k + 1 on the gamma1 branch, so the angular degree is k
+    labels = StateLabels(2 * k + 2 + m + n_r, 2 * k + 1 + m, m)
+    params = PotentialParams(1, 0.5, 0.5)
+    q = map_quantum_numbers(labels, params)
+    assert (q.k, q.n_r) == (k, n_r)
+    rres, ares = ode_residuals(labels, params)
+    assert rres < 1e-12 and ares < 1e-12, (rres, ares)
+    rres, _ = ode_residuals(labels, params, energy_scale=1.01)
+    assert rres > 1e-3
+
+
+def _max_rel_diff(ours, want):
+    return np.max(np.abs(ours - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_derivative_identities_match_polynomial_derivatives(n):
+    x = np.linspace(0.05, 6.0, 9)
+    y = np.linspace(-0.95, 0.95, 9)
+    for a in (0.0, 3.1462644):
+        lag = genlaguerre(n, a)
+        for j in range(3):
+            assert _max_rel_diff(_laguerre_derivative(j, n, a, x),
+                                 lag.deriv(j)(x)) < 1e-12
+        for b in (0.7071068, 20.0):
+            jac = jacobi(n, a - 0.5, b)
+            for j in range(3):
+                assert _max_rel_diff(_jacobi_derivative(j, n, a - 0.5, b, y),
+                                     jac.deriv(j)(y)) < 1e-12
 
 
 def test_residuals_deterministic():
