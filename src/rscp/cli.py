@@ -243,25 +243,14 @@ def _distinct_words(values: np.ndarray):
     return words, index.ravel()  # the inverse's shape varies across numpy 2.x
 
 
-def _distinct_rows(rows: np.ndarray):
-    """Text of each distinct row, and which text each row prints.
-
-    Rows, like values, are told apart by bit pattern.  The arrays die on
-    return, so only the texts live while the file streams.
-    """
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    distinct, row_of = np.unique(bits, axis=0, return_inverse=True)
-    words, index = _distinct_words(distinct.view(np.float64))
-    texts = [" ".join(map(words.__getitem__, row.tolist()))
-             for row in index.reshape(distinct.shape)]
-    return texts, row_of.ravel().tolist()
-
-
 def _vtk_chunks(grid: DensityGrid):
     """Legacy ASCII VTK: the header, then the x-fastest rows in blocks.
 
-    Each distinct row is joined once from each distinct value's text; the
-    mirrored grid has about a quarter as many distinct rows as rows.
+    Along an axis where the grid equals its own flip bit for bit, each
+    plane prints the text of its mirror in the lower half; along any other
+    axis each plane prints itself.  So a grid mirrored in x, y and z is
+    formatted from one octant: each distinct value once, then one join per
+    kept (z, y) row.  The bitwise test keeps 0.0 apart from -0.0.
     """
     spec = grid.spec
     n = spec.n_points
@@ -279,10 +268,22 @@ def _vtk_chunks(grid: DensityGrid):
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
     ]) + "\n"
-    texts, order = _distinct_rows(grid.flat_values().reshape(n * n, n))
-    for start in range(0, len(order), _BLOCK_ROWS):
-        yield "\n".join([texts[i] for i in
-                         order[start:start + _BLOCK_ROWS]]) + "\n"
+    bits = np.ascontiguousarray(grid.values, dtype=np.float64).view(np.uint64)
+    # the plane each plane prints, per axis
+    src_x, src_y, src_z = (
+        [min(i, n - 1 - i) for i in range(n)]
+        if np.array_equal(bits, np.flip(bits, axis)) else list(range(n))
+        for axis in range(3))
+    kept = grid.values[:max(src_x) + 1, :max(src_y) + 1, :max(src_z) + 1]
+    words, index = _distinct_words(kept)
+    index = index.reshape(kept.shape)
+    # one z-plane of indices at a time keeps the lists at O(N^2)
+    texts = [[" ".join(map(words.__getitem__, row))
+              for row in index[src_x, :, z].T.tolist()]
+             for z in range(kept.shape[2])]
+    rows = [texts[z][y] for z in src_z for y in src_y]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield "\n".join(rows[start:start + _BLOCK_ROWS]) + "\n"
 
 
 def _obj_chunks(mesh, labels, params, cutaway: bool):
@@ -445,6 +446,11 @@ def _parse_run(i: int, entry) -> RunSpec:
     )
 
 
+# The pool starts up to one thread per worker, each holding a run's grid;
+# the cap keeps a mistyped count from asking for thousands of threads.
+_MAX_WORKERS = 64
+
+
 def _parse_job(path: str, output_override: str | None,
                workers_override: int | None) -> JobSpec:
     """Read a job file; any malformed entry is a ValueError naming its run."""
@@ -459,6 +465,8 @@ def _parse_job(path: str, output_override: str | None,
                else _integer(raw.get("workers", 2), "workers"))
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > _MAX_WORKERS:
+        raise ValueError(f"workers must be <= {_MAX_WORKERS}, got {workers}")
     runs = []
     for i, entry in enumerate(raw["runs"]):
         try:

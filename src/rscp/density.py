@@ -46,6 +46,12 @@ class DegenerateGridError(ValueError):
     """All-zero grid where a positive maximum is required."""
 
 
+# A float64 grid takes 8 N^3 bytes: 516 MB at N = 401, and a command holds
+# a few grid-sized arrays at once.  The cap stops a size that would exhaust
+# memory before anything is allocated.
+_MAX_POINTS = 401
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic voxel lattice: n_points per axis spanning [-h, +h]."""
@@ -54,8 +60,9 @@ class GridSpec:
     half_extent: float = 1.0
 
     def __post_init__(self):
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError(f"n_points must be an odd integer >= 3, got {self.n_points}")
+        if not 3 <= self.n_points <= _MAX_POINTS or self.n_points % 2 == 0:
+            raise ValueError(f"n_points must be an odd integer from 3 to"
+                             f" {_MAX_POINTS}, got {self.n_points}")
         if not (self.half_extent > 0.0 and math.isfinite(self.half_extent)):
             raise ValueError("half_extent must be positive and finite,"
                              f" got {self.half_extent}")
@@ -80,9 +87,6 @@ class DensityGrid:
     labels: StateLabels | None = None
     params: PotentialParams | None = None
     rescaled: bool = False
-
-    def flat_values(self) -> np.ndarray:
-        return self.values.ravel(order="F")
 
 
 def _state_payload(labels: StateLabels, params: PotentialParams):

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import rscp
 import rscp.cli as cli
 from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                      EXIT_VERIFY, _MAX_SAMPLES, _dump_json, _parse_levels,
-                      _parse_range, _sig, main)
+                      EXIT_VERIFY, _MAX_SAMPLES, _MAX_WORKERS, _dump_json,
+                      _parse_levels, _parse_range, _sig, main)
+from rscp.density import _MAX_POINTS
 from rscp.verify import ConvergenceError
 
 
@@ -527,6 +528,8 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     ({"runs": {"n": 2, "l": 1, "m": 0}}, None, "a 'runs' list"),
     ({"runs": [], "workers": None}, None, "workers must be an integer"),
     ({"runs": [], "workers": 2}, "0", "workers must be >= 1, got 0"),
+    ({"runs": [], "workers": 65}, None, "workers must be <= 64, got 65"),
+    ({"runs": [], "workers": 2}, "65", "workers must be <= 64, got 65"),
 ])
 def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
                                                  workers, message):
@@ -540,6 +543,43 @@ def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
     assert code == EXIT_VALIDATION
     assert message in json.loads(out)["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_caps_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    """Past a cap is exit 2 or an invalid run: no grid, no worker thread."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past a cap")
+    monkeypatch.setattr(cli, "auto_extent", refuse)
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    target = tmp_path / "d.vtk"
+    code, out = run_cli(capsys, "grid", "--n", "2", "--l", "1", "--m", "0",
+                        "--N", "20001", "--output", str(target))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == (
+        f"n_points must be an odd integer from 3 to {_MAX_POINTS},"
+        " got 20001")
+    assert not target.exists()
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "runs": [
+        {"n": 2, "l": 1, "m": 0, "grid": {"n_points": _MAX_POINTS + 2}}]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_VALIDATION
+    run, = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+    assert run["status"] == "invalid"
+    assert run["reason"].endswith(f"got {_MAX_POINTS + 2}")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path), "--workers",
+                        str(_MAX_WORKERS + 1))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == (
+        f"workers must be <= {_MAX_WORKERS}, got {_MAX_WORKERS + 1}")
+    # at the caps a job parses; nothing here builds the grid or the pool
+    path.write_text(json.dumps({"workers": _MAX_WORKERS, "runs": [
+        {"n": 2, "l": 1, "m": 0, "grid": {"n_points": _MAX_POINTS}}]}))
+    job = cli._parse_job(str(path), None, None)
+    cli._check_run(job.runs[0])
+    assert job.workers == _MAX_WORKERS
 
 
 def test_sweep_job_integer_forms(tmp_path):

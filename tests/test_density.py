@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from rscp.density import (DegenerateGridError, DensityGrid, GridSpec,
-                          _gauss_nodes, auto_extent, build_grid, density_at,
-                          grid_mass, normalize_relative)
+from rscp.cli import _sig, _vtk_chunks
+from rscp.density import (_MAX_POINTS, DegenerateGridError, DensityGrid,
+                          GridSpec, _gauss_nodes, auto_extent, build_grid,
+                          density_at, grid_mass, normalize_relative)
 from rscp.states import PotentialParams, StateLabels
 
 H_210 = (StateLabels(2, 1, 0), PotentialParams())
@@ -88,6 +89,9 @@ def test_grid_spec_validation():
         GridSpec(151, 0.0)    # degenerate extent
     with pytest.raises(ValueError):
         GridSpec(5, math.inf)  # non-finite extent
+    with pytest.raises(ValueError, match="from 3 to 401, got 403"):
+        GridSpec(_MAX_POINTS + 2, 10.0)   # past the cap; nothing allocated
+    assert GridSpec(_MAX_POINTS, 10.0).n_points == _MAX_POINTS
     assert GridSpec(151, 12.0).spacing == pytest.approx(24.0 / 150.0)
     coords = GridSpec(5, 2.0).coords()
     assert np.array_equal(coords, [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -121,14 +125,16 @@ def test_build_grid_exact_symmetries():
     assert np.array_equal(v, v[::-1, :, :])        # x-parity
 
 
-def test_flat_values_x_fastest():
+def test_vtk_rows_x_fastest():
+    """VTK row (z, y) prints values[:, y, z], the x-fastest export order."""
     spec = GridSpec(5, 4.0)
     grid = build_grid(*H_210, spec)
-    flat = grid.flat_values()
     n = spec.n_points
-    assert flat[1] == grid.values[1, 0, 0]
-    assert flat[n] == grid.values[0, 1, 0]
-    assert flat[n * n] == grid.values[0, 0, 1]
+    rows = "".join(_vtk_chunks(grid)).splitlines()[10:]
+    assert len(rows) == n * n
+    for z in range(n):
+        for y in range(n):
+            assert rows[z * n + y] == " ".join(map(_sig, grid.values[:, y, z]))
 
 
 # ---------------------------------------------------------------- normalize

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def reference_vtk(grid):
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
     ]
-    rows = grid.flat_values().reshape(n * n, n)
+    rows = grid.values.ravel(order="F").reshape(n * n, n)
     lines = [" ".join(_sig(v) for v in row) for row in rows]
     return "\n".join(header + lines) + "\n"
 
@@ -109,6 +110,71 @@ def test_vtk_streams_in_blocks(monkeypatch):
     chunks = list(_vtk_chunks(grid))
     assert len(chunks) == 1 + -(-9 * 9 // 4)
     assert "".join(chunks) == reference_vtk(grid)
+
+
+def mirrored_grid(axes, n=7, seed=3):
+    """Distinct random values made mirror-symmetric in exactly ``axes``."""
+    values = np.random.default_rng(seed).uniform(0.0, 100.0, (n, n, n))
+    for axis in axes:
+        values = np.take(values, [min(i, n - 1 - i) for i in range(n)], axis)
+    for axis in range(3):
+        assert np.array_equal(values, np.flip(values, axis)) == (axis in axes)
+    return DensityGrid(GridSpec(n, 2.5), values, 100.0, LABELS, PARAMS,
+                       rescaled=True)
+
+
+def kept_shape(monkeypatch, grid):
+    """The shape of the block the VTK writer formats; checks its text too."""
+    shapes = []
+
+    def spy(values):
+        shapes.append(values.shape)
+        return distinct_words(values)
+    distinct_words = cli._distinct_words
+    monkeypatch.setattr(cli, "_distinct_words", spy)
+    text = "".join(_vtk_chunks(grid))
+    assert text == reference_vtk(grid)
+    return shapes[0]
+
+
+@pytest.mark.parametrize("axes, shape", [
+    ((), (7, 7, 7)), ((0,), (4, 7, 7)), ((1,), (7, 4, 7)), ((2,), (7, 7, 4)),
+    ((0, 2), (4, 7, 4)), ((1, 2), (7, 4, 4)), ((0, 1, 2), (4, 4, 4))])
+def test_vtk_formats_the_mirror_symmetric_block_once(monkeypatch, axes,
+                                                     shape):
+    assert kept_shape(monkeypatch, mirrored_grid(axes)) == shape
+
+
+def test_vtk_formats_a_real_grid_from_one_octant(monkeypatch, real_grid):
+    assert kept_shape(monkeypatch, real_grid) == (16, 16, 16)
+
+
+def test_vtk_mirror_test_is_bitwise(monkeypatch):
+    """A mirrored pair equal as floats but not as bits keeps every plane."""
+    grid = mirrored_grid((0, 1, 2))
+    grid.values[0, 3, 3], grid.values[6, 3, 3] = 0.0, -0.0
+    assert kept_shape(monkeypatch, grid) == (7, 4, 4)
+    assert "-0" in "".join(_vtk_chunks(grid)).split()
+
+    grid = mirrored_grid((0, 1, 2))
+    lo, hi = np.nextafter(1.234567895, 0.0), 1.234567895   # 1 ulp apart
+    assert _sig(lo) != _sig(hi)
+    grid.values[3, 3, 0], grid.values[3, 3, 6] = lo, hi
+    assert kept_shape(monkeypatch, grid) == (4, 4, 7)
+    assert {_sig(lo), _sig(hi)} <= set("".join(_vtk_chunks(grid)).split())
+
+
+def test_vtk_writer_memory_stays_near_the_grid():
+    """Draining the writer allocates less than 2.5 times the grid."""
+    grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 101)
+    tracemalloc.start()
+    try:
+        for _ in _vtk_chunks(grid):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * grid.values.nbytes
 
 
 def test_obj_matches_reference(real_grid):
