@@ -14,41 +14,42 @@ voxel grids of |psi|^2, extracts isosurfaces and plane contours, and
 cross-checks everything against independent numerical oracles.
 """
 
-from .density import (DegenerateGridError, DensityGrid, GridSpec,
-                      auto_extent, build_grid, density_at, grid_mass,
-                      normalize_relative)
-from .specfun import (UalpSpec, angular_H, kummer_coefficients, log_gamma,
-                      ualp_coefficients)
-from .states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
-                     PotentialParams, QuasiNumbers, StateLabels,
-                     map_quantum_numbers, potential_V, radial_u,
-                     wavefunction_modulus_sq)
-from .surface import (ContourSet, TriangleMesh, apply_cutaway,
-                      connected_components, is_watertight, marching_cubes,
-                      pole_concentration, slice_contour, surface_area)
-from .verify import (ConvergenceError, VerificationReport, ode_residuals,
-                     quad_angular_norm, quad_radial_norm, verify_state)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # states
-    "PotentialParams", "StateLabels", "QuasiNumbers",
-    "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
-    "map_quantum_numbers", "potential_V", "radial_u",
-    "wavefunction_modulus_sq",
-    # special functions
-    "UalpSpec", "log_gamma", "kummer_coefficients", "ualp_coefficients",
-    "angular_H",
-    # density grids
-    "GridSpec", "DensityGrid", "DegenerateGridError", "density_at",
-    "build_grid", "normalize_relative", "grid_mass", "auto_extent",
-    # surfaces and contours
-    "TriangleMesh", "ContourSet", "marching_cubes", "apply_cutaway",
-    "slice_contour", "pole_concentration", "connected_components",
-    "is_watertight", "surface_area",
-    # verification
-    "VerificationReport", "ConvergenceError", "quad_radial_norm",
-    "quad_angular_norm", "ode_residuals", "verify_state",
-]
+# Each public name and the submodule that defines it.  Importing the
+# package loads none of them: a name loads its submodule on first access
+# (PEP 562), so a command that needs only the standard library never
+# imports numpy.
+_SOURCE = {name: module for module, names in {
+    "states": ("PotentialParams", "StateLabels", "QuasiNumbers",
+               "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
+               "ConvergenceError", "map_quantum_numbers", "potential_V",
+               "radial_u", "wavefunction_modulus_sq"),
+    "specfun": ("UalpSpec", "log_gamma", "kummer_coefficients",
+                "ualp_coefficients", "angular_H"),
+    "density": ("GridSpec", "DensityGrid", "DegenerateGridError",
+                "density_at", "build_grid", "normalize_relative",
+                "grid_mass", "auto_extent"),
+    "surface": ("TriangleMesh", "ContourSet", "marching_cubes",
+                "apply_cutaway", "slice_contour", "pole_concentration",
+                "connected_components", "is_watertight", "surface_area"),
+    "verify": ("VerificationReport", "quad_radial_norm", "quad_angular_norm",
+               "ode_residuals", "verify_state"),
+}.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

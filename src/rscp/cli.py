@@ -11,6 +11,10 @@ flags become a ``RunSpec``, which is checked and written by the same steps
 as a sweep run, so a command and a sweep run with the same fields write
 the same bytes.
 
+Each command imports only the modules it runs: ``state`` and
+``potential`` need the standard library alone, and numpy, the grid,
+surface and verification modules load where a run first needs them.
+
 Exit codes: 0 success, 1 an error of no documented kind, 2 validation
 error, 3 numerical-verification failure, 4 I/O error.
 """
@@ -22,19 +26,17 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .states import (ConvergenceError, PoleError, PotentialParams,
+                     StateLabels, map_quantum_numbers, potential_V)
 
-from .density import (DensityGrid, GridSpec, _check_coverage, auto_extent,
-                      build_grid, normalize_relative)
-from .states import (PoleError, PotentialParams, StateLabels,
-                     map_quantum_numbers, potential_V)
-from .surface import (_check_contour_level, _check_iso_level, apply_cutaway,
-                      marching_cubes, slice_contour)
-from .verify import ConvergenceError, verify_state
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .density import DensityGrid
 
 __all__ = ["main"]
 
@@ -136,8 +138,9 @@ def _parse_range(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-# Each level is a full contour pass over the plane; the cap also ends a
-# range whose step is too small to move the level.
+# Each level is a full contour pass over the plane, so _check_run caps every
+# level list; here the cap also ends a range whose step is too small to
+# move the level.
 _MAX_LEVELS = 1000
 
 
@@ -203,12 +206,17 @@ class RunSpec:
 
 def _check_run(run: RunSpec) -> None:
     """Check every field before any work; a ValueError names the first bad one."""
+    from .density import (GridSpec, _check_contour_level, _check_coverage,
+                          _check_iso_level)
     map_quantum_numbers(run.labels, run.params)
     GridSpec(run.n_points, run.extent if run.extent is not None else 1.0)
     _check_coverage(run.coverage)
     _check_iso_level(run.level)
     if not run.levels:
         raise ValueError("levels must not be empty")
+    if len(run.levels) > _MAX_LEVELS:
+        raise ValueError(f"levels must hold at most {_MAX_LEVELS} values,"
+                         f" got {len(run.levels)}")
     for level in run.levels:
         _check_contour_level(level)
 
@@ -217,6 +225,7 @@ def _resolve_grid(run: RunSpec) -> DensityGrid | None:
     """The rescaled grid the run's outputs read; None when none reads one."""
     if all(kind == "verify" for kind in run.outputs):
         return None
+    from .density import GridSpec, auto_extent, build_grid, normalize_relative
     labels, params = run.labels, run.params
     half = (run.extent if run.extent is not None
             else auto_extent(labels, params, run.coverage))
@@ -236,6 +245,7 @@ def _distinct_words(values: np.ndarray):
     text.  Returns ``(words, index)``: ``words[index[i]]`` is the text of
     ``values.flat[i]``.
     """
+    import numpy as np
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     # the text of _sig(v), without a call per value
@@ -252,6 +262,7 @@ def _vtk_chunks(grid: DensityGrid):
     formatted from one octant: each distinct value once, then one join per
     kept (z, y) row.  The bitwise test keeps 0.0 apart from -0.0.
     """
+    import numpy as np
     spec = grid.spec
     n = spec.n_points
     h, d = spec.half_extent, spec.spacing
@@ -321,13 +332,16 @@ def _artifact(kind: str, run: RunSpec, grid: DensityGrid | None):
     if kind == "grid":
         return ".vtk", _vtk_chunks(grid), True
     if kind == "isosurface":
+        from .surface import apply_cutaway, marching_cubes
         mesh = marching_cubes(grid, run.level)
         if run.cutaway:
             mesh = apply_cutaway(mesh, grid)
         return ".obj", _obj_chunks(mesh, labels, params, run.cutaway), True
     if kind == "slice":
+        from .surface import slice_contour
         contours = slice_contour(grid, run.levels)
         return "_slice.csv", _slice_chunks(contours, labels, params), True
+    from .verify import verify_state
     report = verify_state(labels, params)
     return "_verify.json", [_dump_json(report.as_dict())], report.all_passed
 
@@ -422,6 +436,13 @@ def _parse_run(i: int, entry) -> RunSpec:
     for key in ("n", "l", "m"):
         if key not in entry:
             raise ValueError(f"missing required key {key!r}")
+    # a string is iterable and any value has a truth value: neither coerces
+    for key, kind, what in (("outputs", list, "a list"),
+                            ("levels", list, "a list"),
+                            ("cutaway", bool, "true or false")):
+        if key in entry and not isinstance(entry[key], kind):
+            raise ValueError(f"{key} must be {what},"
+                             f" got {json.dumps(entry[key])}")
     outputs = tuple(entry.get("outputs", RunSpec.outputs))
     for o in outputs:
         if o not in _RUN_OUTPUTS:
@@ -442,7 +463,7 @@ def _parse_run(i: int, entry) -> RunSpec:
         outputs=outputs,
         level=float(entry.get("level", RunSpec.level)),
         levels=tuple(float(v) for v in entry.get("levels", RunSpec.levels)),
-        cutaway=bool(entry.get("cutaway", RunSpec.cutaway)),
+        cutaway=entry.get("cutaway", RunSpec.cutaway),
     )
 
 
@@ -511,6 +532,7 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
     job = _parse_job(args.jobs, args.output_dir, args.workers)
     job.output_dir.mkdir(parents=True, exist_ok=True)
 

@@ -50,6 +50,9 @@ class DegenerateGridError(ValueError):
 # a few grid-sized arrays at once.  The cap stops a size that would exhaust
 # memory before anything is allocated.
 _MAX_POINTS = 401
+# Far past any auto extent of a served state (below 1e16 Bohr) and far
+# below 1e154, where x^2 + y^2 + z^2 overflows a float.
+_MAX_EXTENT = 1e100
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,9 @@ class GridSpec:
                              f" {_MAX_POINTS}, got {self.n_points}")
         if not (self.half_extent > 0.0 and math.isfinite(self.half_extent)):
             raise ValueError("half_extent must be positive and finite,"
+                             f" got {self.half_extent}")
+        if self.half_extent > _MAX_EXTENT:
+            raise ValueError(f"half_extent must be at most {_MAX_EXTENT:g},"
                              f" got {self.half_extent}")
 
     @property
@@ -172,6 +178,17 @@ def normalize_relative(grid: DensityGrid) -> DensityGrid:
     values = grid.values * (100.0 / grid.max_value)
     values[peak] = 100.0
     return replace(grid, values=values, max_value=100.0, rescaled=True)
+
+
+# Iso and contour levels are percentages of that rescaled peak.
+def _check_iso_level(level: float) -> None:
+    if not 0.0 < level < 100.0:
+        raise ValueError(f"level must lie in (0, 100), got {level}")
+
+
+def _check_contour_level(level: float) -> None:
+    if not 0.0 < level <= 100.0:
+        raise ValueError(f"contour level must lie in (0, 100], got {level}")
 
 
 def grid_mass(grid: DensityGrid) -> float:

@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .specfun import UalpSpec, angular_H, log_gamma
-
 __all__ = [
+    "ConvergenceError",
     "PotentialParams",
     "StateLabels",
     "QuasiNumbers",
@@ -30,6 +27,11 @@ __all__ = [
     "radial_u",
     "wavefunction_modulus_sq",
 ]
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when the radial tail bound does not close."""
+
 
 # |sin| or |cos| below this is treated as sitting on an angular pole
 _POLE_EPS = 1e-12
@@ -51,9 +53,22 @@ class PoleError(ValueError):
         self.sign = sign
 
 
+# The served parameter window.  Z spans the charges of real nuclei with
+# three decades to spare each way; auto_extent brackets its radius from one
+# Bohr up, which stops resolving the density near Z = 1e6 (its radius comes
+# out 1e5 times too large there).  b and c up to 1e12 give m' and gamma1 up
+# to 1e6; near 1e30 the log-space factors of the density overflow.
+_Z_RANGE = (1e-3, 1e3)
+_MAX_BARRIER = 1e12
+
+
 @dataclass(frozen=True)
 class PotentialParams:
-    """Z > 0 and c >= 0 are required; b may be any real."""
+    """Z > 0 and c >= 0 are required; b may be any real.
+
+    A value outside the served window (``_Z_RANGE``, and ``_MAX_BARRIER``
+    on |b| and c) is a ValueError.
+    """
 
     Z: float = 1.0
     b: float = 0.0
@@ -67,6 +82,16 @@ class PotentialParams:
             raise ValueError(f"Z must be positive, got {self.Z}")
         if self.c < 0.0:
             raise ValueError(f"c must be >= 0, got {self.c}")
+        low, high = _Z_RANGE
+        if not low <= self.Z <= high:
+            raise ValueError(f"Z must lie in [{low:g}, {high:g}],"
+                             f" got {self.Z}")
+        if abs(self.b) > _MAX_BARRIER:
+            raise ValueError(f"|b| must be at most {_MAX_BARRIER:g},"
+                             f" got {self.b}")
+        if self.c > _MAX_BARRIER:
+            raise ValueError(f"c must be at most {_MAX_BARRIER:g},"
+                             f" got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +175,15 @@ def potential_V(params: PotentialParams, r: float, theta: float) -> float:
     """V(r, theta); angular poles raise PoleError with the diverging sign.
 
     A divisor within 1e-12 of zero counts as a pole, so float pi/2 hits
-    the c-term pole as the closed form intends.
+    the c-term pole as the closed form intends.  A value that overflows a
+    float, as at an r whose square underflows, is a ValueError.
     """
-    if not r > 0.0:
-        raise ValueError(f"potential_V requires r > 0, got {r}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"potential_V requires a finite r > 0, got {r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"potential_V requires a finite theta, got {theta}")
+    if r * r == 0.0:
+        raise ValueError(f"V overflows a float at r = {r}")
     s, co = math.sin(theta), math.cos(theta)
     v = -params.Z / r
     inv_2r2 = 0.5 / (r * r)
@@ -166,11 +196,14 @@ def potential_V(params: PotentialParams, r: float, theta: float) -> float:
         if abs(co) < _POLE_EPS:
             raise PoleError(f"potential pole at theta = {theta} (cos = 0)", 1)
         v += inv_2r2 * params.c / (co * co)
+    if not math.isfinite(v):
+        raise ValueError(f"V overflows a float at r = {r}, theta = {theta}")
     return v
 
 
 def _radial_log_prefactor(q: QuasiNumbers, params: PotentialParams) -> float:
     """ln of the positive radial prefactor, Gamma(2l'+2) divided out."""
+    from .specfun import log_gamma
     return (0.5 * (math.log(params.Z) + log_gamma(q.n_prime + q.l_prime + 1.0)
                    - log_gamma(q.n_r + 1.0) - 2.0 * math.log(q.n_prime))
             - log_gamma(2.0 * q.l_prime + 2.0))
@@ -178,8 +211,7 @@ def _radial_log_prefactor(q: QuasiNumbers, params: PotentialParams) -> float:
 
 def _kummer_terms(n_r: int, beta: float, w):
     """F(-n_r, beta, w) by t_{j+1} = t_j (j-n_r) w / ((beta+j)(j+1))."""
-    t = np.ones_like(w)
-    s = np.ones_like(w)
+    t = s = 1.0
     for j in range(n_r):
         t = t * ((j - n_r) * w / ((beta + j) * (j + 1)))
         s = s + t
@@ -193,6 +225,7 @@ def radial_u(q: QuasiNumbers, params: PotentialParams, r):
     The prefactor is evaluated in log space; r = 0 maps to the analytic
     limit 0.  Accepts scalars or arrays.
     """
+    import numpy as np
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("radial_u requires r >= 0")
@@ -218,6 +251,7 @@ def wavefunction_modulus_sq(labels: StateLabels, params: PotentialParams,
         if r == 0.0:
             return 0.0
         raise ValueError(f"r must be >= 0, got {r}")
+    from .specfun import UalpSpec, angular_H
     q = map_quantum_numbers(labels, params)
     u = radial_u(q, params, r)
     spec = UalpSpec(q.k, q.gamma1, q.m_prime)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
-from .density import DensityGrid
+from .density import DensityGrid, _check_contour_level, _check_iso_level
 
 __all__ = [
     "TriangleMesh",
@@ -76,16 +76,6 @@ def _weld(keys):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse.ravel()]
-
-
-def _check_iso_level(level: float) -> None:
-    if not 0.0 < level < 100.0:
-        raise ValueError(f"level must lie in (0, 100), got {level}")
-
-
-def _check_contour_level(level: float) -> None:
-    if not 0.0 < level <= 100.0:
-        raise ValueError(f"contour level must lie in (0, 100], got {level}")
 
 
 # per cube edge: the offset of its lower corner and its axis

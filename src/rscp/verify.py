@@ -21,8 +21,8 @@ import numpy as np
 
 from .density import DensityGrid, grid_mass
 from .specfun import UalpSpec, angular_H
-from .states import (PotentialParams, QuasiNumbers, StateLabels,
-                     map_quantum_numbers, radial_u)
+from .states import (ConvergenceError, PotentialParams, QuasiNumbers,
+                     StateLabels, map_quantum_numbers, radial_u)
 
 __all__ = [
     "ConvergenceError",
@@ -35,10 +35,6 @@ __all__ = [
     "radial_expectation_r",
     "angular_expectation_abs_x",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the radial tail bound does not close."""
 
 
 # Gauss rules return nodes and log-weights.  The nodes are the

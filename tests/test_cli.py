@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import rscp
 import rscp.cli as cli
 from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                      EXIT_VERIFY, _MAX_SAMPLES, _MAX_WORKERS, _dump_json,
-                      _parse_levels, _parse_range, _sig, main)
+                      EXIT_VERIFY, _MAX_LEVELS, _MAX_SAMPLES, _MAX_WORKERS,
+                      _dump_json, _parse_levels, _parse_range, _sig, main)
 from rscp.density import _MAX_POINTS
 from rscp.verify import ConvergenceError
 
@@ -196,6 +196,21 @@ def test_potential_requires_exactly_one_sweep(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--r-range", "1:2:3", "--theta", "nan"], "finite theta, got nan"),
+    (["--theta-range", "0:1:3", "--r", "inf"], "finite r > 0, got inf"),
+    (["--r-range", "1e-320:1:3", "--theta", "0.5", "--b", "1"],
+     "V overflows a float at r = 1e-320"),
+    (["--r-range", "1e-160:1:3", "--theta", "0.5", "--b", "1"],
+     "V overflows a float at r = 1e-160, theta = 0.5"),
+])
+def test_potential_non_finite_value_is_validation_error(capsys, flags,
+                                                        message):
+    code, out = run_cli(capsys, "potential", *flags)
+    assert code == EXIT_VALIDATION
+    assert message in json.loads(out)["error"]["message"]
+
+
 # --------------------------------------------------------------------- grid
 
 
@@ -325,7 +340,7 @@ def test_verify_convergence_error_exits_3(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("radial tail bound did not close")
 
-    monkeypatch.setattr(cli, "verify_state", no_convergence)
+    monkeypatch.setattr("rscp.verify.verify_state", no_convergence)
     code, out = run_cli(capsys, "verify", "--n", "2", "--l", "1", "--m", "0")
     assert code == EXIT_VERIFY
     assert json.loads(out) == {"error": {
@@ -549,8 +564,8 @@ def test_caps_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
     """Past a cap is exit 2 or an invalid run: no grid, no worker thread."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started past a cap")
-    monkeypatch.setattr(cli, "auto_extent", refuse)
-    monkeypatch.setattr(cli, "build_grid", refuse)
+    monkeypatch.setattr("rscp.density.auto_extent", refuse)
+    monkeypatch.setattr("rscp.density.build_grid", refuse)
     target = tmp_path / "d.vtk"
     code, out = run_cli(capsys, "grid", "--n", "2", "--l", "1", "--m", "0",
                         "--N", "20001", "--output", str(target))
@@ -568,7 +583,7 @@ def test_caps_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
     assert run["status"] == "invalid"
     assert run["reason"].endswith(f"got {_MAX_POINTS + 2}")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
     code, out = run_cli(capsys, "sweep", "--jobs", str(path), "--workers",
                         str(_MAX_WORKERS + 1))
     assert code == EXIT_VALIDATION
@@ -580,6 +595,68 @@ def test_caps_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
     job = cli._parse_job(str(path), None, None)
     cli._check_run(job.runs[0])
     assert job.workers == _MAX_WORKERS
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"levels": "55"}, 'levels must be a list, got "55"'),
+    ({"levels": 55}, "levels must be a list, got 55"),
+    ({"outputs": "slice"}, 'outputs must be a list, got "slice"'),
+    ({"cutaway": "false"}, 'cutaway must be true or false, got "false"'),
+    ({"cutaway": 0}, "cutaway must be true or false, got 0"),
+])
+def test_sweep_job_field_of_the_wrong_json_type(tmp_path, capsys, field,
+                                                message):
+    """A string or number is never read as a list or a bool."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                "runs": [JOB["runs"][0],
+                                         dict(JOB["runs"][2], **field)]}))
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == f"run 1: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_level_list_is_capped(tmp_path, capsys):
+    many = [50.0] * (_MAX_LEVELS + 1)
+    message = f"levels must hold at most {_MAX_LEVELS} values, got 1001"
+    code, out = run_cli(capsys, "slice", "--n", "2", "--l", "1", "--m", "0",
+                        "--N", "5", "--levels", ",".join(map(str, many)))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == message
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                "runs": [dict(JOB["runs"][0], levels=many)]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_VALIDATION
+    run, = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+    assert (run["status"], run["reason"]) == ("invalid", message)
+    # at the cap a list is served
+    code, _ = run_cli(capsys, "slice", "--n", "2", "--l", "1", "--m", "0",
+                      "--N", "5", "--levels", ",".join(map(str, many[1:])))
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--Z", "1e4"], "Z must lie in [0.001, 1000], got 10000.0"),
+    (["--Z", "1e-4"], "Z must lie in [0.001, 1000], got 0.0001"),
+    (["--b=-1e13"], "|b| must be at most 1e+12, got -10000000000000.0"),
+    (["--c", "1e13"], "c must be at most 1e+12, got 10000000000000.0"),
+    (["--extent", "1e101"], "half_extent must be at most 1e+100, got 1e+101"),
+])
+def test_parameters_outside_the_served_window(capsys, flags, message):
+    code, out = run_cli(capsys, "grid", "--n", "2", "--l", "1", "--m", "0",
+                        "--N", "5", *flags)
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == message
+
+
+def test_parameters_at_the_window_edges_are_served(capsys):
+    for flags in (["--Z", "1e3"], ["--Z", "1e-3"], ["--b", "1e12"],
+                  ["--c", "1e12"]):
+        code, _ = run_cli(capsys, "state", "--n", "2", "--l", "1",
+                          "--m", "0", *flags)
+        assert code == EXIT_OK, flags
+    assert rscp.PotentialParams(1.0, -1e12, 0.0).b == -1e12
 
 
 def test_sweep_job_integer_forms(tmp_path):
@@ -635,7 +712,7 @@ def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch, error,
     def raise_error(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "verify_state", raise_error)
+    monkeypatch.setattr("rscp.verify.verify_state", raise_error)
     out = tmp_path / "out"
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"output_dir": str(out), "workers": 2, "runs": [
@@ -713,7 +790,7 @@ def test_sweep_exit_code_precedence(tmp_path, capsys, monkeypatch):
     def disk_full(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "verify_state", no_convergence)
+    monkeypatch.setattr("rscp.verify.verify_state", no_convergence)
     monkeypatch.setattr(cli, "_obj_chunks", disk_full)
     runs = [{"n": 2, "l": 1, "m": 0, "outputs": ["verify"]},
             {"n": 2, "l": 1, "m": 0, "outputs": ["isosurface"],

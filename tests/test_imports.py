@@ -1,0 +1,120 @@
+"""Import structure: each cold command loads only the modules it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rscp
+from rscp.cli import main
+
+SRC = str(Path(rscp.__file__).resolve().parents[1])
+
+
+def _child(code, *argv, cwd):
+    """Run ``code`` in a fresh interpreter that imports ``rscp`` from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+
+
+# runs a statement or a command, then prints the loaded module names
+_LOADED = """
+import contextlib, io, json, sys
+if sys.argv[1].startswith("import "):
+    exec(sys.argv[1])
+else:
+    from rscp.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+_STATE = ["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5"]
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (["import rscp"], ["rscp"], ["numpy", "rscp.states"]),
+    (["import rscp.cli"], ["rscp.states"], ["numpy"]),
+    (["state", *_STATE], ["rscp.states"], ["numpy", "rscp.specfun"]),
+    (["potential", "--b", "0.5", "--c", "0.5", "--r-range", "1:4:4",
+      "--theta", "0.5"], ["rscp.states"], ["numpy"]),
+    (["grid", *_STATE, "--N", "5"], ["numpy", "rscp.density"],
+     ["rscp.surface", "rscp.verify", "rscp._mc_tables",
+      "concurrent.futures"]),
+    (["verify", *_STATE], ["numpy", "rscp.verify"],
+     ["rscp.surface", "rscp._mc_tables"]),
+    (["isosurface", *_STATE, "--N", "5", "--level", "30"],
+     ["rscp.surface", "rscp._mc_tables"], ["rscp.verify"]),
+], ids=["import-rscp", "import-cli", "state", "potential", "grid", "verify",
+        "isosurface"])
+def test_cold_command_loads_only_what_it_runs(tmp_path, argv, loaded,
+                                              not_loaded):
+    child = _child(_LOADED, *argv, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    modules = set(json.loads(child.stdout))
+    assert set(loaded) <= modules
+    assert not set(not_loaded) & modules
+
+
+def test_package_exports_load_on_first_access():
+    code = ("import sys, rscp; assert 'numpy' not in sys.modules;"
+            " rscp.ConvergenceError; assert 'numpy' not in sys.modules;"
+            " rscp.marching_cubes; assert 'rscp.surface' in sys.modules;"
+            " assert 'rscp.verify' not in sys.modules")
+    child = _child(code, cwd=None)
+    assert child.returncode == 0, child.stderr
+
+
+def test_package_exports():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rscp.no_such_name
+    assert set(rscp.__all__) <= set(dir(rscp))
+    for name in rscp.__all__:
+        assert getattr(rscp, name) is not None
+    from rscp import states, verify
+    assert rscp.ConvergenceError is states.ConvergenceError
+    assert verify.ConvergenceError is states.ConvergenceError
+
+
+# --------------------------------------------------------------- cold sweep
+
+_STATES = [{"n": 2, "l": 1, "m": 0, "b": 0.5, "c": 0.5},
+           {"n": 3, "l": 2, "m": 1, "b": 0.5, "c": 5.0},
+           {"n": 4, "l": 3, "m": 0}]
+# surface and verify load first inside the two worker threads, and both
+# threads reach each module at about the same time
+COLD_JOB = {"workers": 2, "runs": [
+    {**_STATES[0], "outputs": ["isosurface"], "cutaway": True, "level": 30,
+     "grid": {"n_points": 15}},
+    {**_STATES[1], "outputs": ["slice", "verify"], "grid": {"n_points": 13}},
+    {**_STATES[2], "outputs": ["verify", "grid", "isosurface"], "level": 50,
+     "grid": {"n_points": 11}},
+]}
+
+_SWEEP = """
+import sys
+from rscp.cli import main
+assert not {"numpy", "rscp.surface", "rscp.verify"} & set(sys.modules)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cold_sweep_matches_an_in_process_sweep(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(COLD_JOB))
+    child = _child(_SWEEP, "sweep", "--jobs", str(path), "--output-dir",
+                   str(tmp_path / "cold"), cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert main(["sweep", "--jobs", str(path), "--output-dir",
+                 str(tmp_path / "warm")]) == 0
+    assert capsys.readouterr().out == child.stdout == ""
+    cold, warm = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                  for d in ("cold", "warm"))
+    assert len(cold) == 7 and "manifest.json" in cold
+    assert cold == warm

@@ -1,5 +1,6 @@
 """Isosurface extraction, octant cutaway, plane contours, shape metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -358,6 +359,14 @@ def test_empty_mesh_from_empty_level_set():
     assert_same_mesh(empty, reference_marching_cubes(everywhere_low, 50.0))
     assert empty.vertices.shape == (0, 3) and empty.triangles.shape == (0, 3)
     assert apply_cutaway(empty, everywhere_low) is empty
+
+
+def test_case_table_decodes_to_the_polygonise_table():
+    """The hex-string rows decode to the classic (256, 16) int32 table."""
+    assert CUBE_TRIANGLES.shape == (256, 16)
+    assert CUBE_TRIANGLES.dtype == np.int32
+    assert hashlib.sha256(CUBE_TRIANGLES.tobytes()).hexdigest() == (
+        "85e6eb7486ad0101a95aaf3b332a15ba6e5d187a24d31c5eb77874d3aa45d996")
 
 
 def test_crossed_edges_are_the_edges_triangulated():
