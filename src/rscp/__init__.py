@@ -25,8 +25,7 @@ __version__ = "0.1.0"
 _SOURCE = {name: module for module, names in {
     "states": ("PotentialParams", "StateLabels", "QuasiNumbers",
                "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
-               "ConvergenceError", "map_quantum_numbers", "potential_V",
-               "radial_u", "wavefunction_modulus_sq"),
+               "map_quantum_numbers", "potential_V", "radial_u"),
     "specfun": ("UalpSpec", "log_gamma", "kummer_coefficients",
                 "ualp_coefficients", "angular_H"),
     "density": ("GridSpec", "DensityGrid", "DegenerateGridError",

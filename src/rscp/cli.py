@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .states import (ConvergenceError, PoleError, PotentialParams,
-                     StateLabels, map_quantum_numbers, potential_V)
+from .states import (PoleError, PotentialParams, StateLabels,
+                     map_quantum_numbers, potential_V)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,8 +105,6 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_IO
     if isinstance(exc, ValueError):
         return EXIT_VALIDATION
-    if isinstance(exc, ConvergenceError):
-        return EXIT_VERIFY
     return EXIT_ERROR
 
 
@@ -596,8 +594,16 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                         " (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse refusal raises ValueError, so it exits 2 with a JSON
+    error like every other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rscp",
         description="Bound states and probability-density artifacts for the "
                     "double ring-shaped Coulomb potential.")
@@ -655,11 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, ConvergenceError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stdout.write(_dump_json({"error": {"type": type(exc).__name__,
                                                "message": str(exc)}}))
         return _exit_code(exc)

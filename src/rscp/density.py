@@ -98,10 +98,9 @@ class DensityGrid:
 def _state_payload(labels: StateLabels, params: PotentialParams):
     """Per-state constants the density kernel evaluates from."""
     q = map_quantum_numbers(labels, params)
-    ev = _evaluator(UalpSpec(q.k, q.gamma1, q.m_prime))
-    a = ev.poly_scaled
+    a, front_log = _evaluator(UalpSpec(q.k, q.gamma1, q.m_prime))
     d = kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0)
-    ang2 = 2.0 * ev.front_log
+    ang2 = 2.0 * front_log
     rad2 = 2.0 * _radial_log_prefactor(q, params)
     lp1 = q.l_prime + 1.0
     q2 = 2.0 * params.Z / q.n_prime

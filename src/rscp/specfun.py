@@ -117,48 +117,21 @@ def _norm_log(spec: UalpSpec) -> float:
         - log_gamma(k + g1 + 1) - log_gamma(2 * k + 2 * g1 + 2 * mp + 1))
 
 
-@dataclass(frozen=True)
-class _AngularEvaluator:
-    """Decoded, overflow-safe form of one HFamily member.
-
-    poly_scaled[j] multiplies (x^2)^j; all entries lie in [-1, 1].  The
-    factored-out scale lives in front_log together with the normalization
-    constant, so H = exp(front_log) A(x) B(x) S(x^2).
-    """
-
-    spec: UalpSpec
-    poly_scaled: np.ndarray          # ascending powers of x^2, length k+1
-    front_log: float                 # ln(norm) + max coefficient log
-    integer_gamma1: bool
-
-    def gamma_power(self, x):
-        g1 = self.spec.gamma1
-        if g1 == 0.0:
-            return np.ones_like(x)
-        if self.integer_gamma1:
-            return x ** int(g1)
-        return np.abs(x) ** g1
-
-    def h_values(self, x):
-        x = np.asarray(x, dtype=float)
-        mp = self.spec.m_prime
-        amp = (np.exp(self.front_log) * _horner(self.poly_scaled, x * x)
-               * self.gamma_power(x))
-        if mp != 0.0:
-            amp = amp * (1.0 - x * x) ** (0.5 * mp)
-        return amp
-
-
 @lru_cache(maxsize=256)
-def _evaluator(spec: UalpSpec) -> _AngularEvaluator:
-    """Decode and cache one member; rscp.verify checks its constant."""
+def _evaluator(spec: UalpSpec) -> tuple[np.ndarray, float]:
+    """(poly, front_log) of one member, decoded and cached.
+
+    poly[j] multiplies (x^2)^j and lies in [-1, 1]; front_log is ln(norm)
+    plus the largest coefficient log, so that
+    H = exp(front_log) (1-x^2)^(m'/2) x^gamma1 poly(x^2).  rscp.verify
+    checks its constant.
+    """
     sign, log_magnitude = ualp_coefficients(spec)
     front = max(log_magnitude.tolist())
     # coefficient of x^(2k-2nu) sits at power j = k - nu of x^2
-    scaled = np.array([s * math.exp(lg - front) for s, lg in
-                       zip(sign.tolist(), log_magnitude.tolist())][::-1])
-    return _AngularEvaluator(spec, scaled, _norm_log(spec) + front,
-                             float(spec.gamma1).is_integer())
+    poly = np.array([s * math.exp(lg - front) for s, lg in
+                     zip(sign.tolist(), log_magnitude.tolist())][::-1])
+    return poly, _norm_log(spec) + front
 
 
 def angular_H(spec: UalpSpec, x):
@@ -171,7 +144,14 @@ def angular_H(spec: UalpSpec, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("angular_H requires |x| <= 1")
-    vals = _evaluator(spec).h_values(arr)
+    poly, front_log = _evaluator(spec)
+    vals = np.exp(front_log) * _horner(poly, arr * arr)
+    g1, mp = spec.gamma1, spec.m_prime
+    if g1 != 0.0:
+        vals = vals * (arr ** int(g1) if float(g1).is_integer()
+                       else np.abs(arr) ** g1)
+    if mp != 0.0:
+        vals = vals * (1.0 - arr * arr) ** (0.5 * mp)
     if arr.ndim == 0:
         return float(vals)
     return vals

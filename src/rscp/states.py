@@ -1,4 +1,4 @@
-"""Quantum-number mapping, potential, radial function, and |Psi|^2.
+"""Quantum-number mapping, potential and radial function.
 
 Atomic units throughout: hbar = M = e = a0 = 1, energies in hartree,
 lengths in Bohr radii.  The potential is
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "ConvergenceError",
     "PotentialParams",
     "StateLabels",
     "QuasiNumbers",
@@ -25,12 +24,7 @@ __all__ = [
     "map_quantum_numbers",
     "potential_V",
     "radial_u",
-    "wavefunction_modulus_sq",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the radial tail bound does not close."""
 
 
 # |sin| or |cos| below this is treated as sitting on an angular pole
@@ -239,21 +233,3 @@ def radial_u(q: QuasiNumbers, params: PotentialParams, r):
         return float(u)
     return u
 
-
-def wavefunction_modulus_sq(labels: StateLabels, params: PotentialParams,
-                            r: float, theta: float) -> float:
-    """|Psi|^2 = (1/2pi)(u^2/r^2) H^2(cos theta); phi drops out.
-
-    Axis and equator limits are analytic zeros for admissible states and
-    are returned as such, never via epsilon shifts.
-    """
-    if not r > 0.0:
-        if r == 0.0:
-            return 0.0
-        raise ValueError(f"r must be >= 0, got {r}")
-    from .specfun import UalpSpec, angular_H
-    q = map_quantum_numbers(labels, params)
-    u = radial_u(q, params, r)
-    spec = UalpSpec(q.k, q.gamma1, q.m_prime)
-    h = angular_H(spec, math.cos(theta))
-    return (u * u) / (r * r) * (h * h) / (2.0 * math.pi)

@@ -66,7 +66,7 @@ def test_criterion_3_ode_residuals():
     t0 = time.perf_counter()
     worst = 0.0
     for labels, params in SUITE:
-        rres, ares = ode_residuals(labels, params, n_samples=100)
+        rres, ares = ode_residuals(labels, params)
         worst = max(worst, rres, ares)
     dt = time.perf_counter() - t0
     assert worst < 1e-6

@@ -20,13 +20,30 @@ from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                       EXIT_VERIFY, _MAX_LEVELS, _MAX_SAMPLES, _MAX_WORKERS,
                       _dump_json, _parse_levels, _parse_range, _sig, main)
 from rscp.density import _MAX_POINTS
-from rscp.verify import ConvergenceError
+from rscp.states import map_quantum_numbers
+from rscp.verify import VerificationReport
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def failing_report(labels, params, grid=None):
+    """A verify_state whose radial norm check fails."""
+    return VerificationReport(labels, params,
+                              map_quantum_numbers(labels, params),
+                              2.0, 1.0, 0.0, 0.0)
+
+
+def cli_child(*argv, cwd):
+    """``python -m rscp.cli ARGV`` in a fresh interpreter."""
+    src = str(Path(rscp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ------------------------------------------------------------------ helpers
@@ -140,6 +157,33 @@ def test_non_finite_input_is_validation_error(tmp_path, capsys):
         assert "NaN" not in out and "Infinity" not in out
         assert json.loads(out)["error"]["type"] == "ValueError"
     assert not vtk.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["grid", "--n", "1.5", "--l", "1", "--m", "0"],
+     "argument --n: invalid int value: '1.5'"),
+    (["state", "--n", "2", "--l", "1", "--m", "0", "--Z", "x"],
+     "argument --Z: invalid float value: 'x'"),
+    (["sweep", "--jobs", "job.json", "--workers", "1e9"],
+     "argument --workers: invalid int value: '1e9'"),
+    (["grid", "--n", "2"], "the following arguments are required: --l, --m"),
+    ([], "the following arguments are required: command"),
+    (["movie"], "argument command: invalid choice: 'movie'")])
+def test_flag_refusal_is_validation_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(message)
+    assert captured.err == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage: rscp verify" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- potential
@@ -336,16 +380,26 @@ def test_verify_near_hydrogen_exits_ok(capsys):
     assert json.loads(out)["all_passed"] is True
 
 
-def test_verify_convergence_error_exits_3(capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ConvergenceError("radial tail bound did not close")
-
-    monkeypatch.setattr("rscp.verify.verify_state", no_convergence)
+def test_verify_failed_check_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("rscp.verify.verify_state", failing_report)
     code, out = run_cli(capsys, "verify", "--n", "2", "--l", "1", "--m", "0")
     assert code == EXIT_VERIFY
-    assert json.loads(out) == {"error": {
-        "type": "ConvergenceError",
-        "message": "radial tail bound did not close"}}
+    doc = json.loads(out)
+    assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+        "radial_norm"]
+
+
+def test_verify_overflowing_radial_factor_reports(tmp_path):
+    # the radial power sums overflow at n_r = 298: the report names the
+    # failed checks; a subprocess, as pytest makes a RuntimeWarning an error
+    child = cli_child("-m", "rscp.cli", "verify", "--n", "300", "--l", "1",
+                      "--m", "0", cwd=tmp_path)
+    assert child.returncode == EXIT_VERIFY, child.stderr
+    assert "Traceback" not in child.stderr
+    doc = json.loads(child.stdout)
+    assert "error" not in doc
+    assert doc["all_passed"] is False
 
 
 def test_verify_non_finite_check_is_written_as_string(capsys):
@@ -390,13 +444,9 @@ print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
     ["verify", "--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "10"]])
 def test_cold_commands_do_not_import_scipy(tmp_path, argv):
     # a fresh interpreter, so modules the test session loaded do not count
-    src = str(Path(rscp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     if argv:
         argv = argv + ["--output", str(tmp_path / "out")]
-    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
+    child = cli_child("-c", _CHILD, *argv, cwd=None)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
     if argv:
@@ -704,15 +754,19 @@ def test_sweep_inadmissible_state_is_invalid_run(tmp_path, capsys, state,
         "manifest.json", "run_000_n2l1m0.vtk", "run_000_n2l1m0_slice.csv"]
 
 
-@pytest.mark.parametrize("error, code", [
-    (ConvergenceError("radial tail bound did not close"), EXIT_VERIFY),
-    (RuntimeError("unexpected"), EXIT_ERROR)])
-def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch, error,
-                                      code):
-    def raise_error(*args, **kwargs):
-        raise error
+def raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("unexpected")
 
-    monkeypatch.setattr("rscp.verify.verify_state", raise_error)
+
+@pytest.mark.parametrize("verify_state, code, status, reason, artifacts", [
+    (failing_report, EXIT_VERIFY, "verify_failed",
+     "verification checks failed", ["run_001_n2l1m0_verify.json"]),
+    (raise_runtime_error, EXIT_ERROR, "failed", "RuntimeError: unexpected",
+     [])])
+def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch,
+                                      verify_state, code, status, reason,
+                                      artifacts):
+    monkeypatch.setattr("rscp.verify.verify_state", verify_state)
     out = tmp_path / "out"
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"output_dir": str(out), "workers": 2, "runs": [
@@ -721,11 +775,12 @@ def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch, error,
         {"n": 2, "l": 1, "m": 0, "outputs": ["verify"]}]}))
     assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == code
     runs = json.loads((out / "manifest.json").read_text())["runs"]
-    assert [r["status"] for r in runs] == ["ok", "failed"]
-    assert runs[1]["reason"] == f"{type(error).__name__}: {error}"
+    assert [r["status"] for r in runs] == ["ok", status]
+    assert runs[1]["reason"] == reason
     assert runs[0]["artifacts"] == ["run_000_n2l1m0.vtk"]
+    assert runs[1]["artifacts"] == artifacts
     assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "run_000_n2l1m0.vtk"]
+        "manifest.json", "run_000_n2l1m0.vtk", *artifacts]
 
 
 _STATES = [(2, 1, 0), (3, 2, 1), (4, 3, -2), (2, 2, 0), (3, 1, 1), (1, 0, 0)]
@@ -783,24 +838,27 @@ def test_sweep_property_manifest_and_exit_code(runs):
 
 
 def test_sweep_exit_code_precedence(tmp_path, capsys, monkeypatch):
-    """I/O errors outrank invalid runs, which outrank failed verification."""
-    def no_convergence(*args, **kwargs):
-        raise ConvergenceError("radial tail bound did not close")
-
+    """I/O errors outrank invalid runs, which outrank failed verification,
+    which outranks an error of no documented kind."""
     def disk_full(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr("rscp.verify.verify_state", no_convergence)
+    monkeypatch.setattr("rscp.verify.verify_state", failing_report)
+    monkeypatch.setattr(cli, "_vtk_chunks", raise_runtime_error)
     monkeypatch.setattr(cli, "_obj_chunks", disk_full)
-    runs = [{"n": 2, "l": 1, "m": 0, "outputs": ["verify"]},
-            {"n": 2, "l": 1, "m": 0, "outputs": ["isosurface"],
-             "level": 150}]
+
+    def run(*outputs, **fields):
+        return {"n": 2, "l": 1, "m": 0, "outputs": list(outputs),
+                "grid": {"n_points": 15}, **fields}
+
+    runs = [run("verify"), run("grid")]
     path = tmp_path / "job.json"
-    for extra, code in (([], EXIT_VALIDATION), (["isosurface"], EXIT_IO)):
-        job_runs = runs + [{"n": 2, "l": 1, "m": 0, "outputs": extra,
-                            "grid": {"n_points": 15}}]
+    for extra, code in (([], EXIT_VERIFY),
+                        ([run("isosurface", level=150)], EXIT_VALIDATION),
+                        ([run("isosurface", level=150), run("isosurface")],
+                         EXIT_IO)):
         path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
-                                    "runs": job_runs}))
+                                    "runs": runs + extra}))
         assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == code
 
 

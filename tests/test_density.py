@@ -30,6 +30,15 @@ def test_density_at_hydrogen_axis_value():
     assert math.isclose(rho, 0.0053848, abs_tol=5e-8)
 
 
+def test_density_at_axis_and_equator_zeros():
+    # x = y = 0 and z = 0 are exact, so these limits are analytic zeros
+    ring = (StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5))
+    assert density_at(*ring, 1.5, 0.0, 0.0) == 0.0      # equator, gamma1 > 0
+    assert density_at(*ring, 0.0, 0.0, 1.5) == 0.0      # axis, m' > 0
+    assert density_at(StateLabels(3, 2, 1), PotentialParams(),
+                      0.0, 0.0, 2.0) == 0.0
+
+
 def test_density_at_phi_symmetry():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-6.0, 6.0, size=(50, 3))

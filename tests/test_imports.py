@@ -64,7 +64,7 @@ def test_cold_command_loads_only_what_it_runs(tmp_path, argv, loaded,
 
 def test_package_exports_load_on_first_access():
     code = ("import sys, rscp; assert 'numpy' not in sys.modules;"
-            " rscp.ConvergenceError; assert 'numpy' not in sys.modules;"
+            " rscp.PoleError; assert 'numpy' not in sys.modules;"
             " rscp.marching_cubes; assert 'rscp.surface' in sys.modules;"
             " assert 'rscp.verify' not in sys.modules")
     child = _child(code, cwd=None)
@@ -78,8 +78,8 @@ def test_package_exports():
     for name in rscp.__all__:
         assert getattr(rscp, name) is not None
     from rscp import states, verify
-    assert rscp.ConvergenceError is states.ConvergenceError
-    assert verify.ConvergenceError is states.ConvergenceError
+    assert rscp.PoleError is states.PoleError
+    assert rscp.ode_residuals is verify.ode_residuals
 
 
 # --------------------------------------------------------------- cold sweep

@@ -1,4 +1,4 @@
-"""Quantum-number mapping, potential, radial function, energy, |psi|^2."""
+"""Quantum-number mapping, potential, radial function, energy."""
 
 import math
 
@@ -8,9 +8,8 @@ from scipy.special import roots_legendre
 
 from rscp.states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
                          PotentialParams, StateLabels,
-                         map_quantum_numbers, potential_V, radial_u,
-                         wavefunction_modulus_sq)
-from rscp.verify import ode_residuals, radial_domain, radial_expectation_r
+                         map_quantum_numbers, potential_V, radial_u)
+from rscp.verify import ode_residuals, radial_expectation_r
 
 # ----------------------------------------------------------------- mapping
 
@@ -189,7 +188,9 @@ def test_radial_node_count():
     for n, l in [(2, 1), (4, 1), (6, 1), (5, 3)]:
         params = PotentialParams(1.0, 0.5, 0.5)
         q = map_quantum_numbers(StateLabels(n, l, 0), params)
-        R = radial_domain(q, params)
+        # every node lies below w = 4 (2l'+2+2n_r), w = 2Zr/n'
+        R = max(4.0 * (2.0 * q.l_prime + 2.0 + 2.0 * q.n_r), 60.0) \
+            * q.n_prime / (2.0 * params.Z)
         rs = np.linspace(1e-9, R, 4000)
         u = radial_u(q, params, rs)
         signs = np.sign(u)
@@ -218,7 +219,7 @@ def test_radial_ode_residual():
     for labels, params in [(StateLabels(2, 1, 0), PotentialParams()),
                            (StateLabels(5, 3, 2), PotentialParams(1, 0.5, 5)),
                            (StateLabels(6, 1, 0), PotentialParams(2, 0.5, 0.5))]:
-        radial_max, _ = ode_residuals(labels, params, n_samples=100)
+        radial_max, _ = ode_residuals(labels, params)
         assert radial_max < 1e-6
 
 
@@ -248,24 +249,3 @@ def test_mean_radius_grows_with_b():
              for b in (0, 5, 10, 25)]
     assert all(x < y for x, y in zip(means, means[1:]))
 
-
-# ----------------------------------------------------------------- |psi|^2
-
-
-def test_modulus_sq_hydrogen_value():
-    rho = wavefunction_modulus_sq(StateLabels(2, 1, 0), PotentialParams(),
-                                  2.0, 0.0)
-    assert math.isclose(rho, math.exp(-2.0) / (8.0 * math.pi), rel_tol=1e-12)
-    assert math.isclose(rho, 0.0053848, abs_tol=5e-8)
-
-
-def test_modulus_sq_zeros():
-    # float cos(pi/2) is ~6e-17, so the equator zero is a limit, not exact
-    assert wavefunction_modulus_sq(StateLabels(2, 1, 0),
-                                   PotentialParams(1, 0.5, 0.5),
-                                   1.5, math.pi / 2) < 1e-40
-    assert wavefunction_modulus_sq(StateLabels(2, 1, 0),
-                                   PotentialParams(1, 0.5, 0.5),
-                                   1.5, 0.0) == 0.0
-    assert wavefunction_modulus_sq(StateLabels(3, 2, 1), PotentialParams(),
-                                   2.0, 0.0) == 0.0

@@ -1,5 +1,6 @@
 """Independent numerical checks: quadrature norms, ODE residuals, oracles."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -9,14 +10,14 @@ import pytest
 from scipy.special import (betaln, gammaln, genlaguerre, jacobi, logsumexp,
                            roots_genlaguerre, roots_jacobi)
 
-from rscp import specfun, states
+from rscp import specfun, states, verify
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
-                         map_quantum_numbers, radial_u)
+                         map_quantum_numbers)
 from rscp.verify import (CheckResult, _jacobi_derivative, _jacobi_rule,
                          _laguerre_derivative, _laguerre_rule,
                          angular_expectation_abs_x, ode_residuals,
-                         quad_angular_norm, quad_radial_norm, radial_domain,
+                         quad_angular_norm, quad_radial_norm,
                          radial_expectation_r, verify_state)
 
 from _hydrogen import hydrogen_oracle
@@ -204,14 +205,6 @@ def test_radial_norm_ring_states():
         assert abs(quad_radial_norm(labels, params) - 1.0) < 1e-10
 
 
-def test_radial_domain_captures_tail():
-    labels, params = StateLabels(6, 5, 0), PotentialParams(1, 0.5, 10)
-    q = map_quantum_numbers(labels, params)
-    R = radial_domain(q, params)
-    # the tail bound guarantees what is left outside [0, R] is < 1e-13
-    assert radial_u(q, params, R) ** 2 * q.n_prime / params.Z < 1e-13
-
-
 def test_angular_norm_hydrogen_and_ring():
     assert abs(quad_angular_norm(StateLabels(2, 1, 0),
                                  PotentialParams()) - 1.0) < 1e-12
@@ -242,16 +235,41 @@ def test_residuals_ring_states():
         (StateLabels(6, 5, 0), PotentialParams(1, 0.5, 10)),
         (StateLabels(4, 3, 2), PotentialParams(1, 0.5, 5)),
     ]:
-        rres, ares = ode_residuals(labels, params, n_samples=100)
+        rres, ares = ode_residuals(labels, params)
         assert rres < 1e-6, (labels, params)
         assert ares < 1e-6, (labels, params)
 
 
-def test_residual_detects_wrong_energy():
+@pytest.fixture
+def wrong_energy(monkeypatch):
+    """ode_residuals sees a mapping whose energy is 1% off."""
+    def mapping(labels, params):
+        q = map_quantum_numbers(labels, params)
+        return dataclasses.replace(q, energy=1.01 * q.energy)
+
+    def residuals(labels, params):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "map_quantum_numbers", mapping)
+            return ode_residuals(labels, params)
+    return residuals
+
+
+def test_residual_detects_wrong_energy(wrong_energy):
     # a 1% energy error must push the radial residual far above threshold
-    rres, _ = ode_residuals(StateLabels(2, 1, 0),
-                            PotentialParams(1, 0.5, 0.5), energy_scale=1.01)
+    rres, _ = wrong_energy(StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5))
     assert rres > 1e-3
+
+
+def test_residuals_read_nothing_of_the_served_path(monkeypatch):
+    labels, params = StateLabels(16, 1, 0), PotentialParams(1, 100, 1)
+    want = ode_residuals(labels, params)
+
+    def served(*args):
+        raise AssertionError("the served radial function was called")
+
+    monkeypatch.setattr(verify, "radial_u", served)
+    monkeypatch.setattr(states, "radial_u", served)
+    assert ode_residuals(labels, params) == want
 
 
 # where the power-basis series of the old residuals cancelled: hydrogen
@@ -271,18 +289,18 @@ RESIDUAL_SCAN = (
        (StateLabels(100, 1, 0), PotentialParams(1, 0.5, 0.5))])
 
 
-def test_residuals_scan_high_degree_and_barriers():
+def test_residuals_scan_high_degree_and_barriers(wrong_energy):
     for labels, params in RESIDUAL_SCAN:
         rres, ares = ode_residuals(labels, params)
         assert rres < 1e-6 and ares < 1e-6, (labels, params, rres, ares)
-        rres, _ = ode_residuals(labels, params, energy_scale=1.01)
+        rres, _ = wrong_energy(labels, params)
         assert rres > 1e-3, (labels, params, rres)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("n_r", [0, 1, 2])
 @pytest.mark.parametrize("m", [0, 1])
-def test_residuals_low_degrees(k, n_r, m):
+def test_residuals_low_degrees(k, n_r, m, wrong_energy):
     # l - |m| = 2k + 1 on the gamma1 branch, so the angular degree is k
     labels = StateLabels(2 * k + 2 + m + n_r, 2 * k + 1 + m, m)
     params = PotentialParams(1, 0.5, 0.5)
@@ -290,7 +308,7 @@ def test_residuals_low_degrees(k, n_r, m):
     assert (q.k, q.n_r) == (k, n_r)
     rres, ares = ode_residuals(labels, params)
     assert rres < 1e-12 and ares < 1e-12, (rres, ares)
-    rres, _ = ode_residuals(labels, params, energy_scale=1.01)
+    rres, _ = wrong_energy(labels, params)
     assert rres > 1e-3
 
 
@@ -315,8 +333,8 @@ def test_derivative_identities_match_polynomial_derivatives(n):
 
 
 def test_residuals_deterministic():
-    a = ode_residuals(StateLabels(5, 3, 0), PotentialParams(1, 0.5, 5), seed=4)
-    b = ode_residuals(StateLabels(5, 3, 0), PotentialParams(1, 0.5, 5), seed=4)
+    a = ode_residuals(StateLabels(5, 3, 0), PotentialParams(1, 0.5, 5))
+    b = ode_residuals(StateLabels(5, 3, 0), PotentialParams(1, 0.5, 5))
     assert a == b
 
 
