@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 _SOURCE = {name: module for module, names in {
     "states": ("PotentialParams", "StateLabels", "QuasiNumbers",
                "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
-               "map_quantum_numbers", "potential_V", "radial_u"),
-    "specfun": ("UalpSpec", "log_gamma", "kummer_coefficients",
+               "map_quantum_numbers", "potential_V"),
+    "specfun": ("UalpSpec", "kummer_coefficients", "radial_u",
                 "ualp_coefficients", "angular_H"),
     "density": ("GridSpec", "DensityGrid", "DegenerateGridError",
                 "density_at", "build_grid", "normalize_relative",

@@ -23,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import UalpSpec, _evaluator, _horner, kummer_coefficients
+from .specfun import (UalpSpec, _evaluator, _horner, _radial_log_prefactor,
+                      kummer_coefficients, radial_u)
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
-                     _radial_log_prefactor, map_quantum_numbers)
+                     map_quantum_numbers)
 
 __all__ = [
     "GridSpec",
@@ -211,7 +212,6 @@ def _gauss_nodes(n: int):
 def _radial_cumulative(q: QuasiNumbers, params: PotentialParams,
                        h: float) -> float:
     """int_0^h u^2 dr by fixed Gauss-Legendre panels (plenty for coverage)."""
-    from .states import radial_u
     x0, w0 = _gauss_nodes(_RADIAL_NODES)
     edges = np.linspace(0.0, h, _RADIAL_PANELS + 1)
     total = 0.0

@@ -1,13 +1,15 @@
-"""Numerically stable special functions for the separated angular problem.
+"""The two served factors of a state, each summed one way.
 
-Provides log-gamma, the terminating Kummer coefficients, and the universal
-associated Legendre family
+The radial factor u = N_r w^(l'+1) e^(-w/2) F(-n_r, 2l'+2, w), w = 2Zr/n',
+and the universal associated Legendre family
 
     H(x) = N (1-x^2)^(m'/2) x^(gamma1) sum_nu coeff_nu x^(2k-2nu)
 
-whose gamma-ratio coefficients overflow float64 near k ~ 10 if evaluated
-directly.  Coefficients are therefore carried as (sign, log|value|) and
-only decoded after a common scale has been factored out.
+sum their polynomials by Horner's rule on the coefficients that the
+density kernel also reads.  The gamma-ratio coefficients of H overflow
+float64 near k ~ 10 if evaluated directly, so they are carried as
+(sign, log|value|) and only decoded after a common scale has been
+factored out; the prefactors are taken in log space.
 """
 
 from __future__ import annotations
@@ -18,24 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .states import PotentialParams, QuasiNumbers
+
 __all__ = [
     "UalpSpec",
-    "log_gamma",
     "kummer_coefficients",
+    "radial_u",
     "ualp_coefficients",
     "angular_H",
 ]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Negative or zero arguments are a domain error: every gamma argument
-    appearing in the coefficient and normalization formulas is positive.
-    """
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def kummer_coefficients(n_r: int, beta: float) -> np.ndarray:
@@ -57,6 +50,35 @@ def _horner(coeffs, x):
     for a in coeffs[-2::-1]:
         s = s * x + a
     return s
+
+
+def _radial_log_prefactor(q: QuasiNumbers, params: PotentialParams) -> float:
+    """ln of the positive radial prefactor, Gamma(2l'+2) divided out."""
+    return (0.5 * (math.log(params.Z)
+                   + math.lgamma(q.n_prime + q.l_prime + 1.0)
+                   - math.lgamma(q.n_r + 1.0) - 2.0 * math.log(q.n_prime))
+            - math.lgamma(2.0 * q.l_prime + 2.0))
+
+
+def radial_u(q: QuasiNumbers, params: PotentialParams, r):
+    """Reduced radial function u(r), normalized to int u^2 dr = 1.
+
+    u = exp(pref + (l'+1) ln w - w/2) F(-n_r, 2l'+2, w), w = 2Zr/n'.
+    The prefactor is evaluated in log space; r = 0 maps to the analytic
+    limit 0.  Accepts scalars or arrays.
+    """
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("radial_u requires r >= 0")
+    pref = _radial_log_prefactor(q, params)
+    w = (2.0 * params.Z / q.n_prime) * arr
+    with np.errstate(divide="ignore"):
+        logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+    amp = np.exp(pref + (q.l_prime + 1.0) * logw - 0.5 * w)
+    u = amp * _horner(kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0), w)
+    if arr.ndim == 0:
+        return float(u)
+    return u
 
 
 @dataclass(frozen=True)
@@ -93,11 +115,11 @@ def ualp_coefficients(spec: UalpSpec) -> tuple[np.ndarray, np.ndarray]:
     k, g1, lp = spec.k, spec.gamma1, spec.l_prime
     sign = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
     log_magnitude = np.array([
-        log_gamma(k + g1 - nu + 1) + log_gamma(2 * lp - 2 * nu + 1)
+        math.lgamma(k + g1 - nu + 1) + math.lgamma(2 * lp - 2 * nu + 1)
         - lp * math.log(2.0)
-        - log_gamma(nu + 1.0) - log_gamma(k - nu + 1.0)
-        - log_gamma(2 * k + 2 * g1 - 2 * nu + 1)
-        - log_gamma(lp - nu + 1) for nu in range(k + 1)])
+        - math.lgamma(nu + 1.0) - math.lgamma(k - nu + 1.0)
+        - math.lgamma(2 * k + 2 * g1 - 2 * nu + 1)
+        - math.lgamma(lp - nu + 1) for nu in range(k + 1)])
     return sign, log_magnitude
 
 
@@ -111,10 +133,10 @@ def _norm_log(spec: UalpSpec) -> float:
     """
     k, g1, mp, lp = spec.k, spec.gamma1, spec.m_prime, spec.l_prime
     return g1 * math.log(2.0) + 0.5 * (
-        log_gamma(k + 1.0) + math.log(2 * lp + 1)
-        + log_gamma(2 * k + 2 * g1 + 1) + log_gamma(k + g1 + mp + 1)
-        - math.log(2.0) - log_gamma(k + mp + 1)
-        - log_gamma(k + g1 + 1) - log_gamma(2 * k + 2 * g1 + 2 * mp + 1))
+        math.lgamma(k + 1.0) + math.log(2 * lp + 1)
+        + math.lgamma(2 * k + 2 * g1 + 1) + math.lgamma(k + g1 + mp + 1)
+        - math.log(2.0) - math.lgamma(k + mp + 1) - math.lgamma(k + g1 + 1)
+        - math.lgamma(2 * k + 2 * g1 + 2 * mp + 1))
 
 
 @lru_cache(maxsize=256)

@@ -1,4 +1,4 @@
-"""Quantum-number mapping, potential and radial function.
+"""Quantum-number mapping and potential.
 
 Atomic units throughout: hbar = M = e = a0 = 1, energies in hartree,
 lengths in Bohr radii.  The potential is
@@ -23,7 +23,6 @@ __all__ = [
     "PoleError",
     "map_quantum_numbers",
     "potential_V",
-    "radial_u",
 ]
 
 
@@ -193,43 +192,3 @@ def potential_V(params: PotentialParams, r: float, theta: float) -> float:
     if not math.isfinite(v):
         raise ValueError(f"V overflows a float at r = {r}, theta = {theta}")
     return v
-
-
-def _radial_log_prefactor(q: QuasiNumbers, params: PotentialParams) -> float:
-    """ln of the positive radial prefactor, Gamma(2l'+2) divided out."""
-    from .specfun import log_gamma
-    return (0.5 * (math.log(params.Z) + log_gamma(q.n_prime + q.l_prime + 1.0)
-                   - log_gamma(q.n_r + 1.0) - 2.0 * math.log(q.n_prime))
-            - log_gamma(2.0 * q.l_prime + 2.0))
-
-
-def _kummer_terms(n_r: int, beta: float, w):
-    """F(-n_r, beta, w) by t_{j+1} = t_j (j-n_r) w / ((beta+j)(j+1))."""
-    t = s = 1.0
-    for j in range(n_r):
-        t = t * ((j - n_r) * w / ((beta + j) * (j + 1)))
-        s = s + t
-    return s
-
-
-def radial_u(q: QuasiNumbers, params: PotentialParams, r):
-    """Reduced radial function u(r), normalized to int u^2 dr = 1.
-
-    u = exp(pref + (l'+1) ln w - w/2) F(-n_r, 2l'+2, w), w = 2Zr/n'.
-    The prefactor is evaluated in log space; r = 0 maps to the analytic
-    limit 0.  Accepts scalars or arrays.
-    """
-    import numpy as np
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("radial_u requires r >= 0")
-    pref = _radial_log_prefactor(q, params)
-    w = (2.0 * params.Z / q.n_prime) * arr
-    with np.errstate(divide="ignore"):
-        logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
-    amp = np.exp(pref + (q.l_prime + 1.0) * logw - 0.5 * w)
-    u = amp * _kummer_terms(q.n_r, 2.0 * q.l_prime + 2.0, w)
-    if arr.ndim == 0:
-        return float(u)
-    return u
-

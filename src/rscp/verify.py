@@ -8,7 +8,9 @@ recurrences; differential-equation residuals rebuild the polynomial
 factors as the Laguerre and Jacobi polynomials of those same
 recurrences, at radial samples in a window set by the polynomial
 degree.  They share their recurrences with the Gauss rules and nothing
-with the served path, which sums both factors in the power basis.
+with the served path.  The served radial_u and angular_H of
+rscp.specfun sum both factors in the power basis with the coefficients
+the density kernel sums, so the norms judge the factors a grid draws.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .density import DensityGrid, grid_mass
-from .specfun import UalpSpec, angular_H
+from .specfun import UalpSpec, angular_H, radial_u
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
-                     map_quantum_numbers, radial_u)
+                     map_quantum_numbers)
 
 __all__ = [
     "VerificationReport",
@@ -57,13 +59,19 @@ def _jacobi_p(n: int, a: float, b: float, y):
 
 
 def _laguerre_l(n: int, a: float, x):
-    """L_n^(a)(x) by the three-term recurrence (A&S 22.7.12)."""
+    """L_n^(a)(x) = m 2^e by the three-term recurrence (A&S 22.7.12), as
+    (m, e): where |p1| passes 2^512, p0 and p1 take the exact factor
+    2^-512, so the recurrence stays finite at any degree, and where |L|
+    stays below 2^512, e = 0 and m is the unscaled recurrence."""
     p0, p1 = np.ones_like(x), 1.0 + a - x
-    if n == 0:
-        return p0
+    e = np.zeros_like(x, dtype=np.int64)
     for k in range(1, n):
         p0, p1 = p1, ((2.0 * k + 1.0 + a - x) * p1 - (k + a) * p0) / (k + 1.0)
-    return p1
+        huge = np.abs(p1) > 2.0 ** 512
+        if huge.any():
+            shift = 512 * huge
+            p0, p1, e = np.ldexp(p0, -shift), np.ldexp(p1, -shift), e + shift
+    return (p1 if n else p0), e
 
 
 def _jacobi_derivative(j: int, n: int, a: float, b: float, y):
@@ -76,11 +84,12 @@ def _jacobi_derivative(j: int, n: int, a: float, b: float, y):
 
 
 def _laguerre_derivative(j: int, n: int, a: float, x):
-    """d^j/dx^j L_n^(a)(x) = (-1)^j L_(n-j)^(a+j)(x) (A&S 22.8); zero
-    for j > n."""
+    """d^j/dx^j L_n^(a)(x) = (-1)^j L_(n-j)^(a+j)(x) (A&S 22.8), as the
+    pair (m, e) of _laguerre_l; zero for j > n."""
     if j > n:
-        return np.zeros_like(x)
-    return (-1.0) ** j * _laguerre_l(n - j, a + j, x)
+        return np.zeros_like(x), np.zeros_like(x, dtype=np.int64)
+    m, e = _laguerre_l(n - j, a + j, x)
+    return (-1.0) ** j * m, e
 
 
 def _eigenvalues(diag, off):
@@ -123,10 +132,12 @@ def _laguerre_rule(n: int, alpha: float):
     k = np.arange(1.0, n)
     x = _eigenvalues(2.0 * np.arange(n) + alpha + 1.0,
                      np.sqrt(k * (k + alpha)))
-    x -= _laguerre_l(n, alpha, x) / _laguerre_derivative(1, n, alpha, x)
+    m, e = _laguerre_l(n, alpha, x)
+    m1, e1 = _laguerre_derivative(1, n, alpha, x)
+    x -= np.ldexp(m / m1, e - e1)
     # w_i ~ 1 / (x_i L_n'(x_i)^2)
-    log_w = -np.log(x) - 2.0 * np.log(np.abs(
-        _laguerre_l(n - 1, alpha + 1.0, x)))
+    m, e = _laguerre_l(n - 1, alpha + 1.0, x)
+    log_w = -np.log(x) - 2.0 * (np.log(np.abs(m)) + e * math.log(2.0))
     return x, _log_normalized(log_w, math.lgamma(alpha + 1.0))
 
 
@@ -232,8 +243,12 @@ def ode_residuals(labels: StateLabels,
     w_max = max(4.0 * (2.0 * lp + 2.0 + 2.0 * q.n_r), 60.0)
     w = rng.uniform(0.02 * w_max, 0.9 * w_max, size=_N_SAMPLES)
     r = w / qw
-    F, F1, F2 = (_laguerre_derivative(j, q.n_r, 2.0 * lp + 1.0, w)
-                 for j in range(3))
+    # F, F' and F'' on one power of two per sample, which the relative
+    # residual does not see
+    pairs = [_laguerre_derivative(j, q.n_r, 2.0 * lp + 1.0, w)
+             for j in range(3)]
+    top = np.max([e for _, e in pairs], axis=0)
+    F, F1, F2 = (np.ldexp(m, e - top) for m, e in pairs)
     radial_max = _max_relative((
         qw * qw * (((lp + 1.0) * lp - (lp + 1.0) * w + 0.25 * w * w) * F
                    + (2.0 * (lp + 1.0) - w) * w * F1 + w * w * F2),

@@ -391,8 +391,10 @@ def test_verify_failed_check_exits_3(capsys, monkeypatch):
 
 
 def test_verify_overflowing_radial_factor_reports(tmp_path):
-    # the radial power sums overflow at n_r = 298: the report names the
-    # failed checks; a subprocess, as pytest makes a RuntimeWarning an error
+    # the served radial power sum overflows at n_r = 298: the report names
+    # the failed check, and the scaled Laguerre recurrence of the residual
+    # does not overflow; a subprocess, as pytest makes a RuntimeWarning an
+    # error
     child = cli_child("-m", "rscp.cli", "verify", "--n", "300", "--l", "1",
                       "--m", "0", cwd=tmp_path)
     assert child.returncode == EXIT_VERIFY, child.stderr
@@ -400,6 +402,8 @@ def test_verify_overflowing_radial_factor_reports(tmp_path):
     doc = json.loads(child.stdout)
     assert "error" not in doc
     assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+        "radial_norm"]
 
 
 def test_verify_non_finite_check_is_written_as_string(capsys):

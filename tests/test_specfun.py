@@ -8,28 +8,9 @@ import pytest
 from scipy.special import lpmv, roots_legendre
 
 from rscp.specfun import (UalpSpec, _horner, angular_H, kummer_coefficients,
-                          log_gamma, ualp_coefficients)
-from rscp import states
+                          ualp_coefficients)
 from rscp.states import QuasiNumbers
 from rscp.verify import _angular_solution
-
-# ---------------------------------------------------------------- log_gamma
-
-
-def test_log_gamma_spot_values():
-    assert log_gamma(1.0) == 0.0
-    assert math.isclose(log_gamma(0.5), 0.5723649429, rel_tol=0, abs_tol=5e-11)
-    assert math.isclose(log_gamma(6.0), 4.7874917428, rel_tol=0, abs_tol=5e-11)
-    assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)),
-                        rel_tol=1e-13)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-3.0)
-
 
 # ------------------------------------------------------------------- kummer
 
@@ -48,41 +29,29 @@ def _kummer_rational(n_r: int, beta: Fraction, x: Fraction) -> Fraction:
 
 
 def _kummer_horner(n_r: int, beta: float, x):
-    """F(-n_r, beta, x) as density._density evaluates it."""
+    """F(-n_r, beta, x) as radial_u and density._density evaluate it."""
     return _horner(kummer_coefficients(n_r, beta), np.asarray(x, dtype=float))
 
 
-def _kummer_terms(n_r: int, beta: float, x):
-    """F(-n_r, beta, x) as states.radial_u evaluates it."""
-    return states._kummer_terms(n_r, beta, np.asarray(x, dtype=float))
+def test_kummer_examples():
+    assert _kummer_horner(0, 4.0, 7.3) == 1.0
+    assert math.isclose(_kummer_horner(1, 2.0, 3.0), -0.5, rel_tol=1e-14)
+    assert math.isclose(_kummer_horner(2, 3.0, 1.0), 5.0 / 12.0, rel_tol=1e-14)
 
 
-KUMMER = pytest.mark.parametrize("kummer", [_kummer_horner, _kummer_terms],
-                                 ids=["horner", "terms"])
-
-
-@KUMMER
-def test_kummer_examples(kummer):
-    assert kummer(0, 4.0, 7.3) == 1.0
-    assert math.isclose(kummer(1, 2.0, 3.0), -0.5, rel_tol=1e-14)
-    assert math.isclose(kummer(2, 3.0, 1.0), 5.0 / 12.0, rel_tol=1e-14)
-
-
-@KUMMER
-def test_kummer_against_rational_oracle(kummer):
+def test_kummer_against_rational_oracle():
     for n_r in range(7):
         for beta in range(2, 15):
             for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5)):
                 want = float(_kummer_rational(n_r, Fraction(beta), x))
-                got = float(kummer(n_r, float(beta), float(x)))
+                got = float(_kummer_horner(n_r, float(beta), float(x)))
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), \
                     (n_r, beta, x)
 
 
-@KUMMER
-def test_kummer_array_input(kummer):
+def test_kummer_array_input():
     xs = np.array([0.0, 0.5, 1.0])
-    vals = kummer(1, 2.0, xs)
+    vals = _kummer_horner(1, 2.0, xs)
     assert np.allclose(vals, 1.0 - xs / 2.0, rtol=1e-14)
 
 

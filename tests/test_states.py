@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+from rscp.specfun import radial_u
 from rscp.states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
                          PotentialParams, StateLabels,
-                         map_quantum_numbers, potential_V, radial_u)
+                         map_quantum_numbers, potential_V)
 from rscp.verify import ode_residuals, radial_expectation_r
 
 # ----------------------------------------------------------------- mapping

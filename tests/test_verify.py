@@ -10,7 +10,7 @@ import pytest
 from scipy.special import (betaln, gammaln, genlaguerre, jacobi, logsumexp,
                            roots_genlaguerre, roots_jacobi)
 
-from rscp import specfun, states, verify
+from rscp import specfun, verify
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers)
@@ -47,6 +47,16 @@ def test_laguerre_rule_exact_moments(n, alpha):
     for j in range(2 * n):
         got = logsumexp(log_w + j * np.log(x))
         want = gammaln(alpha + j + 1.0)
+        assert abs(got - want) < 1e-14 * max(1.0, want), j
+
+
+def test_laguerre_rule_moments_at_largest_degree():
+    # n_r + 1 = 1000 nodes: the recurrence passes 2^512 and is rescaled
+    x, log_w = _laguerre_rule(1000, 4.0)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(log_w))
+    for j in range(3):
+        got = logsumexp(log_w + j * np.log(x))
+        want = gammaln(4.0 + j + 1.0)
         assert abs(got - want) < 1e-14 * max(1.0, want), j
 
 
@@ -163,9 +173,22 @@ def test_norm_checks_detect_wrong_constants(monkeypatch, fresh_evaluators):
     assert failed == {"angular_norm"}
     monkeypatch.undo()
     specfun._evaluator.cache_clear()
-    prefactor = states._radial_log_prefactor
-    monkeypatch.setattr(states, "_radial_log_prefactor",
+    prefactor = specfun._radial_log_prefactor
+    monkeypatch.setattr(specfun, "_radial_log_prefactor",
                         lambda q, p: prefactor(q, p) + 1e-7)
+    failed = {c.name for c in verify_state(labels, params).checks
+              if not c.passed}
+    assert failed == {"radial_norm"}
+    monkeypatch.undo()
+    # the grid kernel's Kummer coefficients are the ones radial_norm reads
+    coefficients = specfun.kummer_coefficients
+
+    def top_scaled(n_r, beta):
+        d = coefficients(n_r, beta)
+        d[-1] *= 1.0 + 1e-6
+        return d
+
+    monkeypatch.setattr(specfun, "kummer_coefficients", top_scaled)
     failed = {c.name for c in verify_state(labels, params).checks
               if not c.passed}
     assert failed == {"radial_norm"}
@@ -268,7 +291,7 @@ def test_residuals_read_nothing_of_the_served_path(monkeypatch):
         raise AssertionError("the served radial function was called")
 
     monkeypatch.setattr(verify, "radial_u", served)
-    monkeypatch.setattr(states, "radial_u", served)
+    monkeypatch.setattr(specfun, "radial_u", served)
     assert ode_residuals(labels, params) == want
 
 
@@ -286,7 +309,10 @@ RESIDUAL_SCAN = (
        (StateLabels(8, 1, 0), PotentialParams(1, 1e6, 1)),
        (StateLabels(14, 1, 0), PotentialParams(1, 1e6, 1)),
        (StateLabels(6, 1, 0), PotentialParams(1, 1e-3, 1e-3)),
-       (StateLabels(100, 1, 0), PotentialParams(1, 0.5, 0.5))])
+       (StateLabels(100, 1, 0), PotentialParams(1, 0.5, 0.5))]
+    # where the unscaled Laguerre recurrence overflowed
+    + [(StateLabels(n, 1, 0), PotentialParams()) for n in (300, 1000)]
+    + [(StateLabels(1000, 501, 0), PotentialParams(1, 0.5, 0.5))])
 
 
 def test_residuals_scan_high_degree_and_barriers(wrong_energy):
@@ -323,8 +349,8 @@ def test_derivative_identities_match_polynomial_derivatives(n):
     for a in (0.0, 3.1462644):
         lag = genlaguerre(n, a)
         for j in range(3):
-            assert _max_rel_diff(_laguerre_derivative(j, n, a, x),
-                                 lag.deriv(j)(x)) < 1e-12
+            m, e = _laguerre_derivative(j, n, a, x)
+            assert _max_rel_diff(np.ldexp(m, e), lag.deriv(j)(x)) < 1e-12
         for b in (0.7071068, 20.0):
             jac = jacobi(n, a - 0.5, b)
             for j in range(3):
