@@ -41,6 +41,7 @@ _STATE = ["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5"]
 @pytest.mark.parametrize("argv, loaded, not_loaded", [
     (["import rscp"], ["rscp"], ["numpy", "rscp.states"]),
     (["import rscp.cli"], ["rscp.states"], ["numpy"]),
+    (["import rscp.states"], ["rscp.states"], ["numpy", "rscp.specfun"]),
     (["state", *_STATE], ["rscp.states"], ["numpy", "rscp.specfun"]),
     (["potential", "--b", "0.5", "--c", "0.5", "--r-range", "1:4:4",
       "--theta", "0.5"], ["rscp.states"], ["numpy"]),
@@ -51,7 +52,7 @@ _STATE = ["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5"]
      ["rscp.surface", "rscp._mc_tables"]),
     (["isosurface", *_STATE, "--N", "5", "--level", "30"],
      ["rscp.surface", "rscp._mc_tables"], ["rscp.verify"]),
-], ids=["import-rscp", "import-cli", "state", "potential", "grid", "verify",
+], ids=["import-rscp", "import-cli", "import-states", "state", "potential", "grid", "verify",
         "isosurface"])
 def test_cold_command_loads_only_what_it_runs(tmp_path, argv, loaded,
                                               not_loaded):
@@ -80,6 +81,15 @@ def test_package_exports():
     from rscp import states, verify
     assert rscp.PoleError is states.PoleError
     assert rscp.ode_residuals is verify.ode_residuals
+
+
+def test_radial_factor_is_served_from_specfun_only():
+    from rscp import specfun, states
+    assert rscp.radial_u is specfun.radial_u
+    for name in ("radial_u", "_radial_log_prefactor", "_kummer_terms"):
+        assert not hasattr(states, name), name
+    assert "log_gamma" not in rscp.__all__
+    assert not hasattr(specfun, "log_gamma")
 
 
 # --------------------------------------------------------------- cold sweep

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import gammaln, hyp1f1, roots_legendre
 
 from rscp.specfun import radial_u
 from rscp.states import (ImaginaryOrderError, NoGammaBranchError, PoleError,
@@ -176,6 +176,27 @@ def test_radial_hydrogen_closed_form():
     ours = radial_u(q, params, rs)
     ref = rs ** 2 * np.exp(-rs / 2.0) / (2.0 * math.sqrt(6.0))
     assert np.allclose(ours, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("labels, params", [
+    (StateLabels(3, 1, 0), PotentialParams()),
+    (StateLabels(5, 2, 1), PotentialParams(1, 0.5, 3)),
+    (StateLabels(8, 3, 0), PotentialParams(2, 0.5, 0.5))],
+    ids=["hydrogen", "ring", "Z2"])
+def test_radial_matches_scipy_closed_form(labels, params):
+    # u = N w^(l'+1) e^(-w/2) F(-n_r, 2l'+2, w), w = 2Zr/n', with
+    # N^2 = Z Gamma(n'+l'+1) / (n_r! n'^2 Gamma(2l'+2)^2)
+    q = map_quantum_numbers(labels, params)
+    lp = q.l_prime
+    log_n = (0.5 * (math.log(params.Z) + gammaln(q.n_prime + lp + 1.0)
+                    - gammaln(q.n_r + 1.0) - 2.0 * math.log(q.n_prime))
+             - gammaln(2.0 * lp + 2.0))
+    rs = np.linspace(0.1, 40.0, 9)
+    w = 2.0 * params.Z * rs / q.n_prime
+    want = (np.exp(log_n + (lp + 1.0) * np.log(w) - 0.5 * w)
+            * hyp1f1(-q.n_r, 2.0 * lp + 2.0, w))
+    ours = radial_u(q, params, rs)
+    assert np.max(np.abs(ours - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_radial_nodeless_positive():

@@ -7,15 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import (betaln, gammaln, genlaguerre, jacobi, logsumexp,
-                           roots_genlaguerre, roots_jacobi)
+from scipy.special import (betaln, eval_genlaguerre, gammaln, genlaguerre,
+                           jacobi, logsumexp, roots_genlaguerre, roots_jacobi)
 
 from rscp import specfun, verify
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers)
 from rscp.verify import (CheckResult, _jacobi_derivative, _jacobi_rule,
-                         _laguerre_derivative, _laguerre_rule,
+                         _laguerre_derivative, _laguerre_l, _laguerre_rule,
                          angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm,
                          radial_expectation_r, verify_state)
@@ -58,6 +58,17 @@ def test_laguerre_rule_moments_at_largest_degree():
         got = logsumexp(log_w + j * np.log(x))
         want = gammaln(4.0 + j + 1.0)
         assert abs(got - want) < 1e-14 * max(1.0, want), j
+
+
+@pytest.mark.parametrize("n, a, rescaled", [
+    (150, 3.0, False), (200, 3.0, True), (260, 2.0, True), (300, 4.0, True)])
+def test_laguerre_recurrence_rescale_is_exact(n, a, rescaled):
+    # up to |L| ~ 1e258 the value is a float: m 2^e must be L itself
+    x = np.linspace(0.5, 4.0 * n, 7)
+    m, e = _laguerre_l(n, a, x)
+    assert bool(np.any(e > 0)) is rescaled
+    assert np.all(np.abs(m) <= 2.0 ** 512)
+    assert _max_rel_diff(np.ldexp(m, e), eval_genlaguerre(n, a, x)) < 1e-12
 
 
 # scipy's rules as an oracle for the numpy ones
