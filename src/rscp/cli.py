@@ -240,27 +240,23 @@ def _distinct_words(values: np.ndarray):
     """Each distinct float formatted once, and where each value's text is.
 
     Values are told apart by bit pattern, so 0.0 and -0.0 keep their own
-    text.  Returns ``(words, index)``: ``words[index[i]]`` is the text of
-    ``values.flat[i]``.
+    text.  Returns ``(words, index)``, index shaped as values:
+    ``words[index[i, ...]]`` is the text of ``values[i, ...]``.
     """
     import numpy as np
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     # the text of _sig(v), without a call per value
     words = [f"{v:.9g}" for v in distinct.view(np.float64).tolist()]
-    return words, index.ravel()  # the inverse's shape varies across numpy 2.x
+    return words, index.reshape(bits.shape)  # numpy 2.x varies its shape
 
 
 def _vtk_chunks(grid: DensityGrid):
     """Legacy ASCII VTK: the header, then the x-fastest rows in blocks.
 
-    Along an axis where the grid equals its own flip bit for bit, each
-    plane prints the text of its mirror in the lower half; along any other
-    axis each plane prints itself.  So a grid mirrored in x, y and z is
-    formatted from one octant: each distinct value once, then one join per
-    kept (z, y) row.  The bitwise test keeps 0.0 apart from -0.0.
+    The text is formatted from the octant alone: each distinct value once,
+    then one join per octant (z, y) row; a file row is its mirror's text.
     """
-    import numpy as np
     spec = grid.spec
     n = spec.n_points
     h, d = spec.half_extent, spec.spacing
@@ -277,20 +273,13 @@ def _vtk_chunks(grid: DensityGrid):
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
     ]) + "\n"
-    bits = np.ascontiguousarray(grid.values, dtype=np.float64).view(np.uint64)
-    # the plane each plane prints, per axis
-    src_x, src_y, src_z = (
-        [min(i, n - 1 - i) for i in range(n)]
-        if np.array_equal(bits, np.flip(bits, axis)) else list(range(n))
-        for axis in range(3))
-    kept = grid.values[:max(src_x) + 1, :max(src_y) + 1, :max(src_z) + 1]
-    words, index = _distinct_words(kept)
-    index = index.reshape(kept.shape)
+    mirror = spec.mirror().tolist()
+    words, index = _distinct_words(grid.octant)
     # one z-plane of indices at a time keeps the lists at O(N^2)
     texts = [[" ".join(map(words.__getitem__, row))
-              for row in index[src_x, :, z].T.tolist()]
-             for z in range(kept.shape[2])]
-    rows = [texts[z][y] for z in src_z for y in src_y]
+              for row in index[mirror, :, z].T.tolist()]
+             for z in range(index.shape[2])]
+    rows = [texts[z][y] for z in mirror for y in mirror]
     for start in range(0, len(rows), _BLOCK_ROWS):
         yield "\n".join(rows[start:start + _BLOCK_ROWS]) + "\n"
 
@@ -299,7 +288,6 @@ def _obj_chunks(mesh, labels, params, cutaway: bool):
     yield (f"# {_metadata_line(labels, params)}\n"
            f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
     words, index = _distinct_words(mesh.vertices)
-    index = index.reshape(-1, 3)
     for start in range(0, len(index), _BLOCK_ROWS):
         yield "".join([f"v {words[a]} {words[b]} {words[c]}\n" for a, b, c
                        in index[start:start + _BLOCK_ROWS].tolist()])
@@ -622,34 +610,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="file path (default: stdout)")
     p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("grid", help="write the rescaled density as VTK")
-    _add_state_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_file)
-
-    p = sub.add_parser("isosurface", help="extract an iso level as OBJ")
-    _add_state_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--level", type=float, default=RunSpec.level,
-                   help="percent of the peak (default %(default)s)")
-    p.add_argument("--cutaway", action="store_true", default=RunSpec.cutaway,
-                   help="remove the x<0, y<0, z>0 octant and cap it")
-    p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_file)
-
-    p = sub.add_parser("slice", help="x=0 quadrant contours as CSV")
-    _add_state_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--levels", default=",".join(map(_sig, RunSpec.levels)),
-                   help="a:b:step or comma list (default %(default)s)")
-    p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_file)
-
-    p = sub.add_parser("verify", help="independent checks as a JSON report")
-    _add_state_flags(p)
-    p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=cmd_file)
+    # the file commands: the state, the command's own flags, --output
+    for name, text in (("grid", "write the rescaled density as VTK"),
+                       ("isosurface", "extract an iso level as OBJ"),
+                       ("slice", "x=0 quadrant contours as CSV"),
+                       ("verify", "independent checks as a JSON report")):
+        p = sub.add_parser(name, help=text)
+        _add_state_flags(p)
+        if name != "verify":
+            _add_grid_flags(p)
+        if name == "isosurface":
+            p.add_argument("--level", type=float, default=RunSpec.level,
+                           help="percent of the peak (default %(default)s)")
+            p.add_argument("--cutaway", action="store_true",
+                           default=RunSpec.cutaway,
+                           help="remove the x<0, y<0, z>0 octant and cap it")
+        if name == "slice":
+            p.add_argument("--levels",
+                           default=",".join(map(_sig, RunSpec.levels)),
+                           help="a:b:step or comma list (default %(default)s)")
+        p.add_argument("--output", help="file path (default: stdout)")
+        p.set_defaults(func=cmd_file)
 
     p = sub.add_parser("sweep", help="run a JSON job file of batch exports")
     p.add_argument("--jobs", required=True, help="job file path")

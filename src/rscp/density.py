@@ -25,8 +25,7 @@ import numpy as np
 
 from .specfun import (UalpSpec, _evaluator, _horner, _radial_log_prefactor,
                       kummer_coefficients, radial_u)
-from .states import (PotentialParams, QuasiNumbers, StateLabels,
-                     map_quantum_numbers)
+from .states import PotentialParams, StateLabels, map_quantum_numbers
 
 __all__ = [
     "GridSpec",
@@ -47,8 +46,8 @@ class DegenerateGridError(ValueError):
     """All-zero grid where a positive maximum is required."""
 
 
-# A float64 grid takes 8 N^3 bytes: 516 MB at N = 401, and a command holds
-# a few grid-sized arrays at once.  The cap stops a size that would exhaust
+# A grid holds its octant (65 MB at N = 401), and marching cubes holds a few
+# N^3-byte masks (64 MB each there).  The cap stops a size that would exhaust
 # memory before anything is allocated.
 _MAX_POINTS = 401
 # Far past any auto extent of a served state (below 1e16 Bohr) and far
@@ -83,17 +82,27 @@ class GridSpec:
         c = (self.n_points - 1) // 2
         return (np.arange(self.n_points) - c) * self.spacing
 
+    def mirror(self) -> np.ndarray:
+        """The octant index of each lattice index along an axis: |i - c|."""
+        return np.abs(np.arange(self.n_points) - (self.n_points - 1) // 2)
+
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """values[i, j, k] indexes (x, y, z); flat export order is x-fastest."""
+    """The x, y, z >= 0 octant of a lattice mirrored in the axis planes:
+    lattice voxel (i, j, k) is octant[|i - c|, |j - c|, |k - c|]."""
 
     spec: GridSpec
-    values: np.ndarray
+    octant: np.ndarray
     max_value: float
     labels: StateLabels | None = None
     params: PotentialParams | None = None
     rescaled: bool = False
+
+    @property
+    def values(self) -> np.ndarray:
+        """The N^3 lattice, (i, j, k) at (x, y, z), mirrored on each call."""
+        return self.octant[np.ix_(*[self.spec.mirror()] * 3)]
 
 
 def _state_payload(labels: StateLabels, params: PotentialParams):
@@ -145,12 +154,12 @@ def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
 
 def build_grid(labels: StateLabels, params: PotentialParams,
                spec: GridSpec) -> DensityGrid:
-    """Evaluate the density at every voxel of the lattice.
+    """Evaluate the density on the x, y, z >= 0 octant of the lattice.
 
     The density reads the coordinates only through x^2, y^2 and z^2, and
-    ``GridSpec.coords`` is exactly antisymmetric in IEEE arithmetic, so
-    the x, y, z >= 0 octant is evaluated and mirrored by index.  The
-    result is bitwise the voxel-by-voxel evaluation of the whole lattice.
+    ``GridSpec.coords`` is exactly antisymmetric in IEEE arithmetic, so the
+    mirrored octant is bitwise the voxel-by-voxel evaluation of the whole
+    lattice.  A non-finite voxel raises ValueError.
     """
     payload = _state_payload(labels, params)
     c = (spec.n_points - 1) // 2
@@ -158,11 +167,13 @@ def build_grid(labels: StateLabels, params: PotentialParams,
     s = half[:, None] ** 2 + half[None, :] ** 2
     octant = np.empty((c + 1,) * 3)
     # one z-slice at a time keeps the temporaries at O(N^2)
-    for k in range(c + 1):
-        octant[:, :, k] = _density(s, half[k], payload)
-    mirror = np.abs(np.arange(spec.n_points) - c)
-    values = octant[np.ix_(mirror, mirror, mirror)]
-    return DensityGrid(spec, values, float(values.max()),
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(c + 1):
+            octant[:, :, k] = _density(s, half[k], payload)
+    if not np.isfinite(octant).all():
+        raise ValueError(f"the density leaves the float range at {labels},"
+                         f" {params}")
+    return DensityGrid(spec, octant, float(octant.max()),
                        labels, params, rescaled=False)
 
 
@@ -174,10 +185,10 @@ def normalize_relative(grid: DensityGrid) -> DensityGrid:
     """
     if grid.max_value <= 0.0:
         raise DegenerateGridError("cannot rescale an all-zero grid")
-    peak = grid.values == grid.max_value
-    values = grid.values * (100.0 / grid.max_value)
-    values[peak] = 100.0
-    return replace(grid, values=values, max_value=100.0, rescaled=True)
+    peak = grid.octant == grid.max_value
+    octant = grid.octant * (100.0 / grid.max_value)
+    octant[peak] = 100.0
+    return replace(grid, octant=octant, max_value=100.0, rescaled=True)
 
 
 # Iso and contour levels are percentages of that rescaled peak.
@@ -209,16 +220,23 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _radial_cumulative(q: QuasiNumbers, params: PotentialParams,
+def _radial_cumulative(labels: StateLabels, params: PotentialParams,
                        h: float) -> float:
-    """int_0^h u^2 dr by fixed Gauss-Legendre panels (plenty for coverage)."""
+    """int_0^h u^2 dr by fixed Gauss-Legendre panels (plenty for coverage),
+    one row each in one radial_u call; ValueError if the sum is not finite."""
+    q = map_quantum_numbers(labels, params)
     x0, w0 = _gauss_nodes(_RADIAL_NODES)
-    edges = np.linspace(0.0, h, _RADIAL_PANELS + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    edges = np.linspace(0.0, h, _RADIAL_PANELS + 1)[:, None]
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
         u = radial_u(q, params, mid + rad * x0)
-        total += rad * float(np.sum(w0 * u * u))
+        sums = (w0 * u * u).sum(axis=1)
+    total = 0.0
+    for r, s in zip(rad.ravel().tolist(), sums.tolist()):
+        total += r * s   # panel by panel, so the sum keeps its order
+    if not math.isfinite(total):
+        raise ValueError(f"the radial function leaves the float range at"
+                         f" {labels}, {params}")
     return total
 
 
@@ -235,7 +253,7 @@ def auto_extent(labels: StateLabels, params: PotentialParams,
     # bracket: grow from the Coulomb-like scale until coverage is met
     hi = max(q.n_prime * q.n_prime / params.Z, 1.0)
     for _ in range(200):
-        if _radial_cumulative(q, params, hi) >= coverage:
+        if _radial_cumulative(labels, params, hi) >= coverage:
             break
         hi *= 2.0
     else:
@@ -243,7 +261,7 @@ def auto_extent(labels: StateLabels, params: PotentialParams,
     lo = 0.0
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        if _radial_cumulative(q, params, mid) >= coverage:
+        if _radial_cumulative(labels, params, mid) >= coverage:
             hi = mid
         else:
             lo = mid

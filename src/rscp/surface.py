@@ -91,16 +91,19 @@ def _crossed_edges(case):
 
 
 def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
-    """Extract the iso-level surface of a rescaled grid, level in (0,100)."""
+    """Extract the iso-level surface of a rescaled grid, level in (0,100).
+
+    The octant is read alone: the inside test is mirrored as a bool
+    lattice, and each crossed edge reads its ends through the mirror."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
     _check_iso_level(level)
-    vals = grid.values.ravel()
     n = grid.spec.n_points
     coords = grid.spec.coords()
     strides = np.array([n * n, n, 1])
 
-    below = grid.values < level
+    mirror = grid.spec.mirror()
+    below = (grid.octant < level)[np.ix_(mirror, mirror, mirror)]
     m = n - 1
     # temporaries are deleted as soon as they are spent, to bound peak RSS
     case = np.zeros((m, m, m), dtype=np.uint8)
@@ -121,10 +124,11 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     slot_key = slot_cell * 12 + slot_edge
     del corner, slot_cell, slot_edge
     pb = pa + strides[axis]
-    va = vals[pa]
-    dv = vals[pb] - va
-    t = (level - va) / dv
-    del va, dv
+    va, vb = (grid.octant[tuple(mirror[i] for i in
+                                np.unravel_index(p, (n, n, n)))]
+              for p in (pa, pb))
+    t = (level - va) / (vb - va)
+    del va, vb
 
     # Two slots have equal positions exactly when they share an edge, or
     # when both land on the same grid point.  Adjacent coordinates c0 < c1
@@ -238,17 +242,15 @@ _SEG_TABLE = _table(
 def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
     """(k, 3, 3) cap triangles on the three exposed octant boundary planes,
     without those below _AREA_EPS."""
-    c = (grid.spec.n_points - 1) // 2
-    coords = grid.spec.coords()
-    neg, pos = coords[:c + 1], coords[c:]
-    vals = grid.values
+    o, coords = grid.octant, grid.spec.coords()
+    neg, pos = coords[:len(o)], coords[-len(o):]
     caps = np.concatenate([
         np.insert(_march_squares(plane, u, v, level, _CAP_TABLE), axis, 0.0,
                   axis=2)
         for axis, plane, u, v in (
-            (0, vals[c, :c + 1, c:], neg, pos),      # x=0, y<=0, z>=0
-            (1, vals[:c + 1, c, c:], neg, pos),      # y=0, x<=0, z>=0
-            (2, vals[:c + 1, :c + 1, c], neg, neg))])  # z=0, x<=0, y<=0
+            (0, o[0, ::-1, :], neg, pos),          # x=0, y<=0, z>=0
+            (1, o[::-1, 0, :], neg, pos),          # y=0, x<=0, z>=0
+            (2, o[::-1, ::-1, 0], neg, neg))])     # z=0, x<=0, y<=0
     return caps[_triangle_area(*caps.transpose(1, 2, 0)) >= _AREA_EPS]
 
 
@@ -281,11 +283,11 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     of an axis plane.
     """
     corners = mesh.vertices[mesh.triangles]
-    for c in range(3):
-        col = corners[:, :, c]
-        if ((col < 0.0).any(axis=1) & (col > 0.0).any(axis=1)).any():
-            raise ValueError("apply_cutaway: a triangle crosses the plane "
-                             f"{'xyz'[c]} = 0")
+    crossed = ((corners < 0.0).any(axis=1)
+               & (corners > 0.0).any(axis=1)).any(axis=0)
+    if crossed.any():
+        raise ValueError("apply_cutaway: a triangle crosses the plane "
+                         f"{'xyz'[np.argmax(crossed)]} = 0")
     centroid = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3
     cut = np.flatnonzero((centroid[:, 0] < 0.0) & (centroid[:, 1] < 0.0)
                          & (centroid[:, 2] > 0.0))
@@ -355,9 +357,8 @@ def slice_contour(grid: DensityGrid, levels) -> list[ContourSet]:
     """
     if not grid.rescaled:
         raise ValueError("slice_contour requires a rescaled grid")
-    c = (grid.spec.n_points - 1) // 2
-    plane = grid.values[c, c:, c:]
-    q = grid.spec.coords()[c:]
+    plane = grid.octant[0]
+    q = grid.spec.coords()[-len(plane):]
     out = []
     for level in levels:
         _check_contour_level(level)

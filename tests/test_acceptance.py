@@ -159,11 +159,11 @@ def test_criterion_7_expectation_monotonicity():
 def test_criterion_8_mesh_correctness(hydrogen_210_grid):
     from rscp.density import DensityGrid
     spec = GridSpec(41, 2.0)
-    coords = spec.coords()
+    coords = spec.coords()[20:]
     x, y, z = np.meshgrid(coords, coords, coords, indexing="ij")
     d = np.sqrt(x * x + y * y + z * z)
-    vals = 100.0 * np.maximum(0.0, 1.0 - d / 1.6)
-    sphere = DensityGrid(spec=spec, values=vals, max_value=100.0,
+    octant = 100.0 * np.maximum(0.0, 1.0 - d / 1.6)
+    sphere = DensityGrid(spec=spec, octant=octant, max_value=100.0,
                          rescaled=True)
     mesh = marching_cubes(sphere, 50.0)
     r = np.linalg.norm(mesh.vertices, axis=1)

@@ -19,7 +19,7 @@ import rscp.cli as cli
 from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                       EXIT_VERIFY, _MAX_LEVELS, _MAX_SAMPLES, _MAX_WORKERS,
                       _dump_json, _parse_levels, _parse_range, _sig, main)
-from rscp.density import _MAX_POINTS
+from rscp.density import _MAX_POINTS, DensityGrid
 from rscp.states import map_quantum_numbers
 from rscp.verify import VerificationReport
 
@@ -406,6 +406,23 @@ def test_verify_overflowing_radial_factor_reports(tmp_path):
         "radial_norm"]
 
 
+@pytest.mark.parametrize("flags", [
+    "--n 1000 --l 501 --m 0 --b 0.5 --c 0.5 --N 31",
+    "--n 1000 --l 1 --m 0 --N 31",
+    # the extent auto_extent used to return there: the density overflows
+    "--n 1000 --l 501 --m 0 --b 0.5 --c 0.5 --N 31 --extent 79714.85171811326",
+])
+def test_non_finite_factor_is_validation_error(tmp_path, flags):
+    # a subprocess, so that a RuntimeWarning would reach stderr
+    child = cli_child("-m", "rscp.cli", "grid", *flags.split(), cwd=tmp_path)
+    assert child.returncode == EXIT_VALIDATION
+    assert child.stderr == ""
+    error = json.loads(child.stdout)["error"]
+    assert error["type"] == "ValueError"
+    assert "leaves the float range" in error["message"]
+    assert "n=1000" in error["message"]
+
+
 def test_verify_non_finite_check_is_written_as_string(capsys):
     # the served angular factor overflows at k = 499 (a NaN norm); the
     # report still parses, names the value, and the command exits 3
@@ -785,6 +802,33 @@ def test_sweep_isolates_a_failing_run(tmp_path, capsys, monkeypatch,
     assert runs[1]["artifacts"] == artifacts
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json", "run_000_n2l1m0.vtk", *artifacts]
+
+
+def test_no_command_or_sweep_run_reads_the_full_lattice(tmp_path, capsys,
+                                                        monkeypatch):
+    """Every reader works from the grid's octant: DensityGrid.values, which
+    mirrors the N^3 lattice, is never read."""
+    def refuse(grid):
+        raise AssertionError("DensityGrid.values was read")
+    monkeypatch.setattr(DensityGrid, "values", property(refuse))
+    state = ["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5",
+             "--N", "31"]
+    for argv in (["grid"], ["isosurface", "--level", "5", "--cutaway"],
+                 ["isosurface", "--level", "50"], ["slice"]):
+        target = str(tmp_path / argv[0])
+        assert main(argv + state + ["--output", target]) == EXIT_OK
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "workers": 2, "runs": [
+        {"n": 6, "l": 5, "m": 0, "b": 0.5, "c": 0.5, "level": 5,
+         "cutaway": True, "outputs": ["grid", "isosurface", "slice"],
+         "grid": {"n_points": 21}},
+        {"n": 2, "l": 1, "m": 0, "outputs": ["isosurface", "verify"],
+         "grid": {"n_points": 15}}]}))
+    assert main(["sweep", "--jobs", str(path)]) == EXIT_OK
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["ok", "ok"]
+    capsys.readouterr()
 
 
 _STATES = [(2, 1, 0), (3, 2, 1), (4, 3, -2), (2, 2, 0), (3, 1, 1), (1, 0, 0)]

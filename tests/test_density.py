@@ -7,10 +7,13 @@ import pytest
 from scipy.special import roots_legendre
 
 from rscp.cli import _sig, _vtk_chunks
-from rscp.density import (_MAX_POINTS, DegenerateGridError, DensityGrid,
-                          GridSpec, _gauss_nodes, auto_extent, build_grid,
-                          density_at, grid_mass, normalize_relative)
-from rscp.states import PotentialParams, StateLabels
+from rscp.density import (_MAX_POINTS, _RADIAL_NODES, _RADIAL_PANELS,
+                          DegenerateGridError, DensityGrid, GridSpec,
+                          _gauss_nodes, _radial_cumulative, auto_extent,
+                          build_grid, density_at, grid_mass,
+                          normalize_relative)
+from rscp.specfun import radial_u
+from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 
 H_210 = (StateLabels(2, 1, 0), PotentialParams())
 RING = (StateLabels(6, 5, 0), PotentialParams(1.0, 0.5, 0.5))
@@ -167,7 +170,7 @@ def test_normalize_relative_idempotent_bitwise():
 
 def test_normalize_relative_zero_grid_rejected():
     spec = GridSpec(5, 1.0)
-    zero = DensityGrid(spec=spec, values=np.zeros((5, 5, 5)), max_value=0.0)
+    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)), max_value=0.0)
     with pytest.raises(DegenerateGridError):
         normalize_relative(zero)
 
@@ -195,7 +198,7 @@ def test_grid_mass_improves_with_refinement():
 
 def test_grid_mass_zero_grid():
     spec = GridSpec(5, 1.0)
-    zero = DensityGrid(spec=spec, values=np.zeros((5, 5, 5)), max_value=0.0)
+    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)), max_value=0.0)
     assert grid_mass(zero) == 0.0
 
 
@@ -224,6 +227,65 @@ def test_build_grid_bitwise_equals_full_lattice(labels, params, n_points):
     x, y, z = np.meshgrid(coords, coords, coords, indexing="ij")
     full = density_at(labels, params, x, y, z)
     assert np.array_equal(build_grid(labels, params, spec).values, full)
+
+
+def test_grid_holds_its_octant_and_mirrors_it_on_each_call():
+    spec = GridSpec(21, 8.0)
+    grid = build_grid(*RING, spec)
+    assert grid.octant.shape == (11, 11, 11)
+    values = grid.values
+    assert values.shape == (21, 21, 21)
+    assert np.array_equal(values[10:, 10:, 10:], grid.octant)
+    assert np.array_equal(spec.mirror(), np.abs(np.arange(21) - 10))
+    # a plain property: each call builds a new lattice, none is kept
+    assert grid.values is not values
+    assert not any(isinstance(v, np.ndarray) and v.size == 21 ** 3
+                   for v in vars(grid).values())
+    scaled = normalize_relative(grid)
+    assert scaled.octant.shape == (11, 11, 11)
+    assert np.array_equal(scaled.values[10:, 10:, 10:], scaled.octant)
+
+
+def test_non_finite_density_is_an_error():
+    # the extent auto_extent used to return for this state: exp and the
+    # Horner sums leave the float range, and no RuntimeWarning escapes
+    labels = StateLabels(1000, 501, 0)
+    params = PotentialParams(1.0, 0.5, 0.5)
+    state = r"StateLabels\(n=1000, l=501, m=0\)"
+    with pytest.raises(ValueError, match="density leaves the float range"
+                                         " at " + state):
+        build_grid(labels, params, GridSpec(31, 79714.85171811326))
+    with pytest.raises(ValueError, match="radial function leaves the float"
+                                         " range at " + state):
+        auto_extent(labels, params)
+
+
+def reference_radial_cumulative(labels, params, h):
+    """The per-panel loop: one radial_u call and one sum per panel."""
+    q = map_quantum_numbers(labels, params)
+    x0, w0 = _gauss_nodes(_RADIAL_NODES)
+    edges = np.linspace(0.0, h, _RADIAL_PANELS + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        u = radial_u(q, params, mid + rad * x0)
+        total += rad * float(np.sum(w0 * u * u))
+    return total
+
+
+@pytest.mark.parametrize("labels, params", [
+    (StateLabels(2, 1, 0), PotentialParams()),
+    (StateLabels(6, 5, 0), PotentialParams(1.0, 0.5, 0.5)),
+    (StateLabels(6, 1, 0), PotentialParams(1.0, 1e-3, 1e-3)),
+    (StateLabels(60, 59, 0), PotentialParams()),
+    (StateLabels(200, 101, 0), PotentialParams(1.0, 0.5, 0.5)),
+    (StateLabels(30, 10, 3), PotentialParams(2.0, 2.0, 0.0)),
+])
+def test_radial_cumulative_is_bitwise_the_per_panel_loop(labels, params):
+    h0 = auto_extent(labels, params)
+    for h in h0 * np.array([0.01, 0.3, 0.7, 0.999, 1.0, 1.5, 2.0]):
+        got = _radial_cumulative(labels, params, float(h))
+        assert got == reference_radial_cumulative(labels, params, float(h))
 
 
 def test_backend_determinism_bitwise():

@@ -2,9 +2,10 @@
 
 ``perfbench/goldens.json`` holds the sha256 of every artifact the
 benchmark can produce.  Every N = 15 command, every N = 15 sweep job and
-the N = 151 ``grid`` are run here through ``rscp.cli.main`` and must
-reproduce those hashes, so any drift in a writer shows up without running
-the benchmark.  The file is only read.
+three N = 151 commands (the anchor ``grid``, its level-5 cutaway and a
+``slice``) are run here through ``rscp.cli.main`` and must reproduce those
+hashes, so any drift in a writer or in the octant reads shows up without
+running the benchmark.  The file is only read.
 """
 
 import hashlib
@@ -21,7 +22,10 @@ GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
 SUFFIX = {"grid": ".vtk", "isosurface": ".obj", "slice": ".csv"}
 NONFINITE = re.compile(r"\b(NaN|-?Infinity)\b")
 
-BIG_GRID = "grid --n 6 --l 5 --m 0 --b 0.5 --c 0.5 --N 151"
+BIG = {"grid --n 6 --l 5 --m 0 --b 0.5 --c 0.5 --N 151",
+       "isosurface --n 6 --l 5 --m 0 --b 0.5 --c 0.5 --N 151 --level 5"
+       " --cutaway",
+       "slice --n 2 --l 1 --m 0 --b 0.5 --c 0.5 --N 151 --levels 10:100:10"}
 
 
 def n_points(key: str):
@@ -30,7 +34,7 @@ def n_points(key: str):
 
 
 COMMANDS = sorted(k for k in GOLDENS if not k.startswith("sweep ")
-                  and (n_points(k) in (None, 15) or k == BIG_GRID))
+                  and (n_points(k) in (None, 15) or k in BIG))
 SWEEPS = sorted(k for k in GOLDENS if k.startswith("sweep ")
                 and all(run["grid"]["n_points"] == 15
                         for run in json.loads(k[len("sweep "):])["runs"]))
@@ -43,7 +47,8 @@ def sha256(data: bytes) -> str:
 def test_replay_covers_every_small_golden():
     kinds = [k.split()[0] for k in COMMANDS]
     assert {kind: kinds.count(kind) for kind in set(kinds)} == {
-        "grid": 6, "isosurface": 21, "slice": 13, "state": 13}
+        "grid": 6, "isosurface": 22, "slice": 14, "state": 13}
+    assert BIG <= set(COMMANDS)
     assert len(SWEEPS) == 4
 
 

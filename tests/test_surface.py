@@ -329,16 +329,17 @@ def assert_no_triangle_crosses_an_axis_plane(mesh):
 
 
 def synthetic_grid(n=41, h=2.0, center=(0.0, 0.0, 0.0), radius=1.0):
-    """Cone field 100*max(0, 1 - d/radius): level L isosurface is the sphere
-    of radius radius*(1 - L/100) around center."""
+    """Cone field 100*max(0, 1 - d/radius) on the octant, d the distance to
+    center: the level L isosurface is the sphere of radius
+    radius*(1 - L/100) around center and its mirror images."""
     spec = GridSpec(n, h)
-    c = spec.coords()
+    c = spec.coords()[(n - 1) // 2:]
     x, y, z = np.meshgrid(c, c, c, indexing="ij")
     d = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2
                 + (z - center[2]) ** 2)
-    vals = 100.0 * np.maximum(0.0, 1.0 - d / radius)
-    return DensityGrid(spec=spec, values=vals, max_value=float(vals.max()),
-                       rescaled=True)
+    octant = 100.0 * np.maximum(0.0, 1.0 - d / radius)
+    return DensityGrid(spec=spec, octant=octant,
+                       max_value=float(octant.max()), rescaled=True)
 
 
 # ------------------------------------------------------------ marching cubes
@@ -346,13 +347,14 @@ def synthetic_grid(n=41, h=2.0, center=(0.0, 0.0, 0.0), radius=1.0):
 
 def test_empty_mesh_from_empty_level_set():
     spec = GridSpec(9, 1.0)
-    vals = np.zeros((9, 9, 9))
-    vals[4, 4, 4] = 100.0
-    grid = DensityGrid(spec=spec, values=vals, max_value=100.0, rescaled=True)
+    octant = np.zeros((5, 5, 5))
+    octant[0, 0, 0] = 100.0   # the center voxel
+    grid = DensityGrid(spec=spec, octant=octant, max_value=100.0,
+                       rescaled=True)
     mesh = marching_cubes(grid, 99.5)
     # the 100 spike is a single lattice point: tiny octahedron, not empty
     assert len(mesh.triangles) == 8
-    everywhere_low = DensityGrid(spec=spec, values=np.full((9, 9, 9), 5.0),
+    everywhere_low = DensityGrid(spec=spec, octant=np.full((5, 5, 5), 5.0),
                                  max_value=5.0, rescaled=True)
     empty = marching_cubes(everywhere_low, 50.0)
     assert len(empty.triangles) == 0
@@ -411,8 +413,8 @@ def test_matches_reference_loops_with_voxels_at_the_level(seed):
     pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
             0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
     spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
-    values = rng.choice(pool, size=(9, 9, 9))
-    grid = DensityGrid(spec, values, 100.0, rescaled=True)
+    grid = DensityGrid(spec, rng.choice(pool, size=(5, 5, 5)), 100.0,
+                       rescaled=True)
     mesh = marching_cubes(grid, level)
     want = reference_marching_cubes(grid, level)
     assert_same_mesh(mesh, want)
@@ -460,7 +462,7 @@ def test_cutaway_keeps_triangles_without_area():
 
 def test_requires_rescaled_grid_and_valid_level():
     spec = GridSpec(9, 1.0)
-    raw = DensityGrid(spec=spec, values=np.ones((9, 9, 9)), max_value=1.0)
+    raw = DensityGrid(spec=spec, octant=np.ones((5, 5, 5)), max_value=1.0)
     with pytest.raises(ValueError):
         marching_cubes(raw, 50.0)
     grid = synthetic_grid(n=9)
@@ -523,9 +525,13 @@ def test_triangle_mesh_index_validation():
 
 
 def test_cutaway_noop_away_from_octant():
-    # sphere centered at +x: nothing lies in the -x,-y,+z octant
-    grid = synthetic_grid(n=31, h=3.0, center=(1.5, 0.9, -0.9), radius=1.0)
-    mesh = marching_cubes(grid, 50.0)
+    # a sphere in each octant; the mesh keeps the two at +x, so nothing
+    # lies in the -x,-y,+z octant
+    grid = synthetic_grid(n=31, h=3.0, center=(1.5, 0.9, 0.9), radius=1.0)
+    spheres = marching_cubes(grid, 50.0)
+    plus_x = (spheres.vertices[spheres.triangles][:, :, 0] > 0.0).all(axis=1)
+    mesh = TriangleMesh(spheres.vertices, spheres.triangles[plus_x], 50.0)
+    assert 0 < len(mesh.triangles) < len(spheres.triangles)
     assert apply_cutaway(mesh, grid) is mesh
 
 
@@ -639,7 +645,7 @@ def test_caps_and_slices_match_reference_loops_on_random_grids(seed,
     pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
             0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
     spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
-    grid = DensityGrid(spec, rng.choice(pool, size=(9, 9, 9)), 100.0,
+    grid = DensityGrid(spec, rng.choice(pool, size=(5, 5, 5)), 100.0,
                        rescaled=True)
     assert_same_caps_and_segments(grid, level, monkeypatch)
 
@@ -690,9 +696,10 @@ def test_slice_extreme_levels():
 
 def test_slice_empty_plane():
     spec = GridSpec(9, 1.0)
-    vals = np.zeros((9, 9, 9))
-    vals[1, 1, 1] = 100.0    # off the x=0 plane
-    grid = DensityGrid(spec=spec, values=vals, max_value=100.0, rescaled=True)
+    octant = np.zeros((5, 5, 5))
+    octant[3, 3, 3] = 100.0    # off the x=0 plane, as are its mirrors
+    grid = DensityGrid(spec=spec, octant=octant, max_value=100.0,
+                       rescaled=True)
     sets = slice_contour(grid, levels=[50.0])
     assert sets[0].polylines == []
 
@@ -701,22 +708,24 @@ def test_slice_empty_plane():
 
 
 def _point_grid(positions):
+    """Octant voxels at 100, each with its mirror images."""
     spec = GridSpec(9, 4.0)
-    vals = np.zeros((9, 9, 9))
+    octant = np.zeros((5, 5, 5))
     for ijk in positions:
-        vals[ijk] = 100.0
-    return DensityGrid(spec=spec, values=vals, max_value=100.0, rescaled=True)
+        octant[ijk] = 100.0
+    return DensityGrid(spec=spec, octant=octant, max_value=100.0,
+                       rescaled=True)
 
 
 def test_pole_concentration_extremes():
-    on_axis = _point_grid([(4, 4, 8), (4, 4, 0)])
+    on_axis = _point_grid([(0, 0, 4)])     # lattice (4, 4, 8) and (4, 4, 0)
     assert pole_concentration(on_axis, 50.0) == 1.0
-    in_plane = _point_grid([(8, 4, 4), (4, 8, 4)])
+    in_plane = _point_grid([(4, 0, 0), (0, 4, 0)])
     assert pole_concentration(in_plane, 50.0) == 0.0
 
 
 def test_pole_concentration_origin_and_empty_rejected():
-    only_origin = _point_grid([(4, 4, 4)])
+    only_origin = _point_grid([(0, 0, 0)])
     with pytest.raises(ValueError):
         pole_concentration(only_origin, 50.0)
     with pytest.raises(ValueError):
