@@ -4,13 +4,16 @@ Every check here avoids the evaluation path it is judging: normalization
 integrals and expectations apply weighted Gauss rules (Jacobi, Laguerre),
 exact on polynomial-times-weight integrands, to the served functions,
 with nodes and weights built here from the classical three-term
-recurrences; differential-equation residuals rebuild the polynomial
+recurrences.  Differential-equation residuals rebuild the polynomial
 factors as the Laguerre and Jacobi polynomials of those same
-recurrences, at radial samples in a window set by the polynomial
-degree.  They share their recurrences with the Gauss rules and nothing
-with the served path.  The served radial_u and angular_H of
-rscp.specfun sum both factors in the power basis with the coefficients
-the density kernel sums, so the norms judge the factors a grid draws.
+recurrences, with each factor's envelope divided out analytically, at
+radial samples in a window set by the polynomial degree and angular
+samples in (0, 1).  One recurrence loop serves both families and
+carries a power of two beside each value, so neither overflows at any
+degree.  The checks share these recurrences and nothing with the served
+path.  The served radial_u and angular_H of rscp.specfun sum both
+factors in the power basis with the coefficients the density kernel
+sums, so the norms judge the factors a grid draws.
 """
 
 from __future__ import annotations
@@ -45,28 +48,17 @@ __all__ = [
 # the weight, which overflows for large orders, so the weights come from
 # the nodes in the Christoffel form, normalized in log space.
 
-def _jacobi_p(n: int, a: float, b: float, y):
-    """P_n^(a,b)(y) by the three-term recurrence (A&S 22.7.1)."""
-    p0, p1 = np.ones_like(y), 0.5 * (a - b + (a + b + 2.0) * y)
-    if n == 0:
-        return p0
+def _recurrence(n: int, p0, p1, step):
+    """p_n = m 2^e of the three-term recurrence p_k = step(k, p_(k-2),
+    p_(k-1)) from p_0 and p_1, as (m, e), and 0 for n < 0: where |p_k|
+    passes 2^512, the two carried values take the exact factor 2^-512, so
+    the recurrence stays finite at any degree, and where |p| stays below
+    2^512, e = 0 and m is the unscaled recurrence."""
+    e = np.zeros(np.shape(p0), dtype=np.int64)
+    if n < 0:                   # a j-th derivative of degree below j
+        return np.zeros_like(p0), e
     for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        p0, p1 = p1, ((s - 1.0) * (s * (s - 2.0) * y + a * a - b * b) * p1
-                      - 2.0 * (k + a - 1.0) * (k + b - 1.0) * s * p0) \
-            / (2.0 * k * (k + a + b) * (s - 2.0))
-    return p1
-
-
-def _laguerre_l(n: int, a: float, x):
-    """L_n^(a)(x) = m 2^e by the three-term recurrence (A&S 22.7.12), as
-    (m, e): where |p1| passes 2^512, p0 and p1 take the exact factor
-    2^-512, so the recurrence stays finite at any degree, and where |L|
-    stays below 2^512, e = 0 and m is the unscaled recurrence."""
-    p0, p1 = np.ones_like(x), 1.0 + a - x
-    e = np.zeros_like(x, dtype=np.int64)
-    for k in range(1, n):
-        p0, p1 = p1, ((2.0 * k + 1.0 + a - x) * p1 - (k + a) * p0) / (k + 1.0)
+        p0, p1 = p1, step(k, p0, p1)
         huge = np.abs(p1) > 2.0 ** 512
         if huge.any():
             shift = 512 * huge
@@ -74,21 +66,31 @@ def _laguerre_l(n: int, a: float, x):
     return (p1 if n else p0), e
 
 
-def _jacobi_derivative(j: int, n: int, a: float, b: float, y):
+def _jacobi_p(j: int, n: int, a: float, b: float, y):
     """d^j/dy^j P_n^(a,b)(y) = (n+a+b+1)_j / 2^j P_(n-j)^(a+j,b+j)(y)
-    (A&S 22.8); zero for j > n."""
-    if j > n:
-        return np.zeros_like(y)
-    return (math.prod(0.5 * (n + a + b + 1.0 + i) for i in range(j))
-            * _jacobi_p(n - j, a + j, b + j, y))
+    (A&S 22.8), by the recurrence A&S 22.7.1, as the (m, e) of
+    _recurrence."""
+    front = math.prod(0.5 * (n + a + b + 1.0 + i) for i in range(j))
+    n, a, b = n - j, a + j, b + j
+
+    def step(k, p0, p1):
+        s = 2.0 * k + a + b
+        return ((s - 1.0) * (s * (s - 2.0) * y + a * a - b * b) * p1
+                - 2.0 * (k + a - 1.0) * (k + b - 1.0) * s * p0) \
+            / (2.0 * k * (k + a + b) * (s - 2.0))
+    m, e = _recurrence(n, np.ones_like(y),
+                       0.5 * (a - b + (a + b + 2.0) * y), step)
+    return front * m, e
 
 
-def _laguerre_derivative(j: int, n: int, a: float, x):
-    """d^j/dx^j L_n^(a)(x) = (-1)^j L_(n-j)^(a+j)(x) (A&S 22.8), as the
-    pair (m, e) of _laguerre_l; zero for j > n."""
-    if j > n:
-        return np.zeros_like(x), np.zeros_like(x, dtype=np.int64)
-    m, e = _laguerre_l(n - j, a + j, x)
+def _laguerre_l(j: int, n: int, a: float, x):
+    """d^j/dx^j L_n^(a)(x) = (-1)^j L_(n-j)^(a+j)(x) (A&S 22.8), by the
+    recurrence A&S 22.7.12, as the (m, e) of _recurrence."""
+    n, a = n - j, a + j
+    m, e = _recurrence(
+        n, np.ones_like(x), 1.0 + a - x,
+        lambda k, p0, p1: ((2.0 * k - 1.0 + a - x) * p1
+                           - (k - 1.0 + a) * p0) / k)
     return (-1.0) ** j * m, e
 
 
@@ -97,10 +99,18 @@ def _eigenvalues(diag, off):
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
 
 
-def _log_normalized(log_w, log_mass: float):
-    """Shift log-weights so that their exponentials sum to exp(log_mass)."""
+def _gauss_rule(nodes, p, log_g, log_mass: float):
+    """(nodes, log-weights) of the Gauss rule whose degree-n orthogonal
+    polynomial has the j-th derivative p(j, x) as (m, e) and whose
+    Christoffel weights go as 1 / (g(x_i) p'(x_i)^2): each eigenvalue
+    node takes one Newton step, and the weights are shifted in log space
+    so that their exponentials sum to exp(log_mass)."""
+    (m, e), (m1, e1) = p(0, nodes), p(1, nodes)
+    x = nodes - np.ldexp(m / m1, e - e1)
+    m1, e1 = p(1, x)
+    log_w = -log_g(x) - 2.0 * (np.log(np.abs(m1)) + e1 * math.log(2.0))
     top = log_w.max()
-    return log_w - (math.log(np.sum(np.exp(log_w - top))) + top) + log_mass
+    return x, log_w - (math.log(np.sum(np.exp(log_w - top))) + top) + log_mass
 
 
 @lru_cache(maxsize=256)
@@ -116,14 +126,12 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     diag[1:] = (b * b - a * a) / (s * (s + 2.0))
     off = 2.0 / s * np.sqrt((k + a) * (k + b) * k * (k + a + b)
                             / ((s + 1.0) * (s - 1.0)))
-    y = _eigenvalues(diag, off)
-    y -= _jacobi_p(n, a, b, y) / _jacobi_derivative(1, n, a, b, y)
-    # w_i ~ 1 / ((1 - y_i^2) P_n'(y_i)^2)
-    log_w = -np.log1p(-y * y) - 2.0 * np.log(np.abs(
-        _jacobi_p(n - 1, a + 1.0, b + 1.0, y)))
     log_beta = (math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
                 - math.lgamma(a + b + 2.0))
-    return 0.5 * (1.0 + y), _log_normalized(log_w, log_beta)
+    y, log_w = _gauss_rule(_eigenvalues(diag, off),
+                           lambda j, y: _jacobi_p(j, n, a, b, y),
+                           lambda y: np.log1p(-y * y), log_beta)
+    return 0.5 * (1.0 + y), log_w
 
 
 @lru_cache(maxsize=256)
@@ -132,13 +140,13 @@ def _laguerre_rule(n: int, alpha: float):
     k = np.arange(1.0, n)
     x = _eigenvalues(2.0 * np.arange(n) + alpha + 1.0,
                      np.sqrt(k * (k + alpha)))
-    m, e = _laguerre_l(n, alpha, x)
-    m1, e1 = _laguerre_derivative(1, n, alpha, x)
-    x -= np.ldexp(m / m1, e - e1)
-    # w_i ~ 1 / (x_i L_n'(x_i)^2)
-    m, e = _laguerre_l(n - 1, alpha + 1.0, x)
-    log_w = -np.log(x) - 2.0 * (np.log(np.abs(m)) + e * math.log(2.0))
-    return x, _log_normalized(log_w, math.lgamma(alpha + 1.0))
+    return _gauss_rule(x, lambda j, x: _laguerre_l(j, n, alpha, x), np.log,
+                       math.lgamma(alpha + 1.0))
+
+
+# a node may be a zero of P, and a served sum past the float range makes
+# a non-finite moment, which the report writes as a failed check
+_SERVED = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 
 def _angular_moment(labels: StateLabels, params: PotentialParams,
@@ -150,11 +158,11 @@ def _angular_moment(labels: StateLabels, params: PotentialParams,
     """
     q = map_quantum_numbers(labels, params)
     t, log_w = _jacobi_rule(q.k + 1, q.m_prime, q.gamma1 + 0.5 * (power - 1))
-    h = angular_H(UalpSpec(q.k, q.gamma1, q.m_prime), np.sqrt(t))
-    with np.errstate(divide="ignore"):          # a node may be a zero of P
+    with np.errstate(**_SERVED):
+        h = angular_H(UalpSpec(q.k, q.gamma1, q.m_prime), np.sqrt(t))
         log_p = (2.0 * np.log(np.abs(h)) - q.m_prime * np.log1p(-t)
                  - q.gamma1 * np.log(t))
-    return float(np.sum(np.exp(log_w + log_p)))
+        return float(np.sum(np.exp(log_w + log_p)))
 
 
 def _radial_moment(labels: StateLabels, params: PotentialParams,
@@ -168,11 +176,11 @@ def _radial_moment(labels: StateLabels, params: PotentialParams,
     alpha = 2.0 * q.l_prime + 2.0
     w, log_w = _laguerre_rule(q.n_r + 1, alpha)
     scale = q.n_prime / (2.0 * params.Z)
-    u = radial_u(q, params, scale * w)
-    with np.errstate(divide="ignore"):          # a node may be a zero of P
+    with np.errstate(**_SERVED):
+        u = radial_u(q, params, scale * w)
         log_p = 2.0 * np.log(np.abs(u)) - alpha * np.log(w) + w
-    return scale ** (power + 1) * float(np.sum(w ** power
-                                               * np.exp(log_w + log_p)))
+        return scale ** (power + 1) * float(np.sum(w ** power
+                                                   * np.exp(log_w + log_p)))
 
 
 def quad_radial_norm(labels: StateLabels, params: PotentialParams) -> float:
@@ -197,25 +205,13 @@ def angular_expectation_abs_x(labels: StateLabels, params: PotentialParams) -> f
 
 # ------------------------------------------------------------ ODE residuals
 
-def _product(f, g):
-    """(fg, (fg)', (fg)'') from the triples (f, f', f'') and (g, g', g'')."""
-    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1],
-            f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2])
-
-
-def _angular_solution(q: QuasiNumbers, x):
-    """(H, H', H'') of an unnormalized colatitude solution at 0 < x < 1:
-    H = A B S with A = (1-x^2)^(m'/2), B = x^gamma1 and
-    S = P_k^(gamma1-1/2, m')(1 - 2x^2); integer gamma1 also takes x < 0."""
-    mp, g1, y = q.m_prime, q.gamma1, 1.0 - 2.0 * x * x
-    P, P1, P2 = (_jacobi_derivative(j, q.k, g1 - 0.5, mp, y) for j in range(3))
-    one = 1.0 - x * x
-    A = (one ** (mp / 2.0), -mp * x * one ** (mp / 2.0 - 1.0),
-         (-mp * one + mp * (mp - 2.0) * x * x) * one ** (mp / 2.0 - 2.0))
-    B = (x ** g1, g1 * x ** (g1 - 1.0), g1 * (g1 - 1.0) * x ** (g1 - 2.0))
-    # S = P(1 - 2x^2), so S' = -4x P' and S'' = 16x^2 P'' - 4P'
-    return _product(_product(A, B), (P, -4.0 * x * P1,
-                                      16.0 * x * x * P2 - 4.0 * P1))
+def _on_one_scale(family, *args):
+    """The values and first two derivatives of a polynomial family, each
+    m 2^e pair put on one power of two per sample, which the relative
+    residual does not see."""
+    pairs = [family(j, *args) for j in range(3)]
+    top = np.max([e for _, e in pairs], axis=0)
+    return (np.ldexp(m, e - top) for m, e in pairs)
 
 
 def _max_relative(terms) -> float:
@@ -243,25 +239,27 @@ def ode_residuals(labels: StateLabels,
     w_max = max(4.0 * (2.0 * lp + 2.0 + 2.0 * q.n_r), 60.0)
     w = rng.uniform(0.02 * w_max, 0.9 * w_max, size=_N_SAMPLES)
     r = w / qw
-    # F, F' and F'' on one power of two per sample, which the relative
-    # residual does not see
-    pairs = [_laguerre_derivative(j, q.n_r, 2.0 * lp + 1.0, w)
-             for j in range(3)]
-    top = np.max([e for _, e in pairs], axis=0)
-    F, F1, F2 = (np.ldexp(m, e - top) for m, e in pairs)
+    F, F1, F2 = _on_one_scale(_laguerre_l, q.n_r, 2.0 * lp + 1.0, w)
     radial_max = _max_relative((
         qw * qw * (((lp + 1.0) * lp - (lp + 1.0) * w + 0.25 * w * w) * F
                    + (2.0 * (lp + 1.0) - w) * w * F1 + w * w * F2),
         2.0 * q.energy * w * w * F, (2.0 * Z / r) * w * w * F,
         -(lam / (r * r)) * w * w * F))
 
+    # H = (1-x^2)^(m'/2) x^gamma1 S, S = P_k^(gamma1-1/2, m')(1-2x^2); the
+    # envelope, whose log-derivative is g, is divided out of
     # (1-x^2) H'' - 2x H' + [lambda - m'^2/(1-x^2) - c/x^2] H = 0
     x = rng.uniform(0.005, 0.995, size=_N_SAMPLES)
-    H, H1, H2 = _angular_solution(q, x)
-    one = 1.0 - x * x
+    mp, g1, one = q.m_prime, q.gamma1, 1.0 - x * x
+    S, P1, P2 = _on_one_scale(_jacobi_p, q.k, g1 - 0.5, mp, 1.0 - 2.0 * x * x)
+    S1, S2 = -4.0 * x * P1, 16.0 * x * x * P2 - 4.0 * P1
+    g = g1 / x - mp * x / one
+    # g' + g^2, with the 1/x^2 and m'^2 parts of g' and g^2 combined
+    dg_g2 = (g1 * (g1 - 1.0) / (x * x) - 2.0 * g1 * mp / one
+             + mp * ((mp - 1.0) * x * x - 1.0) / (one * one))
     angular_max = _max_relative((
-        one * H2, -2.0 * x * H1, lam * H, -(q.m_prime ** 2 / one) * H,
-        -(c / (x * x)) * H))
+        one * S2, 2.0 * one * g * S1, one * dg_g2 * S, -2.0 * x * S1,
+        -2.0 * x * g * S, lam * S, -(mp * mp / one) * S, -(c / (x * x)) * S))
 
     return radial_max, angular_max
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -398,12 +399,30 @@ def test_verify_overflowing_radial_factor_reports(tmp_path):
     child = cli_child("-m", "rscp.cli", "verify", "--n", "300", "--l", "1",
                       "--m", "0", cwd=tmp_path)
     assert child.returncode == EXIT_VERIFY, child.stderr
-    assert "Traceback" not in child.stderr
+    assert child.stderr == ""
     doc = json.loads(child.stdout)
     assert "error" not in doc
     assert doc["all_passed"] is False
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
         "radial_norm"]
+
+
+@pytest.mark.parametrize("flags, failed", [
+    ("--n 300 --l 1 --m 0", ["radial_norm"]),
+    ("--n 1000 --l 1 --m 0", ["radial_norm"]),
+    ("--n 600 --l 599 --m 0 --b 1e6 --c 1", ["angular_norm"])])
+def test_verify_overflowing_served_factor_keeps_stderr_empty(tmp_path, flags,
+                                                             failed):
+    # a served power sum past the float range is a failed check in the
+    # report, not a RuntimeWarning; a subprocess, so that one would reach
+    # stderr
+    child = cli_child("-m", "rscp.cli", "verify", *flags.split(),
+                      cwd=tmp_path)
+    assert child.returncode == EXIT_VERIFY
+    assert child.stderr == ""
+    assert "NaN" not in child.stdout and "Infinity" not in child.stdout
+    doc = json.loads(child.stdout)
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == failed
 
 
 @pytest.mark.parametrize("flags", [
@@ -425,8 +444,10 @@ def test_non_finite_factor_is_validation_error(tmp_path, flags):
 
 def test_verify_non_finite_check_is_written_as_string(capsys):
     # the served angular factor overflows at k = 499 (a NaN norm); the
-    # report still parses, names the value, and the command exits 3
-    with pytest.warns(RuntimeWarning):
+    # report still parses, names the value, and the command exits 3, and
+    # no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out = run_cli(capsys, "verify", "--n", "1000", "--l", "999",
                             "--m", "0", "--b", "0.5", "--c", "0.5")
     assert code == EXIT_VERIFY

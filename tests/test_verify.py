@@ -7,16 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import (betaln, eval_genlaguerre, gammaln, genlaguerre,
-                           jacobi, logsumexp, roots_genlaguerre, roots_jacobi)
+from scipy.special import (betaln, eval_genlaguerre, eval_jacobi, gammaln,
+                           genlaguerre, jacobi, logsumexp, roots_genlaguerre,
+                           roots_jacobi)
 
 from rscp import specfun, verify
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers)
-from rscp.verify import (CheckResult, _jacobi_derivative, _jacobi_rule,
-                         _laguerre_derivative, _laguerre_l, _laguerre_rule,
-                         angular_expectation_abs_x, ode_residuals,
+from rscp.verify import (CheckResult, _jacobi_p, _jacobi_rule, _laguerre_l,
+                         _laguerre_rule, angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm,
                          radial_expectation_r, verify_state)
 
@@ -60,15 +60,35 @@ def test_laguerre_rule_moments_at_largest_degree():
         assert abs(got - want) < 1e-14 * max(1.0, want), j
 
 
-@pytest.mark.parametrize("n, a, rescaled", [
-    (150, 3.0, False), (200, 3.0, True), (260, 2.0, True), (300, 4.0, True)])
-def test_laguerre_recurrence_rescale_is_exact(n, a, rescaled):
-    # up to |L| ~ 1e258 the value is a float: m 2^e must be L itself
-    x = np.linspace(0.5, 4.0 * n, 7)
-    m, e = _laguerre_l(n, a, x)
-    assert bool(np.any(e > 0)) is rescaled
-    assert np.all(np.abs(m) <= 2.0 ** 512)
-    assert _max_rel_diff(np.ldexp(m, e), eval_genlaguerre(n, a, x)) < 1e-12
+# (the polynomial as (m, e), scipy's value, samples): Laguerre across its
+# degree window, Jacobi at a large m' toward y = -1
+_RECURRENCES = {
+    "laguerre": (lambda n, x: _laguerre_l(0, n, 3.0, x),
+                 lambda n, x: eval_genlaguerre(n, 3.0, x),
+                 np.linspace(0.5, 800.0, 7)),
+    "jacobi": (lambda n, y: _jacobi_p(0, n, 0.5, 1000.0, y),
+               lambda n, y: eval_jacobi(n, 0.5, 1000.0, y),
+               np.linspace(-0.9, 0.9, 7)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RECURRENCES))
+def test_recurrence_rescale_is_exact(family):
+    # while |p| is a float, m 2^e must be p itself, and the rescale first
+    # fires at the degree where some |p| first passes 2^512
+    ours, scipy_p, x = _RECURRENCES[family]
+    fired = passed = None
+    for n in range(300):
+        m, e = ours(n, x)
+        want = scipy_p(n, x)
+        assert np.all(np.abs(m) <= 2.0 ** 512), n
+        if np.all(np.isfinite(want)):
+            assert _max_rel_diff(np.ldexp(m, e), want) < 1e-12, n
+        if fired is None and np.any(e > 0):
+            fired = n
+        if passed is None and np.any(np.abs(want) > 2.0 ** 512):
+            passed = n
+    assert fired is not None and fired == passed, (fired, passed)
 
 
 # scipy's rules as an oracle for the numpy ones
@@ -288,6 +308,21 @@ def wrong_energy(monkeypatch):
     return residuals
 
 
+@pytest.fixture
+def wrong_lambda(monkeypatch):
+    """ode_residuals sees a mapping whose separation constant lambda is
+    1e-3 off."""
+    def mapping(labels, params):
+        q = map_quantum_numbers(labels, params)
+        return dataclasses.replace(q, lam=(1.0 + 1e-3) * q.lam)
+
+    def residuals(labels, params):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "map_quantum_numbers", mapping)
+            return ode_residuals(labels, params)
+    return residuals
+
+
 def test_residual_detects_wrong_energy(wrong_energy):
     # a 1% energy error must push the radial residual far above threshold
     rres, _ = wrong_energy(StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5))
@@ -299,10 +334,12 @@ def test_residuals_read_nothing_of_the_served_path(monkeypatch):
     want = ode_residuals(labels, params)
 
     def served(*args):
-        raise AssertionError("the served radial function was called")
+        raise AssertionError("a served function was called")
 
-    monkeypatch.setattr(verify, "radial_u", served)
-    monkeypatch.setattr(specfun, "radial_u", served)
+    for module, name in [(verify, "radial_u"), (specfun, "radial_u"),
+                         (verify, "angular_H"), (specfun, "angular_H"),
+                         (specfun, "_evaluator")]:
+        monkeypatch.setattr(module, name, served)
     assert ode_residuals(labels, params) == want
 
 
@@ -323,21 +360,29 @@ RESIDUAL_SCAN = (
        (StateLabels(100, 1, 0), PotentialParams(1, 0.5, 0.5))]
     # where the unscaled Laguerre recurrence overflowed
     + [(StateLabels(n, 1, 0), PotentialParams()) for n in (300, 1000)]
-    + [(StateLabels(1000, 501, 0), PotentialParams(1, 0.5, 0.5))])
+    + [(StateLabels(1000, 501, 0), PotentialParams(1, 0.5, 0.5))]
+    # where the unscaled Jacobi recurrence overflowed, and where the
+    # angular envelope underflowed at most samples
+    + [(StateLabels(600, 599, 0), PotentialParams(1, 1e6, 1)),
+       (StateLabels(130, 129, 0), PotentialParams(1, 1e12, 0.5)),
+       (StateLabels(1000, 999, 0), PotentialParams(1, 0.5, 1e12)),
+       (StateLabels(2, 1, 0), PotentialParams(1, 1e12, 0.5))])
 
 
-def test_residuals_scan_high_degree_and_barriers(wrong_energy):
+def test_residuals_scan_high_degree_and_barriers(wrong_energy, wrong_lambda):
     for labels, params in RESIDUAL_SCAN:
         rres, ares = ode_residuals(labels, params)
         assert rres < 1e-6 and ares < 1e-6, (labels, params, rres, ares)
         rres, _ = wrong_energy(labels, params)
         assert rres > 1e-3, (labels, params, rres)
+        _, ares = wrong_lambda(labels, params)
+        assert ares > 1e-4, (labels, params, ares)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("n_r", [0, 1, 2])
 @pytest.mark.parametrize("m", [0, 1])
-def test_residuals_low_degrees(k, n_r, m, wrong_energy):
+def test_residuals_low_degrees(k, n_r, m, wrong_energy, wrong_lambda):
     # l - |m| = 2k + 1 on the gamma1 branch, so the angular degree is k
     labels = StateLabels(2 * k + 2 + m + n_r, 2 * k + 1 + m, m)
     params = PotentialParams(1, 0.5, 0.5)
@@ -347,6 +392,8 @@ def test_residuals_low_degrees(k, n_r, m, wrong_energy):
     assert rres < 1e-12 and ares < 1e-12, (rres, ares)
     rres, _ = wrong_energy(labels, params)
     assert rres > 1e-3
+    _, ares = wrong_lambda(labels, params)
+    assert ares > 1e-4
 
 
 def _max_rel_diff(ours, want):
@@ -360,13 +407,13 @@ def test_derivative_identities_match_polynomial_derivatives(n):
     for a in (0.0, 3.1462644):
         lag = genlaguerre(n, a)
         for j in range(3):
-            m, e = _laguerre_derivative(j, n, a, x)
+            m, e = _laguerre_l(j, n, a, x)
             assert _max_rel_diff(np.ldexp(m, e), lag.deriv(j)(x)) < 1e-12
         for b in (0.7071068, 20.0):
             jac = jacobi(n, a - 0.5, b)
             for j in range(3):
-                assert _max_rel_diff(_jacobi_derivative(j, n, a - 0.5, b, y),
-                                     jac.deriv(j)(y)) < 1e-12
+                m, e = _jacobi_p(j, n, a - 0.5, b, y)
+                assert _max_rel_diff(np.ldexp(m, e), jac.deriv(j)(y)) < 1e-12
 
 
 def test_residuals_deterministic():
