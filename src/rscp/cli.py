@@ -276,8 +276,9 @@ def _vtk_chunks(grid: DensityGrid):
     mirror = spec.mirror().tolist()
     words, index = _distinct_words(grid.octant)
     # one z-plane of indices at a time keeps the lists at O(N^2)
-    texts = [[" ".join(map(words.__getitem__, row))
-              for row in index[mirror, :, z].T.tolist()]
+    texts = [[" ".join(half[:0:-1] + half)
+              for half in ([words[i] for i in row]
+                           for row in index[:, :, z].T.tolist())]
              for z in range(index.shape[2])]
     rows = [texts[z][y] for z in mirror for y in mirror]
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -289,12 +290,13 @@ def _obj_chunks(mesh, labels, params, cutaway: bool):
            f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
     words, index = _distinct_words(mesh.vertices)
     for start in range(0, len(index), _BLOCK_ROWS):
-        yield "".join([f"v {words[a]} {words[b]} {words[c]}\n" for a, b, c
-                       in index[start:start + _BLOCK_ROWS].tolist()])
+        block = index[start:start + _BLOCK_ROWS].ravel().tolist()
+        yield ("v %s %s %s\n" * (len(block) // 3)
+               % tuple(map(words.__getitem__, block)))
     faces = mesh.triangles + 1
     for start in range(0, len(faces), _BLOCK_ROWS):
-        yield "".join([f"f {a} {b} {c}\n" for a, b, c
-                       in faces[start:start + _BLOCK_ROWS].tolist()])
+        block = faces[start:start + _BLOCK_ROWS].ravel().tolist()
+        yield "f %d %d %d\n" * (len(block) // 3) % tuple(block)
 
 
 def _slice_chunks(contours, labels, params):

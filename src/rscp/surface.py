@@ -1,12 +1,13 @@
 """Isosurface meshes, octant cutaway, plane contours, pole statistics.
 
 Meshes come from a table-driven marching cubes over the rescaled grid.
-Vertices are welded by exact position, numbered in order of first
-appearance (_weld): marching cubes keys each crossing by its global edge,
-or by the grid point it lands on, and the cutaway by its coordinates'
-bits.  Every edge interpolates from its lower end, so adjacent cells weld
-exactly and closed components satisfy edge-incidence = 2.  Triangles
-follow ascending cell index, which makes every output deterministic.
+Cells are classified on the octant, one case standing for 8 mirror cells,
+and each crossed edge is interpolated once, from its lower end, so
+adjacent cells weld exactly and closed components satisfy edge-incidence
+= 2.  Vertices are welded by exact position, numbered in order of first
+appearance (_weld): marching cubes keys a crossing by its global edge or
+by the grid point it lands on, the cutaway by its coordinates' bits.
+Triangles follow ascending cell index, so every output is deterministic.
 
 The cutaway caps and the slice contours come from one marching-squares
 routine over a grid plane (_march_squares); only its table differs.  The
@@ -68,32 +69,74 @@ def _triangle_area(p0, p1, p2):
     return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
+def _areas(vertices, triangles, block=1 << 14):
+    """Triangle areas, a block at a time to keep the corner arrays small."""
+    return np.concatenate([np.empty(0)] + [_triangle_area(
+        *([vertices[k, a] for a in range(3)] for k in triangles[s:s + block].T))
+        for s in range(0, len(triangles), block)])
+
+
 def _weld(keys):
     """Number equal int64 keys 0, 1, ... in order of first appearance:
-    vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i]."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i].
+    One sort of the pairs (key, i) packed as key << b | i: the keys must be
+    >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length()."""
+    s, b = len(keys), len(keys).bit_length()
+    packed = keys << b
+    packed |= np.arange(s)
+    packed.sort()
+    where = packed & ((1 << b) - 1)
+    packed >>= b
+    start = np.flatnonzero(np.r_[s > 0, packed[1:] != packed[:-1]])
+    first = where[start]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
+    packed[where] = np.repeat(rank, np.diff(start, append=s))  # the ids
+    return first[order], packed
 
 
 # per cube edge: the offset of its lower corner and its axis
 _EDGE_ENDS = CORNER_OFFSETS[EDGE_CORNERS]
 _EDGE_LO = _EDGE_ENDS.min(axis=0)
 _EDGE_AXIS = np.argmax(_EDGE_ENDS[0] != _EDGE_ENDS[1], axis=1).astype(np.int8)
+# Row r maps an octant cell's case to that of its mirror image in the axes
+# of the bits of r: the image's corner at offset code d = dx + 2 dy + 4 dz
+# is the octant cell's corner at code d ^ r.
+_CODE = CORNER_OFFSETS @ [1, 2, 4]
+_BITS = np.arange(256)[:, None, None] >> np.argsort(_CODE)[
+    _CODE ^ np.arange(8)[:, None]] & 1  # (case, r, corner)
+_MIRRORED_CASES = (_BITS << np.arange(8)).sum(axis=2).T.astype(np.uint8)
+# per case: edge e is crossed when its corners differ
+_ENDS = np.arange(256)[:, None, None] >> EDGE_CORNERS & 1  # (case, end, e)
+_CASE_CROSSED = _ENDS[:, 0] != _ENDS[:, 1]
+_SLOT = np.cumsum(_CASE_CROSSED, axis=1) - 1  # crossed edge e's slot in a cell
 
 
-def _crossed_edges(case):
-    """(cells, 12) 0/1 array: edge e is crossed when its corners differ."""
-    case = case[:, None]
-    return ((case >> EDGE_CORNERS[0]) ^ (case >> EDGE_CORNERS[1])) & 1
+def _active_cells(grid: DensityGrid, level: float):
+    """The lattice cells the level crosses, ascending: lower corners as flat
+    lattice indices, and cases.  Only octant cells are classified; octant
+    cell q mirrored in the axes of the bits of r is lattice cell c + q along
+    an unmirrored axis and c - 1 - q along a mirrored one."""
+    n = grid.spec.n_points
+    c = (n - 1) // 2
+    below = grid.octant < level
+    case = np.zeros((c, c, c), dtype=np.uint8)
+    for v, (dx, dy, dz) in enumerate(CORNER_OFFSETS.tolist()):
+        case |= below[dx:dx + c, dy:dy + c, dz:dz + c].astype(np.uint8) << v
+    q = np.flatnonzero((case != 0) & (case != 255))
+    case = case.ravel()[q]
+    r = np.arange(8)[:, None]
+    corner = sum(np.where(r >> a & 1, c - 1 - qa, c + qa) * n ** (2 - a)
+                 for a, qa in enumerate(np.unravel_index(q, (c, c, c))))
+    packed = np.sort((corner * 256 + _MIRRORED_CASES[r, case]).ravel())
+    return packed >> 8, (packed & 255).astype(np.uint8)
 
 
 def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     """Extract the iso-level surface of a rescaled grid, level in (0,100).
 
-    The octant is read alone: the inside test is mirrored as a bool
+    The octant is read alone: its cells are classified for the whole
     lattice, and each crossed edge reads its ends through the mirror."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
@@ -101,63 +144,54 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     n = grid.spec.n_points
     coords = grid.spec.coords()
     strides = np.array([n * n, n, 1])
-
-    mirror = grid.spec.mirror()
-    below = (grid.octant < level)[np.ix_(mirror, mirror, mirror)]
-    m = n - 1
     # temporaries are deleted as soon as they are spent, to bound peak RSS
-    case = np.zeros((m, m, m), dtype=np.uint8)
-    for v, (dx, dy, dz) in enumerate(CORNER_OFFSETS.tolist()):
-        case |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.uint8) << v
-    del below
-    cells = np.flatnonzero((case != 0) & (case != 255))
-    case = case.ravel()[cells]
-    corner = np.ravel_multi_index(np.unravel_index(cells, (m, m, m)), (n, n, n))
-    del cells
+    corner, case = _active_cells(grid, level)
 
     # One slot per crossed edge, cells ascending and edges ascending within
-    # a cell.  Each edge interpolates from its lower end pa, so the cells
-    # sharing it compute the same bits.
-    slot_cell, slot_edge = np.nonzero(_crossed_edges(case))
-    axis = _EDGE_AXIS[slot_edge]
-    pa = corner[slot_cell] + (_EDGE_LO @ strides)[slot_edge]
-    slot_key = slot_cell * 12 + slot_edge
+    # a cell, welded by the edge key 3 pa + axis.  Each edge interpolates
+    # once, from its lower end pa, so the cells sharing it get the same bits.
+    slot_cell, slot_edge = np.nonzero(_CASE_CROSSED[case])
+    first_slot = np.flatnonzero(np.diff(slot_cell, prepend=-1))
+    keys = 3 * (corner[slot_cell] + (_EDGE_LO @ strides)[slot_edge])
+    keys += _EDGE_AXIS[slot_edge]
     del corner, slot_cell, slot_edge
+    first, edge = _weld(keys)
+    keys = keys[first]
+    pa, axis = np.divmod(keys, 3)
     pb = pa + strides[axis]
-    va, vb = (grid.octant[tuple(mirror[i] for i in
+    va, vb = (grid.octant[tuple(grid.spec.mirror()[i] for i in
                                 np.unravel_index(p, (n, n, n)))]
               for p in (pa, pb))
     t = (level - va) / (vb - va)
-    del va, vb
+    del first, va, vb
 
-    # Two slots have equal positions exactly when they share an edge, or
-    # when both land on the same grid point.  Adjacent coordinates c0 < c1
-    # satisfy c0 + (c1 - c0) == c1 exactly, so an interpolated coordinate
-    # never leaves its edge; it lands on a grid point when it equals an end.
-    keys = 3 * pa + axis
+    # Two edges have equal positions exactly when both land on the same
+    # grid point.  Adjacent coordinates c0 < c1 satisfy c0 + (c1 - c0) == c1
+    # exactly, so an interpolated coordinate never leaves its edge; it lands
+    # on a grid point when it equals an end.
     pos = np.empty((len(pa), 3))
-    for c in range(3):
-        on = axis == c
-        ia = pa // strides[c] % n
+    for a in range(3):
+        on = axis == a
+        ia = pa // strides[a] % n
         ca, cb = coords[ia], coords[ia + on]
-        pos[:, c] = ca + t * (cb - ca)
-        at = on & (pos[:, c] == ca)
+        pos[:, a] = ca + t * (cb - ca)
+        at = on & (pos[:, a] == ca)
         keys[at] = 3 * n ** 3 + pa[at]
-        at = on & (pos[:, c] == cb)
+        at = on & (pos[:, a] == cb)
         keys[at] = 3 * n ** 3 + pb[at]
     del pa, pb, axis, t, on, ia, ca, cb, at
     first, vid = _weld(keys)
     vertices = pos[first]
-    del pos, keys, first
+    vid = vid[edge]
+    del pos, keys, first, edge
 
     tris = CUBE_TRIANGLES[case, :15].reshape(-1, 5, 3)
     tri_cell, tri_row = np.nonzero(tris[:, :, 0] >= 0)
-    triangles = vid[np.searchsorted(
-        slot_key, tri_cell[:, None] * 12 + tris[tri_cell, tri_row])]
-    del tris, tri_cell, tri_row, slot_key, vid
+    triangles = vid[first_slot[tri_cell, None] + _SLOT[
+        case[tri_cell, None], tris[tri_cell, tri_row]]]
+    del tris, tri_cell, tri_row, first_slot, vid
     # a triangle with a repeated vertex has area 0, so this drops it too
-    corners = vertices[triangles].transpose(1, 2, 0)
-    triangles = triangles[_triangle_area(*corners) >= _AREA_EPS]
+    triangles = triangles[_areas(vertices, triangles) >= _AREA_EPS]
     return TriangleMesh(vertices, triangles, float(level))
 
 
@@ -257,13 +291,13 @@ def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
 # ---------------------------------------------------------------- cutaway
 
 def _position_keys(points):
-    """int64 keys, equal exactly for rows that are equal as floats: each
+    """Keys 0, 1, ..., equal exactly for rows that are equal as floats: each
     column is coded by its bit patterns after + 0.0 folds -0.0 into 0.0."""
     s = len(points)
     x, y, z = (np.unique((col + 0.0).view(np.int64), return_inverse=True)[1]
                for col in points.T)
     xy = np.unique(x * s + y, return_inverse=True)[1]
-    return xy * s + z
+    return np.unique(xy * s + z, return_inverse=True)[1].ravel()
 
 
 def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
@@ -282,17 +316,21 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     Raises ValueError when a triangle has vertices strictly on both sides
     of an axis plane.
     """
-    corners = mesh.vertices[mesh.triangles]
-    crossed = ((corners < 0.0).any(axis=1)
-               & (corners > 0.0).any(axis=1)).any(axis=0)
-    if crossed.any():
+    # per vertex, bit a: coordinate a < 0, bit 3 + a: coordinate a > 0;
+    # OR-ed over each triangle's corners
+    sign = ((mesh.vertices < 0.0) @ np.uint8([1, 2, 4])
+            | (mesh.vertices > 0.0) @ np.uint8([8, 16, 32]))[mesh.triangles]
+    code = sign[:, 0] | sign[:, 1] | sign[:, 2]
+    if crossed := int(np.bitwise_or.reduce(code & (code >> 3))):
         raise ValueError("apply_cutaway: a triangle crosses the plane "
-                         f"{'xyz'[np.argmax(crossed)]} = 0")
-    centroid = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3
-    cut = np.flatnonzero((centroid[:, 0] < 0.0) & (centroid[:, 1] < 0.0)
-                         & (centroid[:, 2] > 0.0))
-    cut = cut[_triangle_area(*corners[cut].transpose(1, 2, 0)) >= _AREA_EPS]
-    del corners, centroid
+                         f"{'xyz'[(crossed & -crossed).bit_length() - 1]} = 0")
+    # the centroid is strictly inside only if the corners reach the octant
+    cut = np.flatnonzero((code & 0b100011) == 0b100011)
+    tri = mesh.triangles[cut]
+    x, y, z = (v[tri].sum(axis=1) / 3 for v in mesh.vertices.T)
+    cut = cut[(x < 0.0) & (y < 0.0) & (z > 0.0)
+              & (_areas(mesh.vertices, tri) >= _AREA_EPS)]
+    del sign, code, tri, x, y, z
     if not len(cut):
         return mesh
 
@@ -418,5 +456,4 @@ def is_watertight(mesh: TriangleMesh) -> bool:
 
 
 def surface_area(mesh: TriangleMesh) -> float:
-    corners = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
-    return float(_triangle_area(*corners).sum())
+    return float(_areas(mesh.vertices, mesh.triangles).sum())

@@ -11,8 +11,8 @@ from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from rscp.density import DensityGrid, GridSpec, normalize_relative
 from rscp.states import PotentialParams, StateLabels
 from rscp import surface
-from rscp.surface import (_AREA_EPS, ContourSet, TriangleMesh, _cap_triangles,
-                          _crossed_edges, apply_cutaway,
+from rscp.surface import (_AREA_EPS, _CASE_CROSSED, ContourSet, TriangleMesh,
+                          _active_cells, _cap_triangles, _weld, apply_cutaway,
                           connected_components, is_watertight, marching_cubes,
                           pole_concentration, slice_contour, surface_area)
 
@@ -53,6 +53,31 @@ def reference_clip_halfspace(poly, f):
             out.append(tuple(prev[i] + t * (cur[i] - prev[i]) for i in range(3)))
         prev, fprev = cur, fcur
     return out
+
+
+def reference_active_cells(grid, level):
+    """The lattice-wide classification from the mirrored N^3 values: each
+    crossed cell's lower corner as a flat lattice index, and its case."""
+    n = grid.spec.n_points
+    m = n - 1
+    below = grid.values < level
+    case = np.zeros((m, m, m), dtype=np.uint8)
+    for v, (dx, dy, dz) in enumerate(_CORNERS):
+        case |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.uint8) << v
+    cells = np.flatnonzero((case != 0) & (case != 255))
+    corner = np.ravel_multi_index(np.unravel_index(cells, (m, m, m)),
+                                  (n, n, n))
+    return corner, case.ravel()[cells]
+
+
+def reference_weld(keys):
+    """First-appearance numbering through np.unique."""
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 def reference_marching_cubes(grid, level):
@@ -373,7 +398,7 @@ def test_case_table_decodes_to_the_polygonise_table():
 
 def test_crossed_edges_are_the_edges_triangulated():
     for case in range(256):
-        crossed = set(np.flatnonzero(_crossed_edges(np.array([case]))[0]))
+        crossed = set(np.flatnonzero(_CASE_CROSSED[case]))
         used = {e for e in CUBE_TRIANGLES[case].tolist() if e >= 0}
         assert crossed == used, case
 
@@ -405,16 +430,26 @@ def test_matches_reference_loops_on_real_grids(state, params, n_points, levels):
         assert apply_cutaway(cut, grid) is cut
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_matches_reference_loops_with_voxels_at_the_level(seed):
-    """Crossings landing exactly on grid points weld across edges."""
-    rng = np.random.default_rng(seed)
-    level = float(rng.choice([5.0, 50.0, 1.0 / 3.0]))
+def random_octant_grid(rng, n_points, level):
+    """Octant voxels drawn from the level, its float neighbours, 0, 100
+    and three uniform values."""
     pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
             0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
-    spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
-    grid = DensityGrid(spec, rng.choice(pool, size=(5, 5, 5)), 100.0,
+    spec = GridSpec(n_points, float(rng.choice([1.0, 3.7])))
+    c = (n_points + 1) // 2
+    return DensityGrid(spec, rng.choice(pool, size=(c, c, c)), 100.0,
                        rescaled=True)
+
+
+@pytest.mark.parametrize("n_points", [3, 5, 7, 9])
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_reference_loops_with_voxels_at_the_level(seed, n_points):
+    """Crossings landing exactly on grid points weld across edges; the
+    small grids put most cells on the octant boundary, in all 8 mirror
+    images."""
+    rng = np.random.default_rng(seed)
+    level = float(rng.choice([5.0, 50.0, 1.0 / 3.0]))
+    grid = random_octant_grid(rng, n_points, level)
     mesh = marching_cubes(grid, level)
     want = reference_marching_cubes(grid, level)
     assert_same_mesh(mesh, want)
@@ -422,6 +457,39 @@ def test_matches_reference_loops_with_voxels_at_the_level(seed):
     cut = apply_cutaway(mesh, grid)
     assert_same_mesh(cut, reference_apply_cutaway(want, grid))
     assert apply_cutaway(cut, grid) is cut
+
+
+def assert_same_active_cells(grid, level):
+    got, want = _active_cells(grid, level), reference_active_cells(grid, level)
+    for a, b in zip(got, want):
+        assert (a.dtype.kind, a.shape) == (b.dtype.kind, b.shape)
+        assert (a == b).all()
+
+
+@pytest.mark.parametrize("n_points", [3, 5, 7, 15])
+@pytest.mark.parametrize("seed", range(6))
+def test_active_cells_match_the_lattice_classification(seed, n_points):
+    rng = np.random.default_rng(100 + seed)
+    level = float(rng.choice([5.0, 50.0, 1.0 / 3.0]))
+    grid = random_octant_grid(rng, n_points, level)
+    assert_same_active_cells(grid, level)
+    assert_same_active_cells(grid, 99.9)
+
+
+@pytest.mark.parametrize("level", [5.0, 50.0, 99.9])
+def test_active_cells_match_the_lattice_classification_on_a_real_grid(
+        ring_650_grid, level):
+    assert_same_active_cells(ring_650_grid, level)
+
+
+def test_weld_numbers_by_first_appearance():
+    rng = np.random.default_rng(7)
+    for keys in ([], [5], [3, 3, 1, 3, 1, 0], rng.integers(0, 50, 1000),
+                 rng.integers(0, 2**40, 1000), np.repeat(rng.integers(
+                     0, 10**9, 300), 4)[rng.permutation(1200)]):
+        keys = np.asarray(keys, dtype=np.int64)
+        for got, want in zip(_weld(keys), reference_weld(keys)):
+            assert got.shape == want.shape and (got == want).all()
 
 
 def test_cutaway_welds_signed_zeros_together():
@@ -448,6 +516,14 @@ def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():
                         np.array([[0, 1, 2]]), 50.0)
     with pytest.raises(ValueError, match="crosses the plane x = 0"):
         apply_cutaway(mesh, grid)
+    # the first crossed plane in x, y, z order is named
+    for vertices, axis in (([[1.0, -1.0, -1.0], [1.0, 1.0, 1.0],
+                             [1.0, 1.0, -1.0]], "y"),
+                           ([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0],
+                             [2.0, 1.0, 1.0]], "z")):
+        mesh = TriangleMesh(np.array(vertices), np.array([[0, 1, 2]]), 50.0)
+        with pytest.raises(ValueError, match=f"crosses the plane {axis} = 0"):
+            apply_cutaway(mesh, grid)
 
 
 def test_cutaway_keeps_triangles_without_area():
