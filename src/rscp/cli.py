@@ -233,7 +233,7 @@ def _resolve_grid(run: RunSpec) -> DensityGrid | None:
 
 # ------------------------------------------------------------------ writers
 
-_BLOCK_ROWS = 1024  # VTK rows, or OBJ lines, per streamed chunk
+_BLOCK_ROWS = 256  # VTK rows, or OBJ lines, per streamed chunk
 
 
 def _distinct_words(values: np.ndarray):
@@ -246,16 +246,16 @@ def _distinct_words(values: np.ndarray):
     import numpy as np
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
-    # the text of _sig(v), without a call per value
-    words = [f"{v:.9g}" for v in distinct.view(np.float64).tolist()]
+    words = ("%.9g\n" * len(distinct)  # each _sig(v), without a call per v
+             % tuple(distinct.view(np.float64).tolist())).split("\n")
     return words, index.reshape(bits.shape)  # numpy 2.x varies its shape
 
 
 def _vtk_chunks(grid: DensityGrid):
     """Legacy ASCII VTK: the header, then the x-fastest rows in blocks.
 
-    The text is formatted from the octant alone: each distinct value once,
-    then one join per octant (z, y) row; a file row is its mirror's text.
+    Each octant z-plane formats its distinct values once, then joins each
+    octant row; a file row is its mirror's text.  Only row texts persist.
     """
     spec = grid.spec
     n = spec.n_points
@@ -273,16 +273,14 @@ def _vtk_chunks(grid: DensityGrid):
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
     ]) + "\n"
-    mirror = spec.mirror().tolist()
-    words, index = _distinct_words(grid.octant)
-    # one z-plane of indices at a time keeps the lists at O(N^2)
+    planes = grid.octant.transpose(2, 1, 0)  # planes[z] is octant[:, :, z].T
     texts = [[" ".join(half[:0:-1] + half)
-              for half in ([words[i] for i in row]
-                           for row in index[:, :, z].T.tolist())]
-             for z in range(index.shape[2])]
+              for half in ([words[i] for i in row] for row in index.tolist())]
+             for words, index in map(_distinct_words, planes)]
+    mirror = spec.mirror().tolist()
     rows = [texts[z][y] for z in mirror for y in mirror]
     for start in range(0, len(rows), _BLOCK_ROWS):
-        yield "\n".join(rows[start:start + _BLOCK_ROWS]) + "\n"
+        yield "\n".join(rows[start:start + _BLOCK_ROWS] + [""])
 
 
 def _obj_chunks(mesh, labels, params, cutaway: bool):
@@ -293,9 +291,8 @@ def _obj_chunks(mesh, labels, params, cutaway: bool):
         block = index[start:start + _BLOCK_ROWS].ravel().tolist()
         yield ("v %s %s %s\n" * (len(block) // 3)
                % tuple(map(words.__getitem__, block)))
-    faces = mesh.triangles + 1
-    for start in range(0, len(faces), _BLOCK_ROWS):
-        block = faces[start:start + _BLOCK_ROWS].ravel().tolist()
+    for start in range(0, len(mesh.triangles), _BLOCK_ROWS):
+        block = (mesh.triangles[start:start + _BLOCK_ROWS] + 1).ravel().tolist()
         yield "f %d %d %d\n" * (len(block) // 3) % tuple(block)
 
 

@@ -5,8 +5,9 @@ Cells are classified on the octant, one case standing for 8 mirror cells,
 and each crossed edge is interpolated once, from its lower end, so
 adjacent cells weld exactly and closed components satisfy edge-incidence
 = 2.  Vertices are welded by exact position, numbered in order of first
-appearance (_weld): marching cubes keys a crossing by its global edge or
-by the grid point it lands on, the cutaway by its coordinates' bits.
+appearance: marching cubes sorts its crossings' keys, global edges or
+grid points (_weld); the cutaway ranks rows by bits, and numbers and reads
+each rank at its first slot.
 Triangles follow ascending cell index, so every output is deterministic.
 
 The cutaway caps and the slice contours come from one marching-squares
@@ -76,6 +77,10 @@ def _areas(vertices, triangles, block=1 << 14):
         for s in range(0, len(triangles), block)])
 
 
+def _index_type(s):  # the narrower integer type of indices into s items
+    return np.int32 if s <= 2**31 else np.int64
+
+
 def _weld(keys):
     """Number equal int64 keys 0, 1, ... in order of first appearance:
     vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i].
@@ -83,17 +88,20 @@ def _weld(keys):
     >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length()."""
     s, b = len(keys), len(keys).bit_length()
     packed = keys << b
-    packed |= np.arange(s)
+    packed |= np.arange(s, dtype=_index_type(s))
     packed.sort()
-    where = packed & ((1 << b) - 1)
+    where = np.bitwise_and(packed, (1 << b) - 1, casting="unsafe",
+                           out=np.empty(s, _index_type(s)))
     packed >>= b
     start = np.flatnonzero(np.r_[s > 0, packed[1:] != packed[:-1]])
+    del packed
     first = where[start]
     order = np.argsort(first)
-    rank = np.empty_like(order)
+    rank = np.empty(len(order), where.dtype)
     rank[order] = np.arange(len(order))
-    packed[where] = np.repeat(rank, np.diff(start, append=s))  # the ids
-    return first[order], packed
+    ids = np.empty_like(where)
+    ids[where] = np.repeat(rank, np.diff(start, append=s))
+    return first[order], ids
 
 
 # per cube edge: the offset of its lower corner and its axis
@@ -111,6 +119,10 @@ _MIRRORED_CASES = (_BITS << np.arange(8)).sum(axis=2).T.astype(np.uint8)
 _ENDS = np.arange(256)[:, None, None] >> EDGE_CORNERS & 1  # (case, end, e)
 _CASE_CROSSED = _ENDS[:, 0] != _ENDS[:, 1]
 _SLOT = np.cumsum(_CASE_CROSSED, axis=1) - 1  # crossed edge e's slot in a cell
+# per case: its triangles' corners as slots in the cell, and their number
+_TRI_SLOTS = _SLOT[np.arange(256)[:, None], CUBE_TRIANGLES[:, :15]].reshape(
+    256, 5, 3).astype(np.int8)  # the -1 padding reads edge 11, unused
+_TRI_COUNT = (CUBE_TRIANGLES[:, :15:3] >= 0).sum(axis=1)
 
 
 def _active_cells(grid: DensityGrid, level: float):
@@ -150,11 +162,13 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     # One slot per crossed edge, cells ascending and edges ascending within
     # a cell, welded by the edge key 3 pa + axis.  Each edge interpolates
     # once, from its lower end pa, so the cells sharing it get the same bits.
-    slot_cell, slot_edge = np.nonzero(_CASE_CROSSED[case])
-    first_slot = np.flatnonzero(np.diff(slot_cell, prepend=-1))
-    keys = 3 * (corner[slot_cell] + (_EDGE_LO @ strides)[slot_edge])
-    keys += _EDGE_AXIS[slot_edge]
-    del corner, slot_cell, slot_edge
+    crossed = _CASE_CROSSED[case]
+    count = crossed.sum(axis=1)
+    keys = np.repeat(3 * corner, count)
+    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS)[np.broadcast_to(
+        np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
+    first_slot = (np.cumsum(count) - count).astype(_index_type(len(keys)))
+    del corner, crossed
     first, edge = _weld(keys)
     keys = keys[first]
     pa, axis = np.divmod(keys, 3)
@@ -185,14 +199,13 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     vid = vid[edge]
     del pos, keys, first, edge
 
-    tris = CUBE_TRIANGLES[case, :15].reshape(-1, 5, 3)
-    tri_cell, tri_row = np.nonzero(tris[:, :, 0] >= 0)
-    triangles = vid[first_slot[tri_cell, None] + _SLOT[
-        case[tri_cell, None], tris[tri_cell, tri_row]]]
-    del tris, tri_cell, tri_row, first_slot, vid
+    count = _TRI_COUNT[case]
+    triangles = vid[np.repeat(first_slot, count)[:, None]
+                    + _TRI_SLOTS[case][np.arange(5) < count[:, None]]]
+    del count, first_slot, vid
     # a triangle with a repeated vertex has area 0, so this drops it too
     triangles = triangles[_areas(vertices, triangles) >= _AREA_EPS]
-    return TriangleMesh(vertices, triangles, float(level))
+    return TriangleMesh(vertices, triangles.astype(np.int64), float(level))
 
 
 # ------------------------------------------------------- marching squares
@@ -291,13 +304,14 @@ def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
 # ---------------------------------------------------------------- cutaway
 
 def _position_keys(points):
-    """Keys 0, 1, ..., equal exactly for rows that are equal as floats: each
-    column is coded by its bit patterns after + 0.0 folds -0.0 into 0.0."""
-    s = len(points)
-    x, y, z = (np.unique((col + 0.0).view(np.int64), return_inverse=True)[1]
-               for col in points.T)
-    xy = np.unique(x * s + y, return_inverse=True)[1]
-    return np.unique(xy * s + z, return_inverse=True)[1].ravel()
+    """Keys in [0, K), equal exactly for rows equal as floats: the ranks of
+    the rows sorted by their bit patterns after + 0.0 folds -0.0 into 0.0."""
+    bits = (points + 0.0).view(np.int64)
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    keys = np.empty(len(points), _index_type(len(points)))
+    keys[order] = np.cumsum(np.r_[0, (bits[1:] != bits[:-1]).any(axis=1)])
+    return keys
 
 
 def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
@@ -339,14 +353,22 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     # point, so positions are keyed once per row.
     caps = _cap_triangles(grid, mesh.level)
     rows = np.concatenate([mesh.vertices, caps.reshape(-1, 3)])
+    keys = _position_keys(rows)
     slots = np.concatenate([np.delete(mesh.triangles, cut, axis=0).ravel(),
-                            np.arange(len(mesh.vertices), len(rows))])
-    del cut, caps
-    first, ids = _weld(_position_keys(rows)[slots])
-    triangles = ids.reshape(-1, 3)
-    i0, i1, i2 = triangles.T
-    triangles = triangles[(i0 != i1) & (i1 != i2) & (i0 != i2)]
-    return TriangleMesh(rows[slots[first]], triangles, mesh.level)
+                            np.arange(len(mesh.vertices), len(rows))],
+                           dtype=keys.dtype)
+    keys, s = keys[slots], len(slots)
+    # of the writes to a repeated index the last, the first slot, is kept
+    first = np.full(len(rows), s, _index_type(s + 1))
+    first[keys[::-1]] = np.arange(s - 1, -1, -1, dtype=first.dtype)
+    start = np.sort(first[first < s])  # the first slot of each vertex
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[keys[start]] = np.arange(len(start))
+    vertices = rows[slots[start]]
+    del cut, caps, rows, slots, first, start
+    keys = keys.reshape(-1, 3)
+    keys = keys[(keys != keys[:, [1, 2, 0]]).all(axis=1)]
+    return TriangleMesh(vertices, rank[keys], mesh.level)
 
 
 # ---------------------------------------------------------- plane contours

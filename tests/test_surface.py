@@ -12,9 +12,10 @@ from rscp.density import DensityGrid, GridSpec, normalize_relative
 from rscp.states import PotentialParams, StateLabels
 from rscp import surface
 from rscp.surface import (_AREA_EPS, _CASE_CROSSED, ContourSet, TriangleMesh,
-                          _active_cells, _cap_triangles, _weld, apply_cutaway,
-                          connected_components, is_watertight, marching_cubes,
-                          pole_concentration, slice_contour, surface_area)
+                          _active_cells, _cap_triangles, _position_keys,
+                          _weld, apply_cutaway, connected_components,
+                          is_watertight, marching_cubes, pole_concentration,
+                          slice_contour, surface_area)
 
 # ------------------------- reference: per-cell loop and position-dict weld
 
@@ -492,6 +493,17 @@ def test_weld_numbers_by_first_appearance():
             assert got.shape == want.shape and (got == want).all()
 
 
+def test_position_keys_are_dense_and_equal_for_equal_rows():
+    rng = np.random.default_rng(11)
+    pool = [0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, np.nextafter(1.5, 2.0)]
+    for points in (rng.choice(pool, size=(400, 3)), np.zeros((1, 3)),
+                   rng.uniform(-1.0, 1.0, (50, 3))):
+        keys = _position_keys(points)
+        assert sorted(set(keys.tolist())) == list(range(keys.max() + 1))
+        equal = (points[:, None] == points[None, :]).all(axis=2)
+        assert ((keys[:, None] == keys[None, :]) == equal).all()
+
+
 def test_cutaway_welds_signed_zeros_together():
     grid = synthetic_grid(n=15, h=2.0, radius=1.5)
     mesh = marching_cubes(grid, 30.0)
@@ -502,6 +514,9 @@ def test_cutaway_welds_signed_zeros_together():
     nv = len(mesh.vertices)
     triangles = mesh.triangles.copy()
     triangles[1::2] += nv
+    # and one triangle joins two spellings of a vertex: it welds degenerate
+    a, b, _ = mesh.triangles[0]
+    triangles = np.vstack([triangles, [a, a + nv, b]])
     doubled = TriangleMesh(np.vstack([mesh.vertices, flipped]), triangles,
                            mesh.level)
     cut = apply_cutaway(doubled, grid)

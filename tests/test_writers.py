@@ -122,18 +122,23 @@ def voxel_by_voxel_rows(grid):
             for z in range(n) for y in range(n)]
 
 
-def formatted_shape(monkeypatch, grid):
-    """The shape of the block the VTK writer formats; checks its text too."""
-    shapes = []
+def assert_formats_the_octant_by_planes(monkeypatch, grid):
+    """Each block the VTK writer formats is one octant z-plane, the blocks
+    together cover the octant once, and every file row is its voxels'."""
+    planes = []
 
     def spy(values):
-        shapes.append(values.shape)
+        planes.append(np.array(values))
         return distinct_words(values)
     distinct_words = cli._distinct_words
     monkeypatch.setattr(cli, "_distinct_words", spy)
     text = "".join(_vtk_chunks(grid))
     assert text.splitlines()[10:] == voxel_by_voxel_rows(grid)
-    return shapes[0]
+    octant = np.ascontiguousarray(grid.octant)
+    assert all(p.shape == octant.shape[:2] for p in planes)
+    stacked = np.stack([p.T for p in planes], axis=2)
+    assert stacked.shape == octant.shape
+    assert (stacked.view(np.uint64) == octant.view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (5, 2), (7, 3), (7, 4),
@@ -149,16 +154,19 @@ def test_vtk_formats_a_random_octant_once(monkeypatch, n, seed):
     octant[0, 0, 0], octant[-1, -1, -1] = -0.0, 0.0
     grid = DensityGrid(GridSpec(n, 2.5), octant, 100.0, LABELS, PARAMS,
                        rescaled=True)
-    assert formatted_shape(monkeypatch, grid) == octant.shape
+    assert_formats_the_octant_by_planes(monkeypatch, grid)
     assert {"0", "-0"} <= set("".join(_vtk_chunks(grid)).split())
 
 
 def test_vtk_formats_a_real_grid_from_one_octant(monkeypatch, real_grid):
-    assert formatted_shape(monkeypatch, real_grid) == (16, 16, 16)
+    assert real_grid.octant.shape == (16, 16, 16)
+    assert_formats_the_octant_by_planes(monkeypatch, real_grid)
 
 
 def test_vtk_writer_memory_stays_near_the_grid():
-    """Draining the writer allocates less than 2.5 times the grid."""
+    """Draining the writer allocates less than 6 octants.  The row texts it
+    keeps, N words of about 13 characters per octant row of (N + 1) / 2
+    values, take about 3.3; one pass over the whole octant takes 12."""
     grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 101)
     tracemalloc.start()
     try:
@@ -167,7 +175,22 @@ def test_vtk_writer_memory_stays_near_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * grid.values.nbytes
+    assert peak < 6 * grid.octant.nbytes
+
+
+def test_surface_memory_stays_near_the_mesh():
+    """marching_cubes then apply_cutaway on the N = 101 anchor at level 5
+    allocate less than 3.5 times the marching-cubes mesh; the cutaway
+    holds that mesh while it builds its own, about 2.7 in all."""
+    grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 101)
+    tracemalloc.start()
+    try:
+        mesh = marching_cubes(grid, 5.0)
+        apply_cutaway(mesh, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
 
 
 def test_obj_matches_reference(real_grid):
