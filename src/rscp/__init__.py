@@ -33,7 +33,7 @@ _SOURCE = {name: module for module, names in {
                 "grid_mass", "auto_extent"),
     "surface": ("TriangleMesh", "ContourSet", "marching_cubes",
                 "apply_cutaway", "slice_contour", "pole_concentration",
-                "connected_components", "is_watertight", "surface_area"),
+                "is_watertight", "surface_area"),
     "verify": ("VerificationReport", "quad_radial_norm", "quad_angular_norm",
                "ode_residuals", "verify_state"),
 }.items() for name in names}

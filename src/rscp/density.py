@@ -46,9 +46,9 @@ class DegenerateGridError(ValueError):
     """All-zero grid where a positive maximum is required."""
 
 
-# A grid holds its octant (65 MB at N = 401), and marching cubes holds a few
-# N^3-byte masks (64 MB each there).  The cap stops a size that would exhaust
-# memory before anything is allocated.
+# A grid holds its octant (65 MB at N = 401), and the VTK writer keeps the
+# text of every octant row, about 3.3 times as much.  The cap stops a size
+# that would exhaust memory before anything is allocated.
 _MAX_POINTS = 401
 # Far past any auto extent of a served state (below 1e16 Bohr) and far
 # below 1e154, where x^2 + y^2 + z^2 overflows a float.
@@ -86,6 +86,11 @@ class GridSpec:
         """The octant index of each lattice index along an axis: |i - c|."""
         return np.abs(np.arange(self.n_points) - (self.n_points - 1) // 2)
 
+    def multiplicity(self) -> np.ndarray:
+        """The lattice indices each octant index stands for along an axis,
+        1 on the axis plane and 2 off it: the count of each in mirror()."""
+        return np.bincount(self.mirror())
+
 
 @dataclass(frozen=True)
 class DensityGrid:
@@ -101,7 +106,11 @@ class DensityGrid:
 
     @property
     def values(self) -> np.ndarray:
-        """The N^3 lattice, (i, j, k) at (x, y, z), mirrored on each call."""
+        """The N^3 lattice, (i, j, k) at (x, y, z), mirrored on each call.
+
+        Nothing in rscp reads it: every command and reduction works on the
+        octant.  It is kept for readers outside the library, such as tests
+        and the benchmark probe."""
         return self.octant[np.ix_(*[self.spec.mirror()] * 3)]
 
 
@@ -203,11 +212,14 @@ def _check_contour_level(level: float) -> None:
 
 
 def grid_mass(grid: DensityGrid) -> float:
-    """Riemann sum of the raw density over the cube."""
+    """Riemann sum of the raw density over the cube: each octant voxel is
+    counted once for each lattice voxel it stands for."""
     if grid.rescaled:
         raise ValueError("grid_mass needs the raw build_grid result,"
                          " not a rescaled grid")
-    return float(grid.values.sum()) * grid.spec.spacing ** 3
+    w = grid.spec.multiplicity()
+    mass = np.einsum("ijk,i,j,k->", grid.octant, w, w, w)
+    return float(mass) * grid.spec.spacing ** 3
 
 
 # Gauss-Legendre nodes per panel and panels over [0, h] in _radial_cumulative

@@ -34,7 +34,6 @@ __all__ = [
     "apply_cutaway",
     "slice_contour",
     "pole_concentration",
-    "connected_components",
     "is_watertight",
     "surface_area",
 ]
@@ -430,43 +429,27 @@ def slice_contour(grid: DensityGrid, levels) -> list[ContourSet]:
 
 
 def pole_concentration(grid: DensityGrid, level: float) -> float:
-    """Mean |z|/r over supra-level voxels (r = 0 excluded)."""
+    """Mean |z|/r over supra-level lattice voxels (r = 0 excluded), taken
+    over the octant with each voxel weighted by the lattice voxels it
+    stands for."""
     if not grid.rescaled:
         raise ValueError("pole_concentration requires a rescaled grid")
-    coords = grid.spec.coords()
-    ii, jj, kk = np.nonzero(grid.values >= level)
-    if ii.size == 0:
+    supra = grid.octant >= level
+    if not supra.any():
         raise ValueError(f"empty supra-level set at level {level}")
-    x, y, z = coords[ii], coords[jj], coords[kk]
-    r = np.sqrt(x * x + y * y + z * z)
-    keep = r > 0.0
-    if not keep.any():
+    supra[0, 0, 0] = False  # the origin, the one voxel at r = 0
+    if not supra.any():
         raise ValueError(f"supra-level set at level {level} is only the origin")
-    return float(np.mean(np.abs(z[keep]) / r[keep]))
+    q, w = grid.spec.coords()[-len(supra):], grid.spec.multiplicity()
+    ii, jj, kk = np.nonzero(supra)
+    weight = w[ii] * w[jj] * w[kk]
+    x, y, z = q[ii], q[jj], q[kk]
+    del supra, ii, jj, kk  # to bound the peak
+    return float(np.average(z / np.sqrt(x * x + y * y + z * z),
+                            weights=weight))
 
 
 # ------------------------------------------------------------- mesh checks
-
-def connected_components(mesh: TriangleMesh) -> int:
-    """Number of connected components among referenced vertices."""
-    if len(mesh.triangles) == 0:
-        return 0
-    parent = list(range(len(mesh.vertices)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b, c in mesh.triangles.tolist():
-        for u, v in ((a, b), (b, c)):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    roots = {find(v) for tri in mesh.triangles.tolist() for v in tri}
-    return len(roots)
-
 
 def is_watertight(mesh: TriangleMesh) -> bool:
     """True when every undirected edge belongs to exactly 2 triangles."""

@@ -13,6 +13,15 @@ TABLE1_STATES = [
     (6, 4, 3), (6, 5, 0), (6, 5, 2), (6, 5, 4),
 ]
 
+# the five states of criterion 5 (grid integrity), from hydrogen to strong b, c
+CRITERION_5_STATES = [
+    (StateLabels(2, 1, 0), PotentialParams()),
+    (StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5)),
+    (StateLabels(6, 5, 0), PotentialParams(1, 0.5, 10)),
+    (StateLabels(5, 3, 2), PotentialParams(1, 0.5, 5)),
+    (StateLabels(4, 1, 0), PotentialParams(1, 5.0, 0.5)),
+]
+
 
 def make_rpv_grid(labels: StateLabels, params: PotentialParams,
                   n_points: int, coverage: float = 0.999):

@@ -14,15 +14,16 @@ import pytest
 from rscp.density import (GridSpec, auto_extent, build_grid, density_at,
                           grid_mass, normalize_relative)
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
-from rscp.surface import (apply_cutaway, connected_components, is_watertight,
-                          marching_cubes, pole_concentration)
+from rscp.surface import (apply_cutaway, is_watertight, marching_cubes,
+                          pole_concentration)
 from rscp.verify import (angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm,
                          radial_expectation_r)
 from rscp.cli import main as cli_main
 
 from _hydrogen import hydrogen_oracle
-from conftest import TABLE1_STATES
+from _mesh import connected_components
+from conftest import CRITERION_5_STATES, TABLE1_STATES
 
 SUITE = [(StateLabels(n, l, m), PotentialParams(1.0, 0.5, c))
          for (n, l, m) in TABLE1_STATES for c in (0.0, 0.5, 5.0)]
@@ -97,15 +98,8 @@ def test_criterion_4_hydrogen_oracle_equivalence():
 
 
 def test_criterion_5_grid_integrity():
-    cases = [
-        (StateLabels(2, 1, 0), PotentialParams()),
-        (StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5)),
-        (StateLabels(6, 5, 0), PotentialParams(1, 0.5, 10)),
-        (StateLabels(5, 3, 2), PotentialParams(1, 0.5, 5)),
-        (StateLabels(4, 1, 0), PotentialParams(1, 5.0, 0.5)),
-    ]
     masses = []
-    for labels, params in cases:
+    for labels, params in CRITERION_5_STATES:
         h = auto_extent(labels, params)
         grid = build_grid(labels, params, GridSpec(151, h))
         mass = grid_mass(grid)

@@ -1,6 +1,7 @@
 """Cartesian density sampling, voxel grids, extent selection, rescaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from rscp.density import (_MAX_POINTS, _RADIAL_NODES, _RADIAL_PANELS,
                           normalize_relative)
 from rscp.specfun import radial_u
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
+from rscp.surface import pole_concentration
+
+from conftest import CRITERION_5_STATES
 
 H_210 = (StateLabels(2, 1, 0), PotentialParams())
 RING = (StateLabels(6, 5, 0), PotentialParams(1.0, 0.5, 0.5))
@@ -210,6 +214,43 @@ def test_grid_mass_rejects_rescaled_grid():
     assert grid_mass(grid) < 1.0
 
 
+# ------------------------------------------------- mirror-weighted reductions
+
+
+@pytest.mark.parametrize("n_points", [31, 151])
+@pytest.mark.parametrize("labels, params", CRITERION_5_STATES)
+def test_weighted_reductions_match_the_lattice(labels, params, n_points):
+    """grid_mass and pole_concentration weigh the octant; the reference
+    reduces the mirrored N^3 lattice voxel by voxel."""
+    raw = build_grid(labels, params,
+                     GridSpec(n_points, auto_extent(labels, params)))
+    want = float(raw.values.sum()) * raw.spec.spacing ** 3
+    assert grid_mass(raw) == pytest.approx(want, rel=1e-14, abs=0.0)
+    grid = normalize_relative(raw)
+    lattice, coords = grid.values, grid.spec.coords()
+    for level in (10.0, 50.0, 90.0):
+        ii, jj, kk = np.nonzero(lattice >= level)
+        x, y, z = coords[ii], coords[jj], coords[kk]
+        r = np.sqrt(x * x + y * y + z * z)
+        want = float(np.mean(np.abs(z[r > 0.0]) / r[r > 0.0]))
+        assert pole_concentration(grid, level) == pytest.approx(
+            want, rel=1e-14, abs=0.0), level
+
+
+def test_weighted_reductions_stay_below_the_octant():
+    raw = build_grid(*RING, GridSpec(151, auto_extent(*RING)))
+    grid = normalize_relative(raw)
+    for reduce in (lambda: grid_mass(raw),
+                   lambda: pole_concentration(grid, 10.0)):
+        tracemalloc.start()
+        try:
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.octant.nbytes, (peak, raw.octant.nbytes)
+
+
 # ------------------------------------------------------------- octant mirror
 
 
@@ -237,6 +278,7 @@ def test_grid_holds_its_octant_and_mirrors_it_on_each_call():
     assert values.shape == (21, 21, 21)
     assert np.array_equal(values[10:, 10:, 10:], grid.octant)
     assert np.array_equal(spec.mirror(), np.abs(np.arange(21) - 10))
+    assert np.array_equal(spec.multiplicity(), [1] + [2] * 10)
     # a plain property: each call builds a new lattice, none is kept
     assert grid.values is not values
     assert not any(isinstance(v, np.ndarray) and v.size == 21 ** 3

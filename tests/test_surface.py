@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _mesh import connected_components
 from conftest import make_rpv_grid
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from rscp.density import DensityGrid, GridSpec, normalize_relative
@@ -13,9 +14,9 @@ from rscp.states import PotentialParams, StateLabels
 from rscp import surface
 from rscp.surface import (_AREA_EPS, _CASE_CROSSED, ContourSet, TriangleMesh,
                           _active_cells, _cap_triangles, _position_keys,
-                          _weld, apply_cutaway, connected_components,
-                          is_watertight, marching_cubes, pole_concentration,
-                          slice_contour, surface_area)
+                          _weld, apply_cutaway, is_watertight,
+                          marching_cubes, pole_concentration, slice_contour,
+                          surface_area)
 
 # ------------------------- reference: per-cell loop and position-dict weld
 
