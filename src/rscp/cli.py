@@ -355,21 +355,19 @@ def cmd_potential(args) -> int:
     if args.r_range is not None:
         if args.theta is None:
             raise ValueError("--r-range needs a fixed --theta")
-        coords = _parse_range(args.r_range)
-        rows = [(r, params, r, args.theta) for r in coords]
+        rows = [(r, r, args.theta) for r in _parse_range(args.r_range)]
     else:
         if args.r is None:
             raise ValueError("--theta-range needs a fixed --r")
-        coords = _parse_range(args.theta_range)
-        rows = [(t, params, args.r, t) for t in coords]
+        rows = [(t, args.r, t) for t in _parse_range(args.theta_range)]
     lines = [f"# potential Z={_sig(params.Z)} b={_sig(params.b)}"
              f" c={_sig(params.c)}"
              + (f" theta={_sig(args.theta)}" if args.r_range is not None
                 else f" r={_sig(args.r)}"),
              "coord,V"]
-    for coord, p, r, theta in rows:
+    for coord, r, theta in rows:
         try:
-            v = _sig(potential_V(p, r, theta))
+            v = _sig(potential_V(params, r, theta))
         except PoleError:
             v = ""
         lines.append(f"{_sig(coord)},{v}")
@@ -415,6 +413,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """A JSON number or a number string, as a float; a bool is no number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_run(i: int, entry) -> RunSpec:
     if not isinstance(entry, dict):
         raise ValueError(f"a run must be an object, got {json.dumps(entry)}")
@@ -439,15 +444,17 @@ def _parse_run(i: int, entry) -> RunSpec:
         index=i,
         state={"n": _integer(entry["n"], "n"), "l": _integer(entry["l"], "l"),
                "m": _integer(entry["m"], "m"),
-               **{k: float(entry.get(k, getattr(PotentialParams, k)))
+               **{k: _real(entry.get(k, getattr(PotentialParams, k)), k)
                   for k in ("Z", "b", "c")}},
         n_points=_integer(gridcfg.get("n_points", RunSpec.n_points),
                           "n_points"),
-        extent=(float(gridcfg["extent"]) if "extent" in gridcfg else None),
-        coverage=float(gridcfg.get("coverage", RunSpec.coverage)),
+        extent=(_real(gridcfg["extent"], "extent") if "extent" in gridcfg
+                else None),
+        coverage=_real(gridcfg.get("coverage", RunSpec.coverage), "coverage"),
         outputs=outputs,
-        level=float(entry.get("level", RunSpec.level)),
-        levels=tuple(float(v) for v in entry.get("levels", RunSpec.levels)),
+        level=_real(entry.get("level", RunSpec.level), "level"),
+        levels=tuple(_real(v, "levels entry")
+                     for v in entry.get("levels", RunSpec.levels)),
         cutaway=entry.get("cutaway", RunSpec.cutaway),
     )
 

@@ -48,7 +48,10 @@ class DegenerateGridError(ValueError):
 
 # A grid holds its octant (65 MB at N = 401), and the VTK writer keeps the
 # text of every octant row, about 3.3 times as much.  The cap stops a size
-# that would exhaust memory before anything is allocated.
+# that would exhaust memory before anything is allocated.  It also bounds
+# the surface layer's int32 indices: at N = 401 there are 400^3 lattice
+# cells, each with at most 12 crossed edges and 5 triangles, so every
+# vertex, slot and triangle count stays below 2^31.
 _MAX_POINTS = 401
 # Far past any auto extent of a served state (below 1e16 Bohr) and far
 # below 1e154, where x^2 + y^2 + z^2 overflows a float.
@@ -66,8 +69,8 @@ class GridSpec:
         if not 3 <= self.n_points <= _MAX_POINTS or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be an odd integer from 3 to"
                              f" {_MAX_POINTS}, got {self.n_points}")
-        if not (self.half_extent > 0.0 and math.isfinite(self.half_extent)):
-            raise ValueError("half_extent must be positive and finite,"
+        if not self.half_extent > 0.0:  # NaN too; inf fails _MAX_EXTENT
+            raise ValueError("half_extent must be positive,"
                              f" got {self.half_extent}")
         if self.half_extent > _MAX_EXTENT:
             raise ValueError(f"half_extent must be at most {_MAX_EXTENT:g},"

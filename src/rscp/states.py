@@ -71,8 +71,6 @@ class PotentialParams:
         for name, value in (("Z", self.Z), ("b", self.b), ("c", self.c)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.Z > 0.0:
-            raise ValueError(f"Z must be positive, got {self.Z}")
         if self.c < 0.0:
             raise ValueError(f"c must be >= 0, got {self.c}")
         low, high = _Z_RANGE
@@ -87,6 +85,13 @@ class PotentialParams:
                              f" got {self.c}")
 
 
+# The radial factor and the Gauss-Laguerre rule of verify loop over n - l - 1
+# terms, and that rule's dense Jacobi matrix has (n - l)^2 entries (8 MB at
+# n = 1000): their cost grows without bound in n.  The bound also keeps every
+# label small enough to add exactly to a float.
+_MAX_N = 1000
+
+
 @dataclass(frozen=True)
 class StateLabels:
     n: int
@@ -96,6 +101,9 @@ class StateLabels:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > _MAX_N:
+            raise ValueError(f"n is too large: at most {_MAX_N} is served,"
+                             f" got n={self.n}")
         if self.l < 0 or self.l > self.n - 1:
             raise ValueError(f"l must satisfy 0 <= l <= n-1, got l={self.l}, n={self.n}")
         if abs(self.m) > self.l:
@@ -114,31 +122,15 @@ class QuasiNumbers:
     energy: float
 
 
-# The radial factor and the Gauss-Laguerre rule of verify loop over n - l - 1
-# terms, and that rule's dense Jacobi matrix has (n - l)^2 entries (8 MB at
-# n = 1000): their cost grows without bound in n.
-_MAX_N = 1000
-
-
-def _float_of(name: str, value: int) -> float:
-    """An integer term of label ``name`` as the float it adds as."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large: the quasi quantum numbers"
-                         f" overflow a float, got {name}={value}") from None
-
-
 def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNumbers:
     """Physical (n, l, m) + (Z, b, c) -> quasi quantum numbers.
 
     m' = sqrt(b + m^2); gamma1 = (1 + sqrt(1+4c))/2 for c > 0, else the
     parity (l-|m|) mod 2; l' = 2k + gamma1 + m'; n' = n_r + l' + 1;
     E = -Z^2 / (2 n'^2).  Only the regular gamma1 branch is normalizable
-    for c > 0, which forces l - |m| odd there.  A label too large for
-    that float arithmetic is a ValueError naming it.
+    for c > 0, which forces l - |m| odd there.
     """
-    order_sq = params.b + _float_of("m", labels.m * labels.m)
+    order_sq = params.b + labels.m * labels.m
     if order_sq < 0.0:
         raise ImaginaryOrderError(
             f"imaginary order: b + m^2 = {order_sq} < 0 (no real bound state)")
@@ -154,11 +146,8 @@ def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNu
         gamma1 = float(n_theta % 2)
         k = (n_theta - int(gamma1)) // 2
     n_r = labels.n - labels.l - 1
-    l_prime = _float_of("l", 2 * k) + gamma1 + m_prime
-    n_prime = _float_of("n", n_r) + l_prime + 1.0
-    if labels.n > _MAX_N:
-        raise ValueError(f"n is too large: at most {_MAX_N} is served,"
-                         f" got n={labels.n}")
+    l_prime = 2 * k + gamma1 + m_prime
+    n_prime = n_r + l_prime + 1.0
     lam = l_prime * (l_prime + 1.0)
     e = -params.Z * params.Z / (2.0 * n_prime * n_prime)
     return QuasiNumbers(m_prime, gamma1, k, l_prime, n_r, n_prime, lam, e)

@@ -46,7 +46,7 @@ class TriangleMesh:
     """Indexed triangle soup of the iso level's surface."""
 
     vertices: np.ndarray   # (nv, 3) float
-    triangles: np.ndarray  # (nt, 3) int
+    triangles: np.ndarray  # (nt, 3) int; int32 from marching_cubes, apply_cutaway
     level: float
 
     def __post_init__(self):
@@ -76,21 +76,18 @@ def _areas(vertices, triangles, block=1 << 14):
         for s in range(0, len(triangles), block)])
 
 
-def _index_type(s):  # the narrower integer type of indices into s items
-    return np.int32 if s <= 2**31 else np.int64
-
-
 def _weld(keys):
     """Number equal int64 keys 0, 1, ... in order of first appearance:
     vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i].
     One sort of the pairs (key, i) packed as key << b | i: the keys must be
-    >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length()."""
+    >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length().  first and
+    ids are int32, as _MAX_POINTS bounds len(keys)."""
     s, b = len(keys), len(keys).bit_length()
     packed = keys << b
-    packed |= np.arange(s, dtype=_index_type(s))
+    packed |= np.arange(s, dtype=np.int32)
     packed.sort()
     where = np.bitwise_and(packed, (1 << b) - 1, casting="unsafe",
-                           out=np.empty(s, _index_type(s)))
+                           out=np.empty(s, np.int32))
     packed >>= b
     start = np.flatnonzero(np.r_[s > 0, packed[1:] != packed[:-1]])
     del packed
@@ -166,7 +163,7 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     keys = np.repeat(3 * corner, count)
     keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS)[np.broadcast_to(
         np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
-    first_slot = (np.cumsum(count) - count).astype(_index_type(len(keys)))
+    first_slot = (np.cumsum(count) - count).astype(np.int32)
     del corner, crossed
     first, edge = _weld(keys)
     keys = keys[first]
@@ -204,7 +201,7 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     del count, first_slot, vid
     # a triangle with a repeated vertex has area 0, so this drops it too
     triangles = triangles[_areas(vertices, triangles) >= _AREA_EPS]
-    return TriangleMesh(vertices, triangles.astype(np.int64), float(level))
+    return TriangleMesh(vertices, triangles, float(level))
 
 
 # ------------------------------------------------------- marching squares
@@ -308,7 +305,7 @@ def _position_keys(points):
     bits = (points + 0.0).view(np.int64)
     order = np.lexsort(bits.T)
     bits = bits[order]
-    keys = np.empty(len(points), _index_type(len(points)))
+    keys = np.empty(len(points), np.int32)
     keys[order] = np.cumsum(np.r_[0, (bits[1:] != bits[:-1]).any(axis=1)])
     return keys
 
@@ -358,10 +355,10 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
                            dtype=keys.dtype)
     keys, s = keys[slots], len(slots)
     # of the writes to a repeated index the last, the first slot, is kept
-    first = np.full(len(rows), s, _index_type(s + 1))
+    first = np.full(len(rows), s, np.int32)
     first[keys[::-1]] = np.arange(s - 1, -1, -1, dtype=first.dtype)
     start = np.sort(first[first < s])  # the first slot of each vertex
-    rank = np.empty(len(rows), dtype=np.int64)
+    rank = np.empty(len(rows), dtype=np.int32)
     rank[keys[start]] = np.arange(len(start))
     vertices = rows[slots[start]]
     del cut, caps, rows, slots, first, start

@@ -112,7 +112,8 @@ def test_state_inadmissible_is_validation_error(capsys):
     assert doc["error"]["message"]
 
 
-# labels whose quasi quantum numbers overflow a float, and the label named
+# labels with a quasi quantum number past float range, and the label that
+# puts it there; each has n > 1000, which is refused first
 OVERFLOWING = [({"n": 10 ** 400, "l": 1, "m": 0}, "n"),
                ({"n": 10 ** 400 + 1, "l": 10 ** 400, "m": 0}, "l"),
                ({"n": 10 ** 200 + 1, "l": 10 ** 200, "m": 10 ** 200}, "m")]
@@ -120,12 +121,14 @@ OVERFLOWING = [({"n": 10 ** 400, "l": 1, "m": 0}, "n"),
 
 @pytest.mark.parametrize("state, name", OVERFLOWING)
 def test_state_overflowing_label_is_validation_error(capsys, state, name):
+    """Whichever label would overflow a float, the n bound reports."""
     code, out = run_cli(capsys, "state", *(f"--{k}={v}"
                                            for k, v in state.items()))
     assert code == EXIT_VALIDATION
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError"
-    assert error["message"].startswith(f"{name} is too large")
+    assert error["message"] == ("n is too large: at most 1000 is served,"
+                                f" got n={state['n']}")
 
 
 @pytest.mark.parametrize("n", [10 ** 12, 1001])
@@ -709,6 +712,27 @@ def test_sweep_job_field_of_the_wrong_json_type(tmp_path, capsys, field,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"Z": True}, "Z must be a number, got true"),
+    ({"b": True}, "b must be a number, got true"),
+    ({"c": False}, "c must be a number, got false"),
+    ({"level": True}, "level must be a number, got true"),
+    ({"levels": [True, 50]}, "levels entry must be a number, got true"),
+    ({"grid": {"coverage": True}}, "coverage must be a number, got true"),
+    ({"grid": {"extent": True}}, "extent must be a number, got true")])
+def test_sweep_bool_in_a_float_field_is_refused(tmp_path, capsys, field,
+                                                message):
+    """A JSON bool is never read as a number: exit 2, and no run starts."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                "runs": [JOB["runs"][0],
+                                         dict(JOB["runs"][2], **field)]}))
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == f"run 1: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_level_list_is_capped(tmp_path, capsys):
     many = [50.0] * (_MAX_LEVELS + 1)
     message = f"levels must hold at most {_MAX_LEVELS} values, got 1001"
@@ -767,12 +791,12 @@ def test_sweep_job_integer_forms(tmp_path):
     ({"n": 2, "l": 2, "m": 0}, "l must satisfy", {}),
     ({"n": 3, "l": 1, "m": -2}, "|m| must be <= l", {}),
     ({"n": 2, "l": 1, "m": 0, "c": -0.5}, "c must be >= 0", {}),
-    ({"n": 2, "l": 1, "m": 0, "Z": 0.0}, "Z must be positive", {}),
+    ({"n": 2, "l": 1, "m": 0, "Z": 0.0}, "Z must lie in", {}),
     ({"n": 2, "l": 1, "m": 0, "b": math.inf}, "b must be finite",
      {"b": "inf"}),
     ({"n": 2, "l": 1, "m": 0, "c": math.nan}, "c must be finite",
      {"c": "nan"}),
-    *((state, f"{name} is too large", {}) for state, name in OVERFLOWING),
+    *((state, "n is too large", {}) for state, _ in OVERFLOWING),
     ({"n": 10 ** 12, "l": 0, "m": 0}, "n is too large", {}),
     ({"n": 1001, "l": 0, "m": 0}, "n is too large", {}),
 ])
@@ -989,7 +1013,7 @@ def test_file_commands_write_the_sweep_artifacts(tmp_path, capsys, given):
 
 
 @pytest.mark.parametrize("grid, message", [
-    ({"extent": 0}, "half_extent must be positive and finite, got 0.0"),
+    ({"extent": 0}, "half_extent must be positive, got 0.0"),
     ({"extent": 5, "coverage": 2}, "coverage must lie in (0, 1), got 2.0")])
 def test_file_command_is_checked_like_a_sweep_run(tmp_path, capsys, grid,
                                                   message):

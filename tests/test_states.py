@@ -101,6 +101,17 @@ def test_map_domain_errors():
         StateLabels(3, 1, 2)                  # |m| > l
 
 
+def test_labels_past_the_served_n_are_refused():
+    """n > 1000 is refused where the labels are built, ahead of any other
+    fault in them; n = 1000 is served."""
+    with pytest.raises(ValueError, match=r"^n is too large: at most 1000 is"
+                                         r" served, got n=1001$"):
+        StateLabels(1001, 0, 0)
+    with pytest.raises(ValueError, match="^n is too large"):
+        StateLabels(10 ** 400, 10 ** 400, 10 ** 401)  # l and m faulty too
+    assert StateLabels(1000, 999, -999).n == 1000
+
+
 def test_map_continuity_in_c():
     base = map_quantum_numbers(StateLabels(4, 3, 0), PotentialParams())
     for c in (1e-6, 1e-9, 1e-12):

@@ -9,12 +9,13 @@ import pytest
 from _mesh import connected_components
 from conftest import make_rpv_grid
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
-from rscp.density import DensityGrid, GridSpec, normalize_relative
+from rscp.density import _MAX_POINTS, DensityGrid, GridSpec, normalize_relative
 from rscp.states import PotentialParams, StateLabels
 from rscp import surface
-from rscp.surface import (_AREA_EPS, _CASE_CROSSED, ContourSet, TriangleMesh,
-                          _active_cells, _cap_triangles, _position_keys,
-                          _weld, apply_cutaway, is_watertight,
+from rscp.surface import (_AREA_EPS, _CAP_TABLE, _CASE_CROSSED, _TRI_COUNT,
+                          ContourSet, TriangleMesh, _active_cells,
+                          _cap_triangles, _position_keys, _weld,
+                          apply_cutaway, is_watertight,
                           marching_cubes, pole_concentration, slice_contour,
                           surface_area)
 
@@ -126,7 +127,7 @@ def reference_marching_cubes(grid, level):
             triangles.append((i0, i1, i2))
 
     return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                        np.array(triangles, dtype=np.int64).reshape(-1, 3),
+                        np.array(triangles, dtype=np.int32).reshape(-1, 3),
                         float(level))
 
 
@@ -194,7 +195,7 @@ def reference_apply_cutaway(mesh, grid):
             out_triangles.append(ids)
 
     return TriangleMesh(np.array(out_vertices, dtype=float).reshape(-1, 3),
-                        np.array(out_triangles, dtype=np.int64).reshape(-1, 3),
+                        np.array(out_triangles, dtype=np.int32).reshape(-1, 3),
                         mesh.level)
 
 
@@ -492,6 +493,26 @@ def test_weld_numbers_by_first_appearance():
         keys = np.asarray(keys, dtype=np.int64)
         for got, want in zip(_weld(keys), reference_weld(keys)):
             assert got.shape == want.shape and (got == want).all()
+
+
+def test_meshes_index_with_int32():
+    grid = synthetic_grid(n=31, h=2.0, radius=1.5)
+    mesh = marching_cubes(grid, 35.0)
+    cut = apply_cutaway(mesh, grid)
+    assert cut is not mesh
+    assert mesh.triangles.dtype == cut.triangles.dtype == np.int32
+
+
+def test_the_point_cap_keeps_surface_indices_in_int32():
+    """Fails if _MAX_POINTS grows past what int32 indices hold.  At the cap
+    every lattice cell may be crossed, with 12 crossed edges and 5
+    triangles; the cutaway numbers 3 slots per kept triangle and one per
+    cap point, at most _CAP_TABLE's rows of 3 points in each cell of the 3
+    boundary planes, and stores the slot count itself as a sentinel."""
+    cells, c = (_MAX_POINTS - 1) ** 3, (_MAX_POINTS - 1) // 2
+    cap_points = 3 * c * c * _CAP_TABLE.shape[1] * 3
+    assert 12 * cells < 2**31
+    assert 3 * int(_TRI_COUNT.max()) * cells + cap_points < 2**31
 
 
 def test_position_keys_are_dense_and_equal_for_equal_rows():
