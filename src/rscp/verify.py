@@ -7,13 +7,14 @@ with nodes and weights built here from the classical three-term
 recurrences.  Differential-equation residuals rebuild the polynomial
 factors as the Laguerre and Jacobi polynomials of those same
 recurrences, with each factor's envelope divided out analytically, at
-radial samples in a window set by the polynomial degree and angular
-samples in (0, 1).  One recurrence loop serves both families and
-carries a power of two beside each value, so neither overflows at any
-degree.  The checks share these recurrences and nothing with the served
-path.  The served radial_u and angular_H of rscp.specfun sum both
-factors in the power basis with the coefficients the density kernel
-sums, so the norms judge the factors a grid draws.
+fixed samples: the midpoints of equal cells of a radial window set by
+the polynomial degree and of an angular window inside (0, 1).  One
+recurrence loop serves both families and carries a power of two beside
+each value, so neither overflows at any degree.  The checks share these
+recurrences and nothing with the served path.  The served radial_u and
+angular_H of rscp.specfun sum both factors in the power basis with the
+coefficients the density kernel sums, so the norms judge the factors a
+grid draws.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def _laguerre_l(j: int, n: int, a: float, x):
 
 def _eigenvalues(diag, off):
     """Eigenvalues of the symmetric tridiagonal matrix (diag, off)."""
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    a = np.diag(diag)           # eigvalsh reads the lower triangle only
+    np.fill_diagonal(a[1:], off)
+    return np.linalg.eigvalsh(a)
 
 
 def _gauss_rule(nodes, p, log_g, log_mass: float):
@@ -220,16 +223,16 @@ def _max_relative(terms) -> float:
     return float(np.max(np.abs(sum(terms)) / scale, initial=0.0))
 
 
-# samples per residual, and the seed they are drawn from
+# samples per residual: the midpoints of equal cells of each window
 _N_SAMPLES = 100
-_SEED = 0
+_MIDPOINTS = (np.arange(_N_SAMPLES) + 0.5) / _N_SAMPLES
 
 
 def ode_residuals(labels: StateLabels,
                   params: PotentialParams) -> tuple[float, float]:
-    """Max relative residuals (radial, angular) at random interior points."""
+    """Max relative residuals (radial, angular) at the cell midpoints of
+    a radial and an angular window."""
     q = map_quantum_numbers(labels, params)
-    rng = np.random.default_rng(_SEED)
     Z, c, lp, lam = params.Z, params.c, q.l_prime, q.lam
     qw = 2.0 * Z / q.n_prime
 
@@ -237,7 +240,7 @@ def ode_residuals(labels: StateLabels,
     # exp(-w/2) w^(l'-1) is divided out of u'' + [2E + 2Z/r - lambda/r^2] u = 0,
     # so no tail bound is needed: w spans a window four times the degree
     w_max = max(4.0 * (2.0 * lp + 2.0 + 2.0 * q.n_r), 60.0)
-    w = rng.uniform(0.02 * w_max, 0.9 * w_max, size=_N_SAMPLES)
+    w = (0.02 + 0.88 * _MIDPOINTS) * w_max
     r = w / qw
     F, F1, F2 = _on_one_scale(_laguerre_l, q.n_r, 2.0 * lp + 1.0, w)
     radial_max = _max_relative((
@@ -249,7 +252,7 @@ def ode_residuals(labels: StateLabels,
     # H = (1-x^2)^(m'/2) x^gamma1 S, S = P_k^(gamma1-1/2, m')(1-2x^2); the
     # envelope, whose log-derivative is g, is divided out of
     # (1-x^2) H'' - 2x H' + [lambda - m'^2/(1-x^2) - c/x^2] H = 0
-    x = rng.uniform(0.005, 0.995, size=_N_SAMPLES)
+    x = 0.005 + 0.99 * _MIDPOINTS
     mp, g1, one = q.m_prime, q.gamma1, 1.0 - x * x
     S, P1, P2 = _on_one_scale(_jacobi_p, q.k, g1 - 0.5, mp, 1.0 - 2.0 * x * x)
     S1, S2 = -4.0 * x * P1, 16.0 * x * x * P2 - 4.0 * P1

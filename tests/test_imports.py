@@ -49,11 +49,13 @@ _STATE = ["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5"]
      ["rscp.surface", "rscp.verify", "rscp._mc_tables",
       "concurrent.futures"]),
     (["verify", *_STATE], ["numpy", "rscp.verify"],
-     ["rscp.surface", "rscp._mc_tables"]),
+     ["rscp.surface", "rscp._mc_tables", "numpy.random"]),
     (["isosurface", *_STATE, "--N", "5", "--level", "30"],
      ["rscp.surface", "rscp._mc_tables"], ["rscp.verify"]),
+    (["slice", *_STATE, "--N", "5"], ["rscp.surface"],
+     ["rscp.verify", "numpy.random"]),
 ], ids=["import-rscp", "import-cli", "import-states", "state", "potential", "grid", "verify",
-        "isosurface"])
+        "isosurface", "slice"])
 def test_cold_command_loads_only_what_it_runs(tmp_path, argv, loaded,
                                               not_loaded):
     child = _child(_LOADED, *argv, cwd=tmp_path)
@@ -111,7 +113,10 @@ _SWEEP = """
 import sys
 from rscp.cli import main
 assert not {"numpy", "rscp.surface", "rscp.verify"} & set(sys.modules)
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+# both verify outputs ran, with no random number generator loaded
+assert "numpy.random" not in sys.modules
+sys.exit(code)
 """
 
 

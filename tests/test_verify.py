@@ -15,8 +15,9 @@ from rscp import specfun, verify
 from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers)
-from rscp.verify import (CheckResult, _jacobi_p, _jacobi_rule, _laguerre_l,
-                         _laguerre_rule, angular_expectation_abs_x, ode_residuals,
+from rscp.verify import (CheckResult, _eigenvalues, _jacobi_p, _jacobi_rule,
+                         _laguerre_l, _laguerre_rule,
+                         angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm,
                          radial_expectation_r, verify_state)
 
@@ -58,6 +59,17 @@ def test_laguerre_rule_moments_at_largest_degree():
         got = logsumexp(log_w + j * np.log(x))
         want = gammaln(4.0 + j + 1.0)
         assert abs(got - want) < 1e-14 * max(1.0, want), j
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 300, 999])
+def test_eigenvalues_match_the_two_matrix_form(n):
+    # the one matrix with only the lower band set gives the nodes of the
+    # summed two-matrix form bit for bit: eigvalsh reads the lower triangle
+    k = np.arange(1.0, n)
+    for diag, off in [(2.0 * np.arange(n) + 5.0, np.sqrt(k * (k + 4.0))),
+                      (np.linspace(-0.3, 0.2, n), 0.5 - 0.1 / (k + 1.0))]:
+        want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+        assert np.array_equal(_eigenvalues(diag, off), want)
 
 
 # (the polynomial as (m, e), scipy's value, samples): Laguerre across its
@@ -394,6 +406,41 @@ def test_residuals_low_degrees(k, n_r, m, wrong_energy, wrong_lambda):
     assert rres > 1e-3
     _, ares = wrong_lambda(labels, params)
     assert ares > 1e-4
+
+
+# every admissible (n, l, m) with n <= 8 at eight barrier pairs, from
+# hydrogen to the largest b and c, and eight high-degree states
+_MARGIN_BARRIERS = ((0.0, 0.0), (0.5, 0.5), (1e-3, 1e-3), (100.0, 1.0),
+                    (1e6, 1.0), (1e12, 0.5), (0.5, 1e12), (0.5, 10.0))
+_MARGIN_HIGH = (((300, 1, 0), (0.0, 0.0)), ((1000, 1, 0), (0.0, 0.0)),
+                ((200, 199, 0), (0.0, 0.0)), ((100, 51, 0), (0.5, 10.0)),
+                ((1000, 501, 0), (0.5, 0.5)), ((600, 599, 0), (1e6, 1.0)),
+                ((130, 129, 0), (1e12, 0.5)), ((1000, 999, 0), (0.5, 1e12)))
+
+
+def _margin_states():
+    for b, c in _MARGIN_BARRIERS:
+        params = PotentialParams(1.0, b, c)
+        for n in range(1, 9):
+            for l in range(n):
+                for m in range(-l, l + 1):
+                    labels = StateLabels(n, l, m)
+                    try:
+                        map_quantum_numbers(labels, params)
+                    except NoGammaBranchError:
+                        continue
+                    yield labels, params
+    for state, (b, c) in _MARGIN_HIGH:
+        yield StateLabels(*state), PotentialParams(1.0, b, c)
+
+
+def test_residuals_keep_a_margin_over_the_scan():
+    # four decades below the 1e-6 check at every state
+    states = list(_margin_states())
+    assert len(states) == 800
+    for labels, params in states:
+        rres, ares = ode_residuals(labels, params)
+        assert rres < 1e-10 and ares < 1e-10, (labels, params, rres, ares)
 
 
 def _max_rel_diff(ours, want):
