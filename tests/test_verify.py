@@ -383,8 +383,9 @@ RESIDUAL_SCAN = (
 
 def test_residuals_scan_high_degree_and_barriers(wrong_energy, wrong_lambda):
     for labels, params in RESIDUAL_SCAN:
+        # four decades below the 1e-6 check
         rres, ares = ode_residuals(labels, params)
-        assert rres < 1e-6 and ares < 1e-6, (labels, params, rres, ares)
+        assert rres < 1e-10 and ares < 1e-10, (labels, params, rres, ares)
         rres, _ = wrong_energy(labels, params)
         assert rres > 1e-3, (labels, params, rres)
         _, ares = wrong_lambda(labels, params)
@@ -409,13 +410,9 @@ def test_residuals_low_degrees(k, n_r, m, wrong_energy, wrong_lambda):
 
 
 # every admissible (n, l, m) with n <= 8 at eight barrier pairs, from
-# hydrogen to the largest b and c, and eight high-degree states
+# hydrogen to the largest b and c; RESIDUAL_SCAN holds the high degrees
 _MARGIN_BARRIERS = ((0.0, 0.0), (0.5, 0.5), (1e-3, 1e-3), (100.0, 1.0),
                     (1e6, 1.0), (1e12, 0.5), (0.5, 1e12), (0.5, 10.0))
-_MARGIN_HIGH = (((300, 1, 0), (0.0, 0.0)), ((1000, 1, 0), (0.0, 0.0)),
-                ((200, 199, 0), (0.0, 0.0)), ((100, 51, 0), (0.5, 10.0)),
-                ((1000, 501, 0), (0.5, 0.5)), ((600, 599, 0), (1e6, 1.0)),
-                ((130, 129, 0), (1e12, 0.5)), ((1000, 999, 0), (0.5, 1e12)))
 
 
 def _margin_states():
@@ -430,14 +427,12 @@ def _margin_states():
                     except NoGammaBranchError:
                         continue
                     yield labels, params
-    for state, (b, c) in _MARGIN_HIGH:
-        yield StateLabels(*state), PotentialParams(1.0, b, c)
 
 
 def test_residuals_keep_a_margin_over_the_scan():
     # four decades below the 1e-6 check at every state
     states = list(_margin_states())
-    assert len(states) == 800
+    assert len(states) == 792
     for labels, params in states:
         rres, ares = ode_residuals(labels, params)
         assert rres < 1e-10 and ares < 1e-10, (labels, params, rres, ares)
