@@ -336,13 +336,10 @@ def _artifact(kind: str, run: RunSpec, grid: DensityGrid | None):
 def cmd_state(args) -> int:
     labels = StateLabels(args.n, args.l, args.m)
     params = PotentialParams(args.Z, args.b, args.c)
-    q = map_quantum_numbers(labels, params)
     payload = {
         "n": labels.n, "l": labels.l, "m": labels.m,
         "Z": params.Z, "b": params.b, "c": params.c,
-        "m_prime": q.m_prime, "gamma1": q.gamma1, "k": q.k,
-        "l_prime": q.l_prime, "n_r": q.n_r, "n_prime": q.n_prime,
-        "lambda": q.lam, "energy": q.energy,
+        **map_quantum_numbers(labels, params).as_dict(),
     }
     sys.stdout.write(_dump_json(payload, digits=12))
     return EXIT_OK
@@ -495,13 +492,12 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
     An exception ends the run, not the sweep: the record lists what was
     written before it, with status io_error for an OSError, else failed.
     """
-    q = map_quantum_numbers(run.labels, run.params)
+    quasi = map_quantum_numbers(run.labels, run.params).as_dict()
     record = {
         "index": run.index,
         "state": run.state_record(),
-        "quasi": {"m_prime": q.m_prime, "gamma1": q.gamma1,
-                  "l_prime": q.l_prime, "n_prime": q.n_prime,
-                  "energy": q.energy},
+        "quasi": {k: quasi[k] for k in ("m_prime", "gamma1", "l_prime",
+                                        "n_prime", "energy")},
         "status": "ok",
         "reason": "",
         "artifacts": [],

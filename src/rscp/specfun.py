@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,9 +138,8 @@ def _norm_log(spec: UalpSpec) -> float:
         - math.lgamma(2 * k + 2 * g1 + 2 * mp + 1))
 
 
-@lru_cache(maxsize=256)
 def _evaluator(spec: UalpSpec) -> tuple[np.ndarray, float]:
-    """(poly, front_log) of one member, decoded and cached.
+    """(poly, front_log) of one member, decoded from its coefficient logs.
 
     poly[j] multiplies (x^2)^j and lies in [-1, 1]; front_log is ln(norm)
     plus the largest coefficient log, so that

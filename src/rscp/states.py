@@ -12,7 +12,7 @@ quantum numbers (m', gamma1, k, l', n_r, n') derived from (b, c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "PotentialParams",
@@ -120,6 +120,11 @@ class QuasiNumbers:
     n_prime: float
     lam: float
     energy: float
+
+    def as_dict(self) -> dict:
+        """The fields in order, for JSON: ``lam`` is written as lambda."""
+        return {"lambda" if k == "lam" else k: v
+                for k, v in asdict(self).items()}
 
 
 def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNumbers:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +115,6 @@ def _gauss_rule(nodes, p, log_g, log_mass: float):
     return x, log_w - (math.log(np.sum(np.exp(log_w - top))) + top) + log_mass
 
 
-@lru_cache(maxsize=256)
 def _jacobi_rule(n: int, alpha: float, beta: float):
     """n-point Gauss rule for (1-t)^alpha t^beta dt on (0, 1).
 
@@ -137,7 +135,6 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     return 0.5 * (1.0 + y), log_w
 
 
-@lru_cache(maxsize=256)
 def _laguerre_rule(n: int, alpha: float):
     """n-point Gauss rule for w^alpha e^-w dw on (0, inf)."""
     k = np.arange(1.0, n)
@@ -321,11 +318,7 @@ class VerificationReport:
                       "m": self.labels.m},
             "params": {"Z": self.params.Z, "b": self.params.b,
                        "c": self.params.c},
-            "quasi": {"m_prime": self.quasi.m_prime,
-                      "gamma1": self.quasi.gamma1, "k": self.quasi.k,
-                      "l_prime": self.quasi.l_prime, "n_r": self.quasi.n_r,
-                      "n_prime": self.quasi.n_prime, "lambda": self.quasi.lam,
-                      "energy": self.quasi.energy},
+            "quasi": self.quasi.as_dict(),
             # a non-finite value (a failed check) is written as its string
             "checks": [{"name": c.name, "value": c.value
                         if math.isfinite(c.value) else str(c.value),

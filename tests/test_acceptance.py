@@ -157,8 +157,7 @@ def test_criterion_8_mesh_correctness(hydrogen_210_grid):
     x, y, z = np.meshgrid(coords, coords, coords, indexing="ij")
     d = np.sqrt(x * x + y * y + z * z)
     octant = 100.0 * np.maximum(0.0, 1.0 - d / 1.6)
-    sphere = DensityGrid(spec=spec, octant=octant, max_value=100.0,
-                         rescaled=True)
+    sphere = DensityGrid(spec=spec, octant=octant, rescaled=True)
     mesh = marching_cubes(sphere, 50.0)
     r = np.linalg.norm(mesh.vertices, axis=1)
     assert np.all(np.abs(r - 0.8) < spec.spacing)

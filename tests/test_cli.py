@@ -242,6 +242,11 @@ def test_potential_requires_exactly_one_sweep(capsys):
     assert code == EXIT_VALIDATION
     code, out = run_cli(capsys, "potential", "--r", "1.0", "--theta", "0.5")
     assert code == EXIT_VALIDATION
+    for sweep, fixed in (("--r-range", "--theta"), ("--theta-range", "--r")):
+        code, out = run_cli(capsys, "potential", sweep, "1:2:3")
+        assert code == EXIT_VALIDATION
+        assert (json.loads(out)["error"]["message"]
+                == f"{sweep} needs a fixed {fixed}")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -356,7 +361,8 @@ def test_slice_custom_levels(capsys):
 
 def test_slice_bad_level_range_is_validation_error(capsys):
     for levels, message in (("10:100:1e-16", "more than 1000 levels"),
-                            ("100:10:5", "levels must not be empty")):
+                            ("100:10:5", "levels must not be empty"),
+                            ("1:2", "levels must be a:b:step, got '1:2'")):
         code, out = run_cli(capsys, "slice", "--n", "2", "--l", "1", "--m",
                             "0", "--N", "15", "--levels", levels)
         assert code == EXIT_VALIDATION
@@ -640,6 +646,7 @@ def test_sweep_missing_required_key(tmp_path, capsys, key):
     ({"runs": [], "workers": 2}, "0", "workers must be >= 1, got 0"),
     ({"runs": [], "workers": 65}, None, "workers must be <= 64, got 65"),
     ({"runs": [], "workers": 2}, "65", "workers must be <= 64, got 65"),
+    ({"runs": [], "output_dir": 5}, None, "output_dir must be a string, got 5"),
 ])
 def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
                                                  workers, message):
@@ -647,7 +654,7 @@ def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
     if isinstance(job["runs"], list) and job["runs"]:
         job = dict(job, runs=[JOB["runs"][0], *job["runs"]])
     path = tmp_path / "job.json"
-    path.write_text(json.dumps(dict(job, output_dir=str(tmp_path / "out"))))
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **job}))
     code, out = run_cli(capsys, "sweep", "--jobs", str(path),
                         *(["--workers", workers] if workers else []))
     assert code == EXIT_VALIDATION
@@ -764,6 +771,20 @@ def test_parameters_outside_the_served_window(capsys, flags, message):
                         "--N", "5", *flags)
     assert code == EXIT_VALIDATION
     assert json.loads(out)["error"]["message"] == message
+
+
+# past 1 - 1e-12 the auto-extent panel sum cannot resolve the tail: it gave
+# 63,587 Bohr for (6,5,0) at 1 - 1e-15 and 1,048.7 for (1,0,0), not 22
+@pytest.mark.parametrize("state, coverage", [
+    (["--n", "6", "--l", "5", "--m", "0", "--b", "0.5", "--c", "0.5"],
+     1 - 1e-15),
+    (["--n", "1", "--l", "0", "--m", "0"], 0.9999999999999999)])
+def test_coverage_past_the_panel_sum_is_refused(capsys, state, coverage):
+    code, out = run_cli(capsys, "grid", *state, "--N", "5",
+                        "--coverage", repr(coverage))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == (
+        f"coverage must be at most 1 - 1e-12, got {coverage!r}")
 
 
 def test_parameters_at_the_window_edges_are_served(capsys):
@@ -1014,7 +1035,10 @@ def test_file_commands_write_the_sweep_artifacts(tmp_path, capsys, given):
 
 @pytest.mark.parametrize("grid, message", [
     ({"extent": 0}, "half_extent must be positive, got 0.0"),
-    ({"extent": 5, "coverage": 2}, "coverage must lie in (0, 1), got 2.0")])
+    ({"extent": 5, "coverage": 2}, "coverage must lie in (0, 1), got 2.0"),
+    ({"extent": 5, "coverage": 1 - 1e-13},
+     "coverage must be at most 1 - 1e-12, got 0.9999999999999"),
+])
 def test_file_command_is_checked_like_a_sweep_run(tmp_path, capsys, grid,
                                                   message):
     """A field no output reads is still checked, before any work."""

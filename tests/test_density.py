@@ -87,10 +87,19 @@ def test_auto_extent_grows_with_n():
 
 
 def test_auto_extent_rejects_bad_coverage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\), got 1.0"):
         auto_extent(*H_210, coverage=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\), got 0.0"):
         auto_extent(*H_210, coverage=0.0)
+    with pytest.raises(ValueError, match="at most 1 - 1e-12"):
+        auto_extent(*H_210, coverage=1 - 1e-13)
+
+
+def test_auto_extent_at_the_coverage_bound():
+    # the hydrogen ground-state tail 1 - coverage = 1e-12 ends near r = 17
+    h = auto_extent(StateLabels(1, 0, 0), PotentialParams(),
+                    coverage=1 - 1e-12)
+    assert 16.5 < h < 17.5
 
 
 # --------------------------------------------------------------- build_grid
@@ -116,9 +125,9 @@ def test_grid_spec_validation():
 def test_build_grid_hydrogen_peak():
     grid = build_grid(*H_210, GridSpec(151, 12.0))
     peak = math.exp(-2.0) / (8.0 * math.pi)
-    assert abs(grid.max_value - peak) / peak < 0.02
+    assert abs(grid.octant.max() - peak) / peak < 0.02
     assert grid.values.shape == (151, 151, 151)
-    assert grid.max_value == grid.values.max()
+    assert grid.octant.max() == grid.values.max()
 
 
 def test_build_grid_matches_density_at():
@@ -161,9 +170,8 @@ def test_normalize_relative_scaling():
     scaled = normalize_relative(grid)
     assert scaled.rescaled
     assert scaled.values.max() == 100.0
-    assert scaled.max_value == 100.0
-    assert np.allclose(scaled.values, grid.values * (100.0 / grid.max_value),
-                       rtol=1e-15)
+    assert np.allclose(scaled.values,
+                       grid.values * (100.0 / grid.octant.max()), rtol=1e-15)
 
 
 def test_normalize_relative_idempotent_bitwise():
@@ -174,7 +182,7 @@ def test_normalize_relative_idempotent_bitwise():
 
 def test_normalize_relative_zero_grid_rejected():
     spec = GridSpec(5, 1.0)
-    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)), max_value=0.0)
+    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)))
     with pytest.raises(DegenerateGridError):
         normalize_relative(zero)
 
@@ -202,7 +210,7 @@ def test_grid_mass_improves_with_refinement():
 
 def test_grid_mass_zero_grid():
     spec = GridSpec(5, 1.0)
-    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)), max_value=0.0)
+    zero = DensityGrid(spec=spec, octant=np.zeros((3, 3, 3)))
     assert grid_mass(zero) == 0.0
 
 

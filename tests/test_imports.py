@@ -1,5 +1,6 @@
 """Import structure: each cold command loads only the modules it runs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -104,6 +105,45 @@ def test_radial_factor_is_served_from_specfun_only():
         assert not hasattr(states, name), name
     assert "log_gamma" not in rscp.__all__
     assert not hasattr(specfun, "log_gamma")
+
+
+_CACHES = {"cache", "cached_property", "lru_cache"}
+
+
+def _functools_caches(tree):
+    """Where a module names a functools cache: the function or class it
+    decorates, else the line it is named on."""
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names if a.name in _CACHES}
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == "functools"}
+
+    def names_cache(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in _CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules)
+
+    sites, seen = [], set()
+    for node in ast.walk(tree):
+        for d in getattr(node, "decorator_list", ()):
+            d = d.func if isinstance(d, ast.Call) else d
+            if names_cache(d):
+                sites.append(node.name)
+                seen.add(d)
+    return sites + [f"line {node.lineno}" for node in ast.walk(tree)
+                    if names_cache(node) and node not in seen]
+
+
+def test_gauss_nodes_is_the_one_memo_cache():
+    """A cache that no workload hits only hides state from tests: the
+    auto-extent bisection's Gauss nodes are the one cache rscp keeps."""
+    found = [f"{path.stem}.{site}"
+             for path in sorted(Path(rscp.__file__).parent.glob("*.py"))
+             for site in _functools_caches(ast.parse(path.read_text()))]
+    assert found == ["density._gauss_nodes"]
 
 
 # --------------------------------------------------------------- cold sweep

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import lpmv, roots_legendre
 
 from rscp.specfun import (UalpSpec, _horner, angular_H, kummer_coefficients,
-                          ualp_coefficients)
+                          radial_u, ualp_coefficients)
+from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.verify import _jacobi_p
 
 # ------------------------------------------------------------------- kummer
@@ -188,6 +189,20 @@ def test_angular_ode_solution_at_high_degree(spec):
     assert np.max(np.abs(ours - want)) / np.max(np.abs(want)) < 1e-12
 
 
+_H_210 = map_quantum_numbers(StateLabels(2, 1, 0), PotentialParams())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kummer_coefficients(-1, 2.0), "n_r must be non-negative, got -1"),
+    (lambda: kummer_coefficients(1, 0.0), "beta must be positive, got 0.0"),
+    (lambda: radial_u(_H_210, PotentialParams(), [1.0, -1e-300]),
+     "radial_u requires r >= 0")])
+def test_domain_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_ualpspec_invariants():
     spec = UalpSpec(2, 3.7015621, 0.7071068)
     assert spec.l_prime == 2 * 2 + 3.7015621 + 0.7071068
@@ -195,3 +210,5 @@ def test_ualpspec_invariants():
         UalpSpec(-1, 1.0, 0.0)
     with pytest.raises(ValueError):
         UalpSpec(0, -0.5, 0.0)
+    with pytest.raises(ValueError, match="m_prime must be >= 0, got -0.5"):
+        UalpSpec(0, 1.0, -0.5)

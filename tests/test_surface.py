@@ -366,8 +366,7 @@ def synthetic_grid(n=41, h=2.0, center=(0.0, 0.0, 0.0), radius=1.0):
     d = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2
                 + (z - center[2]) ** 2)
     octant = 100.0 * np.maximum(0.0, 1.0 - d / radius)
-    return DensityGrid(spec=spec, octant=octant,
-                       max_value=float(octant.max()), rescaled=True)
+    return DensityGrid(spec=spec, octant=octant, rescaled=True)
 
 
 # ------------------------------------------------------------ marching cubes
@@ -377,13 +376,12 @@ def test_empty_mesh_from_empty_level_set():
     spec = GridSpec(9, 1.0)
     octant = np.zeros((5, 5, 5))
     octant[0, 0, 0] = 100.0   # the center voxel
-    grid = DensityGrid(spec=spec, octant=octant, max_value=100.0,
-                       rescaled=True)
+    grid = DensityGrid(spec=spec, octant=octant, rescaled=True)
     mesh = marching_cubes(grid, 99.5)
     # the 100 spike is a single lattice point: tiny octahedron, not empty
     assert len(mesh.triangles) == 8
     everywhere_low = DensityGrid(spec=spec, octant=np.full((5, 5, 5), 5.0),
-                                 max_value=5.0, rescaled=True)
+                                 rescaled=True)
     empty = marching_cubes(everywhere_low, 50.0)
     assert len(empty.triangles) == 0
     assert_same_mesh(empty, reference_marching_cubes(everywhere_low, 50.0))
@@ -440,8 +438,7 @@ def random_octant_grid(rng, n_points, level):
             0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
     spec = GridSpec(n_points, float(rng.choice([1.0, 3.7])))
     c = (n_points + 1) // 2
-    return DensityGrid(spec, rng.choice(pool, size=(c, c, c)), 100.0,
-                       rescaled=True)
+    return DensityGrid(spec, rng.choice(pool, size=(c, c, c)), rescaled=True)
 
 
 @pytest.mark.parametrize("n_points", [3, 5, 7, 9])
@@ -575,9 +572,13 @@ def test_cutaway_keeps_triangles_without_area():
 
 def test_requires_rescaled_grid_and_valid_level():
     spec = GridSpec(9, 1.0)
-    raw = DensityGrid(spec=spec, octant=np.ones((5, 5, 5)), max_value=1.0)
-    with pytest.raises(ValueError):
+    raw = DensityGrid(spec=spec, octant=np.ones((5, 5, 5)))
+    with pytest.raises(ValueError, match="marching_cubes requires"):
         marching_cubes(raw, 50.0)
+    with pytest.raises(ValueError, match="slice_contour requires"):
+        slice_contour(raw, [50.0])
+    with pytest.raises(ValueError, match="pole_concentration requires"):
+        pole_concentration(raw, 50.0)
     grid = synthetic_grid(n=9)
     with pytest.raises(ValueError):
         marching_cubes(grid, 0.0)
@@ -758,8 +759,7 @@ def test_caps_and_slices_match_reference_loops_on_random_grids(seed,
     pool = [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf),
             0.0, 100.0, *rng.uniform(0.0, 100.0, 3)]
     spec = GridSpec(9, float(rng.choice([1.0, 3.7])))
-    grid = DensityGrid(spec, rng.choice(pool, size=(5, 5, 5)), 100.0,
-                       rescaled=True)
+    grid = DensityGrid(spec, rng.choice(pool, size=(5, 5, 5)), rescaled=True)
     assert_same_caps_and_segments(grid, level, monkeypatch)
 
 
@@ -811,8 +811,7 @@ def test_slice_empty_plane():
     spec = GridSpec(9, 1.0)
     octant = np.zeros((5, 5, 5))
     octant[3, 3, 3] = 100.0    # off the x=0 plane, as are its mirrors
-    grid = DensityGrid(spec=spec, octant=octant, max_value=100.0,
-                       rescaled=True)
+    grid = DensityGrid(spec=spec, octant=octant, rescaled=True)
     sets = slice_contour(grid, levels=[50.0])
     assert sets[0].polylines == []
 
@@ -826,8 +825,7 @@ def _point_grid(positions):
     octant = np.zeros((5, 5, 5))
     for ijk in positions:
         octant[ijk] = 100.0
-    return DensityGrid(spec=spec, octant=octant, max_value=100.0,
-                       rescaled=True)
+    return DensityGrid(spec=spec, octant=octant, rescaled=True)
 
 
 def test_pole_concentration_extremes():

@@ -197,25 +197,16 @@ def test_closed_form_constants_scan(b, c):
                                - 1.0) < 1e-10, (l, m)
 
 
-@pytest.fixture
-def fresh_evaluators():
-    specfun._evaluator.cache_clear()
-    yield
-    specfun._evaluator.cache_clear()
-
-
-def test_norm_checks_detect_wrong_constants(monkeypatch, fresh_evaluators):
+def test_norm_checks_detect_wrong_constants(monkeypatch):
     labels, params = StateLabels(5, 2, 1), PotentialParams(1, 0.5, 3.0)
     assert verify_state(labels, params).all_passed
     norm_log = specfun._norm_log
     monkeypatch.setattr(specfun, "_norm_log",
                         lambda spec: norm_log(spec) + 1e-7)
-    specfun._evaluator.cache_clear()
     failed = {c.name for c in verify_state(labels, params).checks
               if not c.passed}
     assert failed == {"angular_norm"}
     monkeypatch.undo()
-    specfun._evaluator.cache_clear()
     prefactor = specfun._radial_log_prefactor
     monkeypatch.setattr(specfun, "_radial_log_prefactor",
                         lambda q, p: prefactor(q, p) + 1e-7)
@@ -240,7 +231,7 @@ def test_norm_checks_detect_wrong_constants(monkeypatch, fresh_evaluators):
 @pytest.mark.parametrize("state, b, c", [
     ((6, 1, 0), 1e-3, 1e-3), ((6, 1, 0), 1e-4, 1e-4),
     ((6, 1, 0), 1e-6, 1e-6), ((6, 2, 0), 1e-3, 0.0)])
-def test_near_hydrogen_states_verify(state, b, c, fresh_evaluators):
+def test_near_hydrogen_states_verify(state, b, c):
     labels, params = StateLabels(*state), PotentialParams(1.0, b, c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -88,7 +88,7 @@ def random_grid(n=9, seed=7):
     octant[0, 0, 0], octant[0, 1, 0] = 0.0, -0.0
     octant[:, 2, 0] = octant[:, 0, 0]            # a repeated row
     octant[2, 0, 0] = 5e-324
-    return DensityGrid(GridSpec(n, 3.7), octant, 100.0, LABELS, PARAMS,
+    return DensityGrid(GridSpec(n, 3.7), octant, LABELS, PARAMS,
                        rescaled=True)
 
 
@@ -152,7 +152,7 @@ def test_vtk_formats_a_random_octant_once(monkeypatch, n, seed):
     pool = np.concatenate([rng.uniform(0.0, 100.0, 20), [0.0, -0.0, lo, hi]])
     octant = rng.choice(pool, size=((n + 1) // 2,) * 3)
     octant[0, 0, 0], octant[-1, -1, -1] = -0.0, 0.0
-    grid = DensityGrid(GridSpec(n, 2.5), octant, 100.0, LABELS, PARAMS,
+    grid = DensityGrid(GridSpec(n, 2.5), octant, LABELS, PARAMS,
                        rescaled=True)
     assert_formats_the_octant_by_planes(monkeypatch, grid)
     assert {"0", "-0"} <= set("".join(_vtk_chunks(grid)).split())
