@@ -286,7 +286,13 @@ def _vtk_chunks(grid: DensityGrid):
 def _obj_chunks(mesh, labels, params, cutaway: bool):
     yield (f"# {_metadata_line(labels, params)}\n"
            f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
-    words, index = _distinct_words(mesh.vertices)
+    import numpy as np
+    # one word table per coordinate column, so no sort spans all 3 nv values
+    words, index = [], np.empty(mesh.vertices.shape, np.int32)
+    for a in range(3):
+        column, index[:, a] = _distinct_words(mesh.vertices[:, a])
+        index[:, a] += len(words)
+        words += column
     for start in range(0, len(index), _BLOCK_ROWS):
         block = index[start:start + _BLOCK_ROWS].ravel().tolist()
         yield ("v %s %s %s\n" * (len(block) // 3)

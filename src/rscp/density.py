@@ -51,7 +51,9 @@ class DegenerateGridError(ValueError):
 # that would exhaust memory before anything is allocated.  It also bounds
 # the surface layer's int32 indices: at N = 401 there are 400^3 lattice
 # cells, each with at most 12 crossed edges and 5 triangles, so every
-# vertex, slot and triangle count stays below 2^31.
+# vertex, slot and triangle count stays below 2^31.  Marching cubes keys
+# an edge 3 p + axis and a grid point 3 N^3 + p, so its int32 keys stay
+# below 4 N^3 < 2^31.
 _MAX_POINTS = 401
 # Far past any auto extent of a served state (below 1e16 Bohr) and far
 # below 1e154, where x^2 + y^2 + z^2 overflows a float.

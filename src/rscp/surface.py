@@ -5,10 +5,12 @@ Cells are classified on the octant, one case standing for 8 mirror cells,
 and each crossed edge is interpolated once, from its lower end, so
 adjacent cells weld exactly and closed components satisfy edge-incidence
 = 2.  Vertices are welded by exact position, numbered in order of first
-appearance: marching cubes sorts its crossings' keys, global edges or
-grid points (_weld); the cutaway ranks rows by bits, and numbers and reads
-each rank at its first slot.
+appearance: marching cubes sorts its crossings' int32 keys, global edges
+or grid points (_weld); the cutaway ranks rows by their float values, so
+-0.0 welds with 0.0, and numbers and reads each rank at its first slot.
 Triangles follow ascending cell index, so every output is deterministic.
+Large temporaries are made a block at a time or deleted once spent, so
+each stage holds little beyond its input and output.
 
 The cutaway caps and the slice contours come from one marching-squares
 routine over a grid plane (_march_squares); only its table differs.  The
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _AREA_EPS = 1e-12
+_BLOCK = 1 << 12  # triangles or cells per block of a blockwise pass
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def _triangle_area(p0, p1, p2):
     return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
-def _areas(vertices, triangles, block=1 << 14):
+def _areas(vertices, triangles, block=_BLOCK):
     """Triangle areas, a block at a time to keep the corner arrays small."""
     return np.concatenate([np.empty(0)] + [_triangle_area(
         *([vertices[k, a] for a in range(3)] for k in triangles[s:s + block].T))
@@ -77,27 +80,35 @@ def _areas(vertices, triangles, block=1 << 14):
 
 
 def _weld(keys):
-    """Number equal int64 keys 0, 1, ... in order of first appearance:
-    vertex v first appears at keys[first[v]], and keys[i] is vertex ids[i].
-    One sort of the pairs (key, i) packed as key << b | i: the keys must be
-    >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length().  first and
-    ids are int32, as _MAX_POINTS bounds len(keys)."""
+    """Number equal keys 0, 1, ... in order of first appearance: vertex v
+    first appears at keys[first[v]], and keys[i] is vertex ids[i].
+    One sort of the pairs (key, i) packed as key << b | i in int64: the keys
+    must be >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length().
+    first and ids are int32, as _MAX_POINTS bounds len(keys)."""
     s, b = len(keys), len(keys).bit_length()
-    packed = keys << b
+    packed = np.left_shift(keys, b, dtype=np.int64)
     packed |= np.arange(s, dtype=np.int32)
     packed.sort()
     where = np.bitwise_and(packed, (1 << b) - 1, casting="unsafe",
                            out=np.empty(s, np.int32))
     packed >>= b
-    start = np.flatnonzero(np.r_[s > 0, packed[1:] != packed[:-1]])
+    new = np.r_[True, packed[1:] != packed[:-1]][:s]
     del packed
-    first = where[start]
+    first = where[new]  # of each key, ascending
     order = np.argsort(first)
-    rank = np.empty(len(order), where.dtype)
-    rank[order] = np.arange(len(order))
-    ids = np.empty_like(where)
-    ids[where] = np.repeat(rank, np.diff(start, append=s))
-    return first[order], ids
+    rank = np.empty(len(order), np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    first = first[order]
+    del order
+    # each key's index in key order, moved to its slots, then ranked
+    group = new.astype(np.int32)
+    del new
+    np.cumsum(group, out=group)
+    group -= 1
+    ids = np.empty(s, np.int32)
+    ids[where] = group
+    del where, group
+    return first, rank[ids]
 
 
 # per cube edge: the offset of its lower corner and its axis
@@ -118,14 +129,14 @@ _SLOT = np.cumsum(_CASE_CROSSED, axis=1) - 1  # crossed edge e's slot in a cell
 # per case: its triangles' corners as slots in the cell, and their number
 _TRI_SLOTS = _SLOT[np.arange(256)[:, None], CUBE_TRIANGLES[:, :15]].reshape(
     256, 5, 3).astype(np.int8)  # the -1 padding reads edge 11, unused
-_TRI_COUNT = (CUBE_TRIANGLES[:, :15:3] >= 0).sum(axis=1)
+_TRI_COUNT = (CUBE_TRIANGLES[:, :15:3] >= 0).sum(axis=1).astype(np.int8)
 
 
 def _active_cells(grid: DensityGrid, level: float):
     """The lattice cells the level crosses, ascending: lower corners as flat
-    lattice indices, and cases.  Only octant cells are classified; octant
-    cell q mirrored in the axes of the bits of r is lattice cell c + q along
-    an unmirrored axis and c - 1 - q along a mirrored one."""
+    int32 lattice indices, and cases.  Only octant cells are classified;
+    octant cell q mirrored in the axes of the bits of r is lattice cell
+    c + q along an unmirrored axis and c - 1 - q along a mirrored one."""
     n = grid.spec.n_points
     c = (n - 1) // 2
     below = grid.octant < level
@@ -138,7 +149,40 @@ def _active_cells(grid: DensityGrid, level: float):
     corner = sum(np.where(r >> a & 1, c - 1 - qa, c + qa) * n ** (2 - a)
                  for a, qa in enumerate(np.unravel_index(q, (c, c, c))))
     packed = np.sort((corner * 256 + _MIRRORED_CASES[r, case]).ravel())
-    return packed >> 8, (packed & 255).astype(np.uint8)
+    return (packed >> 8).astype(np.int32), (packed & 255).astype(np.uint8)
+
+
+def _edge_crossings(grid: DensityGrid, keys, level: float):
+    """Where the level crosses the lattice edges of keys 3 pa + axis, each
+    interpolated from its lower end pa, whose ends are read through the
+    mirror: the coordinate along the edge's axis, and the keys with each
+    crossing that lands on a grid point p replaced by 3 n^3 + p.
+
+    Adjacent coordinates c0 < c1 satisfy c0 + (c1 - c0) == c1 exactly, so
+    a crossing never leaves its edge; it lands on a grid point when it
+    equals an end."""
+    n = grid.spec.n_points
+    c = (n - 1) // 2
+    coords = grid.spec.coords()
+    pa, axis = np.divmod(keys, 3)
+    lattice = [pa // n ** (2 - a) % n for a in range(3)]
+    ia = np.choose(axis, lattice)
+    va = grid.octant[tuple(np.abs(i - c) for i in lattice)]
+    for a, i in enumerate(lattice):
+        i += axis == a
+    vb = grid.octant[tuple(np.abs(i - c) for i in lattice)]
+    del lattice
+    t = (level - va) / (vb - va)
+    del va, vb
+    ca, cb = coords[ia], coords[ia + 1]
+    x = ca + t * (cb - ca)
+    del ia, t
+    keys = keys.copy()
+    at = x == ca
+    keys[at] = 3 * n ** 3 + pa[at]
+    at = x == cb
+    keys[at] = 3 * n ** 3 + pa[at] + n ** (2 - axis[at])
+    return x, keys
 
 
 def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
@@ -151,57 +195,56 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     _check_iso_level(level)
     n = grid.spec.n_points
     coords = grid.spec.coords()
-    strides = np.array([n * n, n, 1])
-    # temporaries are deleted as soon as they are spent, to bound peak RSS
+    strides = np.array([n * n, n, 1], dtype=np.int32)
+    # Temporaries are deleted as soon as they are spent, to bound the peak.
+    # Lattice keys stay below 4 n^3, so they and every index are int32.
     corner, case = _active_cells(grid, level)
 
     # One slot per crossed edge, cells ascending and edges ascending within
     # a cell, welded by the edge key 3 pa + axis.  Each edge interpolates
     # once, from its lower end pa, so the cells sharing it get the same bits.
     crossed = _CASE_CROSSED[case]
-    count = crossed.sum(axis=1)
+    count = crossed.sum(axis=1, dtype=np.int32)
     keys = np.repeat(3 * corner, count)
-    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS)[np.broadcast_to(
-        np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
-    first_slot = (np.cumsum(count) - count).astype(np.int32)
-    del corner, crossed
+    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS).astype(np.int32)[
+        np.broadcast_to(np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
+    del crossed
+    first_slot = np.cumsum(count, dtype=np.int32) - count
+    del corner, count
     first, edge = _weld(keys)
     keys = keys[first]
-    pa, axis = np.divmod(keys, 3)
-    pb = pa + strides[axis]
-    va, vb = (grid.octant[tuple(grid.spec.mirror()[i] for i in
-                                np.unravel_index(p, (n, n, n)))]
-              for p in (pa, pb))
-    t = (level - va) / (vb - va)
-    del first, va, vb
+    del first
 
     # Two edges have equal positions exactly when both land on the same
-    # grid point.  Adjacent coordinates c0 < c1 satisfy c0 + (c1 - c0) == c1
-    # exactly, so an interpolated coordinate never leaves its edge; it lands
-    # on a grid point when it equals an end.
-    pos = np.empty((len(pa), 3))
+    # grid point, so a second weld on those keys numbers the vertices.  A
+    # vertex is its first edge's lower end with the crossing on its axis.
+    x, point = _edge_crossings(grid, keys, level)
+    first, vid = _weld(point)
+    pa, axis = np.divmod(keys[first], 3)
+    x = x[first]
+    del point, keys, first
+    vertices = np.empty((len(x), 3))
     for a in range(3):
+        vertices[:, a] = coords[pa // strides[a] % n]
         on = axis == a
-        ia = pa // strides[a] % n
-        ca, cb = coords[ia], coords[ia + on]
-        pos[:, a] = ca + t * (cb - ca)
-        at = on & (pos[:, a] == ca)
-        keys[at] = 3 * n ** 3 + pa[at]
-        at = on & (pos[:, a] == cb)
-        keys[at] = 3 * n ** 3 + pb[at]
-    del pa, pb, axis, t, on, ia, ca, cb, at
-    first, vid = _weld(keys)
-    vertices = pos[first]
+        vertices[on, a] = x[on]
+    del pa, axis, x, on
     vid = vid[edge]
-    del pos, keys, first, edge
+    del edge
 
+    # Triangles a block of cells at a time, into their final array; one
+    # with a repeated vertex has area 0, so the area test drops it too.
     count = _TRI_COUNT[case]
-    triangles = vid[np.repeat(first_slot, count)[:, None]
-                    + _TRI_SLOTS[case][np.arange(5) < count[:, None]]]
-    del count, first_slot, vid
-    # a triangle with a repeated vertex has area 0, so this drops it too
-    triangles = triangles[_areas(vertices, triangles) >= _AREA_EPS]
-    return TriangleMesh(vertices, triangles, float(level))
+    triangles = np.empty((int(count.sum()), 3), np.int32)
+    kept = 0
+    for s in range(0, len(case), _BLOCK):
+        k = count[s:s + _BLOCK]
+        tri = vid[np.repeat(first_slot[s:s + _BLOCK], k)[:, None]
+                  + _TRI_SLOTS[case[s:s + _BLOCK]][np.arange(5) < k[:, None]]]
+        tri = tri[_areas(vertices, tri) >= _AREA_EPS]
+        triangles[kept:kept + len(tri)] = tri
+        kept += len(tri)
+    return TriangleMesh(vertices, triangles[:kept], float(level))
 
 
 # ------------------------------------------------------- marching squares
@@ -299,14 +342,23 @@ def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
 
 # ---------------------------------------------------------------- cutaway
 
-def _position_keys(points):
-    """Keys in [0, K), equal exactly for rows equal as floats: the ranks of
-    the rows sorted by their bit patterns after + 0.0 folds -0.0 into 0.0."""
-    bits = (points + 0.0).view(np.int64)
-    order = np.lexsort(bits.T)
-    bits = bits[order]
-    keys = np.empty(len(points), np.int32)
-    keys[order] = np.cumsum(np.r_[0, (bits[1:] != bits[:-1]).any(axis=1)])
+def _position_keys(*parts):
+    """Keys in [0, K) for the rows of the (k, 3) arrays parts, taken in
+    turn, equal exactly for rows equal as floats (so -0.0 keys as 0.0): the
+    ranks of the distinct rows in lexicographic order.  The rows are sorted
+    one column at a time, least significant first, and the sorted rows are
+    compared one column at a time, so no copy of all rows is made."""
+    def column(a):
+        return np.concatenate([p[:, a] for p in parts])
+    order = np.argsort(column(2), kind="stable")
+    for a in (1, 0):
+        order = order[np.argsort(column(a)[order], kind="stable")]
+    new = np.zeros(len(order), bool)
+    for a in range(3):
+        sorted_column = column(a)[order]
+        new[1:] |= sorted_column[1:] != sorted_column[:-1]
+    keys = np.empty(len(order), np.int32)
+    keys[order] = np.cumsum(new, dtype=np.int32)
     return keys
 
 
@@ -346,25 +398,47 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
 
     # Corner slots in emission order, the kept triangles then the caps,
     # welded by position.  Each slot is a row of mesh.vertices or a cap
-    # point, so positions are keyed once per row.
-    caps = _cap_triangles(grid, mesh.level)
-    rows = np.concatenate([mesh.vertices, caps.reshape(-1, 3)])
-    keys = _position_keys(rows)
-    slots = np.concatenate([np.delete(mesh.triangles, cut, axis=0).ravel(),
-                            np.arange(len(mesh.vertices), len(rows))],
-                           dtype=keys.dtype)
-    keys, s = keys[slots], len(slots)
+    # point, so positions are keyed once per row.  The slots fill the output
+    # triangles as rows, then are renumbered in place, a block at a time.
+    caps = _cap_triangles(grid, mesh.level).reshape(-1, 3)
+    nv, kept = len(mesh.vertices), len(mesh.triangles) - len(cut)
+    keys = _position_keys(mesh.vertices, caps)
+    triangles = np.empty((kept + len(caps) // 3, 3), np.int32)
+    keep = np.ones(len(mesh.triangles), bool)
+    keep[cut] = False
+    # mode "clip" writes straight into out; every index is in range
+    np.take(mesh.triangles, np.flatnonzero(keep), axis=0,
+            out=triangles[:kept], mode="clip")
+    slots = triangles.reshape(-1)
+    s = len(slots)
+    slots[3 * kept:] = np.arange(nv, nv + len(caps))
+    del cut, keep
     # of the writes to a repeated index the last, the first slot, is kept
-    first = np.full(len(rows), s, np.int32)
-    first[keys[::-1]] = np.arange(s - 1, -1, -1, dtype=first.dtype)
+    first = np.full(len(keys), s, np.int32)
+    for b in reversed(range(0, s, _BLOCK)):
+        e = min(b + _BLOCK, s)
+        first[keys[slots[b:e]][::-1]] = np.arange(e - 1, b - 1, -1,
+                                                  dtype=first.dtype)
     start = np.sort(first[first < s])  # the first slot of each vertex
-    rank = np.empty(len(rows), dtype=np.int32)
-    rank[keys[start]] = np.arange(len(start))
-    vertices = rows[slots[start]]
-    del cut, caps, rows, slots, first, start
-    keys = keys.reshape(-1, 3)
-    keys = keys[(keys != keys[:, [1, 2, 0]]).all(axis=1)]
-    return TriangleMesh(vertices, rank[keys], mesh.level)
+    # mesh rows first: every kept triangle's slot precedes the caps'
+    m = int(np.searchsorted(start, 3 * kept))
+    rows = slots[start]
+    del start
+    rank = first  # per key: its vertex number
+    rank[keys[rows]] = np.arange(len(rows), dtype=rank.dtype)
+    for b in range(0, s, _BLOCK):
+        slots[b:b + _BLOCK] = rank[keys[slots[b:b + _BLOCK]]]
+    del keys, first, rank
+    vertices = np.empty((len(rows), 3))
+    vertices[m:] = caps[rows[m:] - nv]
+    del caps
+    np.take(mesh.vertices, rows[:m], axis=0, out=vertices[:m], mode="clip")
+    # a triangle whose corners weld together is dropped
+    a, b, c = triangles.T
+    good = (a != b) & (b != c) & (c != a)
+    if not good.all():
+        triangles = triangles[good]
+    return TriangleMesh(vertices, triangles, mesh.level)
 
 
 # ---------------------------------------------------------- plane contours

@@ -8,7 +8,9 @@ import pytest
 
 from _mesh import connected_components
 from conftest import make_rpv_grid
+from test_writers import reference_obj
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
+from rscp.cli import _obj_chunks
 from rscp.density import _MAX_POINTS, DensityGrid, GridSpec, normalize_relative
 from rscp.states import PotentialParams, StateLabels
 from rscp import surface
@@ -505,11 +507,14 @@ def test_the_point_cap_keeps_surface_indices_in_int32():
     every lattice cell may be crossed, with 12 crossed edges and 5
     triangles; the cutaway numbers 3 slots per kept triangle and one per
     cap point, at most _CAP_TABLE's rows of 3 points in each cell of the 3
-    boundary planes, and stores the slot count itself as a sentinel."""
+    boundary planes, and stores the slot count itself as a sentinel.
+    Marching cubes keys an edge 3 p + axis and a grid point 3 n^3 + p, for
+    a lattice point p < n^3, so every int32 key stays below 4 n^3."""
     cells, c = (_MAX_POINTS - 1) ** 3, (_MAX_POINTS - 1) // 2
     cap_points = 3 * c * c * _CAP_TABLE.shape[1] * 3
     assert 12 * cells < 2**31
     assert 3 * int(_TRI_COUNT.max()) * cells + cap_points < 2**31
+    assert 4 * _MAX_POINTS**3 < 2**31
 
 
 def test_position_keys_are_dense_and_equal_for_equal_rows():
@@ -540,6 +545,56 @@ def test_cutaway_welds_signed_zeros_together():
                            mesh.level)
     cut = apply_cutaway(doubled, grid)
     assert_same_mesh(cut, reference_apply_cutaway(doubled, grid))
+
+
+def test_cutaway_keeps_rows_one_ulp_apart_distinct():
+    """Rows equal as floats weld, rows 1 ulp apart in one coordinate do
+    not, whichever column differs."""
+    grid = synthetic_grid(n=15, h=2.0, radius=1.5)
+    mesh = marching_cubes(grid, 30.0)
+    nv = len(mesh.vertices)
+    for a in range(3):
+        v = mesh.vertices[:, a]
+        nudged = mesh.vertices.copy()
+        nudged[:, a] = np.where(v == 0.0, v, np.nextafter(v, 2.0 * v))
+        assert (nudged != mesh.vertices).any(axis=1).sum() > nv // 2
+        triangles = mesh.triangles.copy()
+        triangles[1::2] += nv
+        doubled = TriangleMesh(np.vstack([mesh.vertices, nudged]),
+                               triangles, mesh.level)
+        cut = apply_cutaway(doubled, grid)
+        assert_same_mesh(cut, reference_apply_cutaway(doubled, grid))
+        single = apply_cutaway(mesh, grid)
+        assert len(cut.vertices) > len(single.vertices)
+
+
+# five states from hydrogen to strong barriers, each at its own N
+SCAN_CASES = [
+    ((2, 1, 0), (1.0, 0.0, 0.0), 61),
+    ((3, 2, 1), (1.0, 0.5, 0.5), 31),
+    ((4, 3, -2), (1.0, 0.5, 0.5), 37),
+    ((5, 3, 2), (1.0, 0.5, 5.0), 45),
+    ((6, 5, 0), (1.0, 0.5, 0.5), 53),
+]
+
+
+@pytest.mark.parametrize("state, params, n_points", SCAN_CASES)
+def test_surface_and_obj_match_the_references_at_the_figure_levels(
+        state, params, n_points):
+    """marching_cubes, apply_cutaway and the OBJ text at the levels the
+    paper's figures use, bit for bit against the per-cell loop, the
+    clipping loop and one %.9g per value."""
+    labels, params = StateLabels(*state), PotentialParams(*params)
+    grid = make_rpv_grid(labels, params, n_points)
+    for level in (5.0, 8.0, 13.0, 20.0, 50.0):
+        mesh = marching_cubes(grid, level)
+        want = reference_marching_cubes(grid, level)
+        assert_same_mesh(mesh, want)
+        cut = apply_cutaway(mesh, grid)
+        assert_same_mesh(cut, reference_apply_cutaway(want, grid))
+        for got, cutaway in ((mesh, False), (cut, True)):
+            assert ("".join(_obj_chunks(got, labels, params, cutaway))
+                    == reference_obj(got, labels, params, cutaway))
 
 
 def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():

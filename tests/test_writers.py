@@ -193,6 +193,34 @@ def test_surface_memory_stays_near_the_mesh():
     assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
 
 
+def test_surface_stages_hold_little_beyond_their_arrays():
+    """The level-5 cutaway of the (6,5,0) anchor at N = 151, the largest
+    mesh of the paper's figures.  Each stage's tracemalloc peak, beyond the
+    mesh it returns, stays small: marching_cubes allocates less than its
+    mesh again, apply_cutaway less than half its input mesh beyond its own,
+    and draining the OBJ writer less than twice its mesh.  tracemalloc
+    counts live bytes, so heap layout does not move these peaks."""
+    grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 151)
+
+    def peak(stage):
+        tracemalloc.start()
+        try:
+            return stage(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def size(mesh):
+        return mesh.vertices.nbytes + mesh.triangles.nbytes
+
+    mesh, mc_peak = peak(lambda: marching_cubes(grid, 5.0))
+    cut, cut_peak = peak(lambda: apply_cutaway(mesh, grid))
+    _, obj_peak = peak(lambda: sum(
+        map(len, _obj_chunks(cut, LABELS, PARAMS, True))))
+    assert mc_peak - size(mesh) < 1.0 * size(mesh)
+    assert cut_peak - size(cut) < 0.5 * size(mesh)
+    assert obj_peak < 2.0 * size(cut)
+
+
 def test_obj_matches_reference(real_grid):
     for cutaway in (False, True):
         mesh = marching_cubes(real_grid, 30.0)
@@ -221,6 +249,21 @@ def test_obj_keeps_negative_zero():
                          25.0)
     assert ("".join(_obj_chunks(empty, LABELS, PARAMS, True))
             == reference_obj(empty, LABELS, PARAMS, True))
+
+
+def test_obj_formats_each_column_apart():
+    """Each coordinate column has its own word table: both zeros, values
+    1 ulp apart whose texts differ, and values shared across columns all
+    print their own %.9g, over several streamed blocks."""
+    rng = np.random.default_rng(5)
+    lo, hi = np.nextafter(1.234567895, 0.0), 1.234567895
+    assert _sig(lo) != _sig(hi)
+    pool = [0.0, -0.0, lo, hi, -hi, 2.5, 5e-324, 1e300]
+    verts = rng.choice(pool, size=(600, 3))
+    mesh = TriangleMesh(verts, rng.integers(0, 600, (300, 3)), 25.0)
+    text = "".join(_obj_chunks(mesh, LABELS, PARAMS, False))
+    assert text == reference_obj(mesh, LABELS, PARAMS, False)
+    assert {"0", "-0", _sig(lo), _sig(hi)} <= set(text.split())
 
 
 def test_slice_matches_reference(real_grid):
