@@ -26,14 +26,13 @@ _SOURCE = {name: module for module, names in {
     "states": ("PotentialParams", "StateLabels", "QuasiNumbers",
                "ImaginaryOrderError", "NoGammaBranchError", "PoleError",
                "map_quantum_numbers", "potential_V"),
-    "specfun": ("UalpSpec", "kummer_coefficients", "radial_u",
-                "ualp_coefficients", "angular_H"),
+    "specfun": ("UalpSpec", "radial_u", "angular_H"),
     "density": ("GridSpec", "DensityGrid", "DegenerateGridError",
-                "density_at", "build_grid", "normalize_relative",
-                "grid_mass", "auto_extent"),
+                "build_grid", "normalize_relative", "grid_mass",
+                "auto_extent"),
     "surface": ("TriangleMesh", "ContourSet", "marching_cubes",
                 "apply_cutaway", "slice_contour", "pole_concentration",
-                "is_watertight", "surface_area"),
+                "is_watertight"),
     "verify": ("VerificationReport", "quad_radial_norm", "quad_angular_norm",
                "ode_residuals", "verify_state"),
 }.items() for name in names}

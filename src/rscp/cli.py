@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -592,7 +593,14 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """An argparse refusal raises ValueError, so it exits 2 with a JSON
-    error like every other bad input; subparsers inherit the class."""
+    error like every other bad input; subparsers inherit the class.  A
+    negative number with an exponent, such as -1e-3, is a value: argparse's
+    own pattern has no exponent form and takes it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

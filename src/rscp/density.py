@@ -23,15 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (UalpSpec, _evaluator, _horner, _radial_log_prefactor,
-                      kummer_coefficients, radial_u)
+from .specfun import (UalpSpec, _evaluator, _horner, _kummer_coefficients,
+                      _radial_log_prefactor, radial_u)
 from .states import PotentialParams, StateLabels, map_quantum_numbers
 
 __all__ = [
     "GridSpec",
     "DensityGrid",
     "DegenerateGridError",
-    "density_at",
     "auto_extent",
     "build_grid",
     "normalize_relative",
@@ -64,8 +63,8 @@ _MAX_EXTENT = 1e100
 class GridSpec:
     """Cubic voxel lattice: n_points per axis spanning [-h, +h]."""
 
-    n_points: int = 151
-    half_extent: float = 1.0
+    n_points: int
+    half_extent: float
 
     def __post_init__(self):
         if not 3 <= self.n_points <= _MAX_POINTS or self.n_points % 2 == 0:
@@ -122,7 +121,7 @@ def _state_payload(labels: StateLabels, params: PotentialParams):
     """Per-state constants the density kernel evaluates from."""
     q = map_quantum_numbers(labels, params)
     a, front_log = _evaluator(UalpSpec(q.k, q.gamma1, q.m_prime))
-    d = kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0)
+    d = _kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0)
     ang2 = 2.0 * front_log
     rad2 = 2.0 * _radial_log_prefactor(q, params)
     lp1 = q.l_prime + 1.0
@@ -151,18 +150,6 @@ def _density(s, z, payload):
     out = np.exp(t) * S * S * F * F / (_TWO_PI * safe)
     out[dead] = 0.0
     return out
-
-
-def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
-    """rho at one point or arrays of points; axis limits return 0."""
-    payload = _state_payload(labels, params)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    za = np.atleast_1d(np.asarray(z, dtype=float))
-    vals = _density(xa * xa + ya * ya, za, payload)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals[0])
-    return vals
 
 
 def build_grid(labels: StateLabels, params: PotentialParams,

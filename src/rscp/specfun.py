@@ -7,9 +7,10 @@ and the universal associated Legendre family
 
 sum their polynomials by Horner's rule on the coefficients that the
 density kernel also reads.  The gamma-ratio coefficients of H overflow
-float64 near k ~ 10 if evaluated directly, so they are carried as
-(sign, log|value|) and only decoded after a common scale has been
-factored out; the prefactors are taken in log space.
+float64 near k ~ 10 if evaluated directly, so each is taken as a log and
+decoded only after the largest has been factored out: H has one
+coefficient form, the scaled power-basis poly and its front_log
+(_evaluator).  The prefactors are taken in log space too.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ import numpy as np
 
 from .states import PotentialParams, QuasiNumbers
 
-__all__ = [
-    "UalpSpec",
-    "kummer_coefficients",
-    "radial_u",
-    "ualp_coefficients",
-    "angular_H",
-]
+__all__ = ["UalpSpec", "radial_u", "angular_H"]
 
 
-def kummer_coefficients(n_r: int, beta: float) -> np.ndarray:
+def _kummer_coefficients(n_r: int, beta: float) -> np.ndarray:
     """Coefficients d_j of F(-n_r, beta, w) = sum_j d_j w^j, j = 0..n_r."""
     if n_r < 0:
         raise ValueError(f"n_r must be non-negative, got {n_r}")
@@ -74,7 +69,7 @@ def radial_u(q: QuasiNumbers, params: PotentialParams, r):
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
     amp = np.exp(pref + (q.l_prime + 1.0) * logw - 0.5 * w)
-    u = amp * _horner(kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0), w)
+    u = amp * _horner(_kummer_coefficients(q.n_r, 2.0 * q.l_prime + 2.0), w)
     if arr.ndim == 0:
         return float(u)
     return u
@@ -103,25 +98,6 @@ class UalpSpec:
                            2 * self.k + self.gamma1 + self.m_prime)
 
 
-def ualp_coefficients(spec: UalpSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|coeff|) of x^(2k-2nu) for nu = 0..k.
-
-    coeff_nu = (-1)^nu G(k+g1-nu+1) G(2l'-2nu+1)
-               / (2^l' nu! (k-nu)! G(2k+2g1-2nu+1) G(l'-nu+1))
-
-    All gamma arguments stay positive for 0 <= nu <= k.
-    """
-    k, g1, lp = spec.k, spec.gamma1, spec.l_prime
-    sign = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
-    log_magnitude = np.array([
-        math.lgamma(k + g1 - nu + 1) + math.lgamma(2 * lp - 2 * nu + 1)
-        - lp * math.log(2.0)
-        - math.lgamma(nu + 1.0) - math.lgamma(k - nu + 1.0)
-        - math.lgamma(2 * k + 2 * g1 - 2 * nu + 1)
-        - math.lgamma(lp - nu + 1) for nu in range(k + 1)])
-    return sign, log_magnitude
-
-
 def _norm_log(spec: UalpSpec) -> float:
     """ln of the closed-form normalization constant.
 
@@ -139,18 +115,26 @@ def _norm_log(spec: UalpSpec) -> float:
 
 
 def _evaluator(spec: UalpSpec) -> tuple[np.ndarray, float]:
-    """(poly, front_log) of one member, decoded from its coefficient logs.
+    """(poly, front_log) of one member, from the coefficient of x^(2k-2nu)
 
-    poly[j] multiplies (x^2)^j and lies in [-1, 1]; front_log is ln(norm)
-    plus the largest coefficient log, so that
-    H = exp(front_log) (1-x^2)^(m'/2) x^gamma1 poly(x^2).  rscp.verify
-    checks its constant.
+      (-1)^nu G(k+g1-nu+1) G(2l'-2nu+1)
+      / (2^l' nu! (k-nu)! G(2k+2g1-2nu+1) G(l'-nu+1)),  nu = 0..k,
+
+    whose gamma arguments all stay positive.  poly[j] multiplies (x^2)^j
+    and lies in [-1, 1]; front_log is ln(norm) plus the largest
+    coefficient log, so that H = exp(front_log) (1-x^2)^(m'/2) x^gamma1
+    poly(x^2).  rscp.verify checks its constant.
     """
-    sign, log_magnitude = ualp_coefficients(spec)
-    front = max(log_magnitude.tolist())
+    k, g1, lp = spec.k, spec.gamma1, spec.l_prime
+    logs = [math.lgamma(k + g1 - nu + 1) + math.lgamma(2 * lp - 2 * nu + 1)
+            - lp * math.log(2.0)
+            - math.lgamma(nu + 1.0) - math.lgamma(k - nu + 1.0)
+            - math.lgamma(2 * k + 2 * g1 - 2 * nu + 1)
+            - math.lgamma(lp - nu + 1) for nu in range(k + 1)]
+    front = max(logs)
     # coefficient of x^(2k-2nu) sits at power j = k - nu of x^2
-    poly = np.array([s * math.exp(lg - front) for s, lg in
-                     zip(sign.tolist(), log_magnitude.tolist())][::-1])
+    poly = np.array([(-1.0) ** nu * math.exp(lg - front)
+                     for nu, lg in enumerate(logs)][::-1])
     return poly, _norm_log(spec) + front
 
 

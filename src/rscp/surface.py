@@ -37,7 +37,6 @@ __all__ = [
     "slice_contour",
     "pole_concentration",
     "is_watertight",
-    "surface_area",
 ]
 
 _AREA_EPS = 1e-12
@@ -72,11 +71,11 @@ def _triangle_area(p0, p1, p2):
     return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
-def _areas(vertices, triangles, block=_BLOCK):
+def _areas(vertices, triangles):
     """Triangle areas, a block at a time to keep the corner arrays small."""
     return np.concatenate([np.empty(0)] + [_triangle_area(
-        *([vertices[k, a] for a in range(3)] for k in triangles[s:s + block].T))
-        for s in range(0, len(triangles), block)])
+        *([vertices[k, a] for a in range(3)] for k in triangles[s:s + _BLOCK].T))
+        for s in range(0, len(triangles), _BLOCK)])
 
 
 def _weld(keys):
@@ -476,7 +475,7 @@ def _chain_segments(segments):
         if not used[si]:
             used[si] = True
             polylines.append([segments[si][0]] + walk(segments[si][1]))
-    return [np.array(line, dtype=float) for line in polylines if len(line) >= 2]
+    return [np.array(line, dtype=float) for line in polylines]
 
 
 def slice_contour(grid: DensityGrid, levels) -> list[ContourSet]:
@@ -529,7 +528,3 @@ def is_watertight(mesh: TriangleMesh) -> bool:
                    .reshape(-1, 2), axis=1).T
     _, counts = np.unique(a * len(mesh.vertices) + b, return_counts=True)
     return len(counts) > 0 and bool((counts == 2).all())
-
-
-def surface_area(mesh: TriangleMesh) -> float:
-    return float(_areas(mesh.vertices, mesh.triangles).sum())

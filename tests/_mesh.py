@@ -1,4 +1,6 @@
-"""Mesh topology oracle for the acceptance and surface tests (test-only)."""
+"""Mesh oracles for the acceptance and surface tests (test-only)."""
+
+import numpy as np
 
 
 def connected_components(mesh) -> int:
@@ -21,3 +23,9 @@ def connected_components(mesh) -> int:
                 parent[ru] = rv
     roots = {find(v) for tri in mesh.triangles.tolist() for v in tri}
     return len(roots)
+
+
+def surface_area(mesh) -> float:
+    """Sum of the triangle areas, half the norm of each edge cross product."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())

@@ -1,8 +1,10 @@
 """Shared fixtures: session-scoped grids so expensive fills run once."""
 
+import numpy as np
 import pytest
 
-from rscp.density import GridSpec, auto_extent, build_grid, normalize_relative
+from rscp.density import (GridSpec, _density, _state_payload, auto_extent,
+                          build_grid, normalize_relative)
 from rscp.states import PotentialParams, StateLabels
 
 # the 22 admissible (n, l, m) rows of the n <= 6, odd l - |m| family
@@ -21,6 +23,13 @@ CRITERION_5_STATES = [
     (StateLabels(5, 3, 2), PotentialParams(1, 0.5, 5)),
     (StateLabels(4, 1, 0), PotentialParams(1, 5.0, 0.5)),
 ]
+
+
+def density_at(labels: StateLabels, params: PotentialParams, x, y, z):
+    """rho by the grid kernel at arrays of points, at least 1-D; axis
+    limits are 0."""
+    x, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y, z))
+    return _density(x * x + y * y, z, _state_payload(labels, params))
 
 
 def make_rpv_grid(labels: StateLabels, params: PotentialParams,

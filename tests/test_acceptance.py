@@ -11,19 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from rscp.density import (GridSpec, auto_extent, build_grid, density_at,
-                          grid_mass, normalize_relative)
+from rscp.density import (GridSpec, auto_extent, build_grid, grid_mass,
+                          normalize_relative)
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.surface import (apply_cutaway, is_watertight, marching_cubes,
                           pole_concentration)
 from rscp.verify import (angular_expectation_abs_x, ode_residuals,
                          quad_angular_norm, quad_radial_norm,
-                         radial_expectation_r)
+                         radial_expectation_r, verify_state)
 from rscp.cli import main as cli_main
 
 from _hydrogen import hydrogen_oracle
 from _mesh import connected_components
-from conftest import CRITERION_5_STATES, TABLE1_STATES
+from conftest import CRITERION_5_STATES, TABLE1_STATES, density_at
 
 SUITE = [(StateLabels(n, l, m), PotentialParams(1.0, 0.5, c))
          for (n, l, m) in TABLE1_STATES for c in (0.0, 0.5, 5.0)]
@@ -145,9 +145,20 @@ def test_criterion_7_expectation_monotonicity():
     r_on = radial_expectation_r(StateLabels(4, 1, 0),
                                 PotentialParams(1.0, 0.5, 0.5))
     assert r_on - r_off > margin
+    # the abstract's b < 0 claim: against b = 0 at the same c > 0, a state
+    # shrinks for b = -0.5 and spreads out for b = 0.5.  An m = 0 state
+    # cannot carry b < 0: its angular order would be imaginary.
+    signed = {}
+    for (n, l, m), c in (((5, 2, 1), 0.5), ((4, 3, 2), 2.0)):
+        states = [(StateLabels(n, l, m), PotentialParams(1.0, b, c))
+                  for b in (-0.5, 0.0, 0.5)]
+        assert all(verify_state(*state).all_passed for state in states)
+        r_b = [radial_expectation_r(*state) for state in states]
+        assert all(y - x > margin for x, y in zip(r_b, r_b[1:])), (n, l, m)
+        signed[n, l, m] = "/".join(f"{r:.2f}" for r in r_b)
     print(f"criterion 7: <|cos|> {cos_vals[0]:.4f}->{cos_vals[-1]:.4f}, "
           f"<r> {r_vals[0]:.2f}->{r_vals[-1]:.2f}, "
-          f"(4,1,0) shift {r_on - r_off:.4f}")
+          f"(4,1,0) shift {r_on - r_off:.4f}, <r> at b = -0.5/0/0.5 {signed}")
 
 
 def test_criterion_8_mesh_correctness(hydrogen_210_grid):

@@ -112,6 +112,25 @@ def test_state_inadmissible_is_validation_error(capsys):
     assert doc["error"]["message"]
 
 
+@pytest.mark.parametrize("b", ["-1e-3", "-5E-1", "-.25e+0"])
+def test_negative_b_with_an_exponent_is_a_value(capsys, b):
+    """argparse's own negative-number pattern has no exponent form, so it
+    took --b -1e-3 for a flag without a value."""
+    state = ["state", "--n", "5", "--l", "2", "--m", "1"]
+    spaced = run_cli(capsys, *state, "--b", b, "--c", "0.5")
+    assert spaced[0] == EXIT_OK, spaced
+    assert spaced == run_cli(capsys, *state, f"--b={b}", "--c", "0.5")
+
+
+def test_negative_b_with_an_exponent_reaches_the_order_check(capsys):
+    code, out = run_cli(capsys, "state", "--n", "5", "--l", "2", "--m", "0",
+                        "--b", "-1e-3", "--c", "0.5")
+    assert code == EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["type"] == "ImaginaryOrderError"
+    assert error["message"].startswith("imaginary order: b + m^2 = -0.001")
+
+
 # labels with a quasi quantum number past float range, and the label that
 # puts it there; each has n > 1000, which is refused first
 OVERFLOWING = [({"n": 10 ** 400, "l": 1, "m": 0}, "n"),

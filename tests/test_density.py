@@ -11,28 +11,27 @@ from rscp.cli import _sig, _vtk_chunks
 from rscp.density import (_MAX_POINTS, _RADIAL_NODES, _RADIAL_PANELS,
                           DegenerateGridError, DensityGrid, GridSpec,
                           _gauss_nodes, _radial_cumulative, auto_extent,
-                          build_grid, density_at, grid_mass,
-                          normalize_relative)
+                          build_grid, grid_mass, normalize_relative)
 from rscp.specfun import radial_u
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.surface import pole_concentration
 
-from conftest import CRITERION_5_STATES
+from conftest import CRITERION_5_STATES, density_at
 
 H_210 = (StateLabels(2, 1, 0), PotentialParams())
 RING = (StateLabels(6, 5, 0), PotentialParams(1.0, 0.5, 0.5))
 
 
-# --------------------------------------------------------------- density_at
+# ------------------------------------------- the kernel, through density_at
 
 
 def test_density_at_origin_is_zero():
-    assert density_at(*H_210, 0.0, 0.0, 0.0) == 0.0
-    assert density_at(*RING, 0.0, 0.0, 0.0) == 0.0
+    assert density_at(*H_210, 0.0, 0.0, 0.0)[0] == 0.0
+    assert density_at(*RING, 0.0, 0.0, 0.0)[0] == 0.0
 
 
 def test_density_at_hydrogen_axis_value():
-    rho = density_at(*H_210, 0.0, 0.0, 2.0)
+    rho, = density_at(*H_210, 0.0, 0.0, 2.0)
     assert math.isclose(rho, math.exp(-2.0) / (8.0 * math.pi), rel_tol=1e-12)
     assert math.isclose(rho, 0.0053848, abs_tol=5e-8)
 
@@ -40,30 +39,31 @@ def test_density_at_hydrogen_axis_value():
 def test_density_at_axis_and_equator_zeros():
     # x = y = 0 and z = 0 are exact, so these limits are analytic zeros
     ring = (StateLabels(2, 1, 0), PotentialParams(1, 0.5, 0.5))
-    assert density_at(*ring, 1.5, 0.0, 0.0) == 0.0      # equator, gamma1 > 0
-    assert density_at(*ring, 0.0, 0.0, 1.5) == 0.0      # axis, m' > 0
+    assert density_at(*ring, 1.5, 0.0, 0.0)[0] == 0.0   # equator, gamma1 > 0
+    assert density_at(*ring, 0.0, 0.0, 1.5)[0] == 0.0   # axis, m' > 0
     assert density_at(StateLabels(3, 2, 1), PotentialParams(),
-                      0.0, 0.0, 2.0) == 0.0
+                      0.0, 0.0, 2.0)[0] == 0.0
 
 
 def test_density_at_phi_symmetry():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-6.0, 6.0, size=(50, 3))
     for x, y, z in pts:
-        rho = density_at(*RING, x, y, z)
+        rho, = density_at(*RING, x, y, z)
         s = math.hypot(x, y)
-        ref = density_at(*RING, s, 0.0, z)
+        ref, = density_at(*RING, s, 0.0, z)
         assert math.isclose(rho, ref, rel_tol=1e-14, abs_tol=1e-300)
 
 
 def test_density_at_vectorized_matches_scalar():
+    # the kernel gives a point the same bits in a batch as alone
     xs = np.array([0.5, -1.0, 2.0])
     ys = np.array([0.25, 0.0, -3.0])
     zs = np.array([1.0, 2.0, 0.5])
     vec = density_at(*RING, xs, ys, zs)
     assert vec.shape == (3,)
     for i in range(3):
-        assert vec[i] == density_at(*RING, xs[i], ys[i], zs[i])
+        assert vec[i] == density_at(*RING, xs[i], ys[i], zs[i])[0]
 
 
 # -------------------------------------------------------------- auto_extent
@@ -137,7 +137,7 @@ def test_build_grid_matches_density_at():
     rng = np.random.default_rng(3)
     for _ in range(20):
         i, j, k = rng.integers(0, spec.n_points, size=3)
-        want = density_at(*RING, coords[i], coords[j], coords[k])
+        want, = density_at(*RING, coords[i], coords[j], coords[k])
         assert math.isclose(grid.values[i, j, k], want,
                             rel_tol=1e-12, abs_tol=1e-300)
 

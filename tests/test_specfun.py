@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import lpmv, roots_legendre
 
-from rscp.specfun import (UalpSpec, _horner, angular_H, kummer_coefficients,
-                          radial_u, ualp_coefficients)
+from rscp.specfun import (UalpSpec, _evaluator, _horner, _kummer_coefficients,
+                          _norm_log, angular_H, radial_u)
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.verify import _jacobi_p
 
@@ -30,7 +30,7 @@ def _kummer_rational(n_r: int, beta: Fraction, x: Fraction) -> Fraction:
 
 def _kummer_horner(n_r: int, beta: float, x):
     """F(-n_r, beta, x) as radial_u and density._density evaluate it."""
-    return _horner(kummer_coefficients(n_r, beta), np.asarray(x, dtype=float))
+    return _horner(_kummer_coefficients(n_r, beta), np.asarray(x, dtype=float))
 
 
 def test_kummer_examples():
@@ -58,27 +58,70 @@ def test_kummer_array_input():
 # ------------------------------------------------------------- coefficients
 
 
+def _sign_log_coefficients(spec: UalpSpec):
+    """(sign, log|coeff|) of x^(2k-2nu) for nu = 0..k, as separate arrays.
+
+    coeff_nu = (-1)^nu G(k+g1-nu+1) G(2l'-2nu+1)
+               / (2^l' nu! (k-nu)! G(2k+2g1-2nu+1) G(l'-nu+1))
+    """
+    k, g1, lp = spec.k, spec.gamma1, spec.l_prime
+    sign = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
+    log_magnitude = np.array([
+        math.lgamma(k + g1 - nu + 1) + math.lgamma(2 * lp - 2 * nu + 1)
+        - lp * math.log(2.0)
+        - math.lgamma(nu + 1.0) - math.lgamma(k - nu + 1.0)
+        - math.lgamma(2 * k + 2 * g1 - 2 * nu + 1)
+        - math.lgamma(lp - nu + 1) for nu in range(k + 1)])
+    return sign, log_magnitude
+
+
+def _decoded(spec: UalpSpec):
+    """(poly, front_log) decoded from the (sign, log) pairs: the largest
+    log factored out, the rest exponentiated into ascending powers of x^2."""
+    sign, log_magnitude = _sign_log_coefficients(spec)
+    front = max(log_magnitude.tolist())
+    poly = np.array([s * math.exp(lg - front) for s, lg in
+                     zip(sign.tolist(), log_magnitude.tolist())][::-1])
+    return poly, _norm_log(spec) + front
+
+
+@pytest.mark.parametrize("gamma1, m_prime", [
+    (0.0, 0.0), (1.0, 0.0), (2.0, 3.0), (0.5, 0.0), (1.3660254, 0.7071068),
+    (3.7015621, 20.0), (1000.5, 0.7071068), (17.25, 1.0)])
+def test_evaluator_is_the_sign_log_decode_bitwise(gamma1, m_prime):
+    for k in range(41):
+        spec = UalpSpec(k, gamma1, m_prime)
+        poly, front_log = _evaluator(spec)
+        want_poly, want_front = _decoded(spec)
+        assert poly.dtype == want_poly.dtype and poly.shape == (k + 1,)
+        assert poly.tobytes() == want_poly.tobytes(), spec
+        assert front_log == want_front, spec
+
+
 def test_coefficient_hand_value():
     # k=0, gamma1=1, m'=0: single coefficient G(2)G(3)/(2 G(3)G(2)) = 1/2
-    sign, log_magnitude = ualp_coefficients(UalpSpec(0, 1.0, 0.0))
-    assert sign.tolist() == [1.0]
-    assert math.isclose(math.exp(log_magnitude[0]), 0.5, rel_tol=1e-13)
+    spec = UalpSpec(0, 1.0, 0.0)
+    poly, front_log = _evaluator(spec)
+    assert poly.tolist() == [1.0]
+    assert math.isclose(math.exp(front_log - _norm_log(spec)), 0.5,
+                        rel_tol=1e-13)
 
 
 def test_coefficient_single_term_any_indices():
-    sign, log_mag = ualp_coefficients(UalpSpec(0, 3.7015621, 0.7071068))
-    assert sign.tolist() == [1.0] and len(log_mag) == 1
+    assert _evaluator(UalpSpec(0, 3.7015621, 0.7071068))[0].tolist() == [1.0]
 
 
 def test_coefficient_sign_alternation():
-    assert ualp_coefficients(UalpSpec(1, 1.0, 0.0))[0].tolist() == [1, -1]
-    sign, _ = ualp_coefficients(UalpSpec(3, 2.5, 1.5))
-    assert sign.tolist() == [1, -1, 1, -1]
+    # poly ascends in x^2, so the sign of x^(2k) comes last
+    assert np.sign(_evaluator(UalpSpec(1, 1.0, 0.0))[0]).tolist() == [-1, 1]
+    poly, _ = _evaluator(UalpSpec(3, 2.5, 1.5))
+    assert np.sign(poly).tolist() == [-1, 1, -1, 1]
 
 
 def test_coefficients_no_overflow_large_k():
-    _, log_magnitude = ualp_coefficients(UalpSpec(50, 4.0, 2.0))
-    assert np.all(np.isfinite(log_magnitude))
+    poly, front_log = _evaluator(UalpSpec(50, 4.0, 2.0))
+    assert np.all(np.isfinite(poly)) and math.isfinite(front_log)
+    assert np.max(np.abs(poly)) == 1.0
 
 
 # ---------------------------------------------------------------- angular_H
@@ -193,8 +236,8 @@ _H_210 = map_quantum_numbers(StateLabels(2, 1, 0), PotentialParams())
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: kummer_coefficients(-1, 2.0), "n_r must be non-negative, got -1"),
-    (lambda: kummer_coefficients(1, 0.0), "beta must be positive, got 0.0"),
+    (lambda: _kummer_coefficients(-1, 2.0), "n_r must be non-negative, got -1"),
+    (lambda: _kummer_coefficients(1, 0.0), "beta must be positive, got 0.0"),
     (lambda: radial_u(_H_210, PotentialParams(), [1.0, -1e-300]),
      "radial_u requires r >= 0")])
 def test_domain_refusals(call, message):

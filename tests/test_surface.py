@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _mesh import connected_components
+from _mesh import connected_components, surface_area
 from conftest import make_rpv_grid
 from test_writers import reference_obj
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
@@ -18,8 +18,7 @@ from rscp.surface import (_AREA_EPS, _CAP_TABLE, _CASE_CROSSED, _TRI_COUNT,
                           ContourSet, TriangleMesh, _active_cells,
                           _cap_triangles, _position_keys, _weld,
                           apply_cutaway, is_watertight,
-                          marching_cubes, pole_concentration, slice_contour,
-                          surface_area)
+                          marching_cubes, pole_concentration, slice_contour)
 
 # ------------------------- reference: per-cell loop and position-dict weld
 
@@ -566,6 +565,25 @@ def test_cutaway_keeps_rows_one_ulp_apart_distinct():
         assert_same_mesh(cut, reference_apply_cutaway(doubled, grid))
         single = apply_cutaway(mesh, grid)
         assert len(cut.vertices) > len(single.vertices)
+
+
+@pytest.mark.parametrize("distinct", [1, 7, 300, surface._BLOCK])
+def test_repeated_index_assignment_keeps_the_last_write(distinct):
+    """Canary for the cutaway weld: apply_cutaway finds each vertex's first
+    slot by writing a block of slots in reverse, so that of the writes to a
+    repeated index the last one, the first slot, is kept.  numpy documents
+    no order for repeated indices in an advanced assignment; this pins what
+    it does today, with the same int32 arrays over one block."""
+    rng = np.random.default_rng(distinct)
+    keys = rng.integers(0, distinct, size=3 * surface._BLOCK, dtype=np.int32)
+    b, e = surface._BLOCK, 2 * surface._BLOCK
+    first = np.full(distinct, len(keys), np.int32)
+    first[keys[b:e][::-1]] = np.arange(e - 1, b - 1, -1, dtype=first.dtype)
+    seen, at = np.unique(keys[b:e], return_index=True)
+    assert np.array_equal(first[seen], b + at), (
+        "numpy no longer keeps the last of repeated writes in an advanced"
+        " assignment; apply_cutaway's weld relies on it to find each"
+        " vertex's first slot")
 
 
 # five states from hydrogen to strong barriers, each at its own N

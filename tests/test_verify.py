@@ -215,14 +215,14 @@ def test_norm_checks_detect_wrong_constants(monkeypatch):
     assert failed == {"radial_norm"}
     monkeypatch.undo()
     # the grid kernel's Kummer coefficients are the ones radial_norm reads
-    coefficients = specfun.kummer_coefficients
+    coefficients = specfun._kummer_coefficients
 
     def top_scaled(n_r, beta):
         d = coefficients(n_r, beta)
         d[-1] *= 1.0 + 1e-6
         return d
 
-    monkeypatch.setattr(specfun, "kummer_coefficients", top_scaled)
+    monkeypatch.setattr(specfun, "_kummer_coefficients", top_scaled)
     failed = {c.name for c in verify_state(labels, params).checks
               if not c.passed}
     assert failed == {"radial_norm"}
