@@ -11,6 +11,10 @@ flags become a ``RunSpec``, which is checked and written by the same steps
 as a sweep run, so a command and a sweep run with the same fields write
 the same bytes.
 
+Sweep runs that read the same grid (``RunSpec.grid_key``) share one
+build: they are one pool task, which builds the grid once and writes each
+run's outputs in job order.
+
 Each command imports only the modules it runs: ``state`` and
 ``potential`` need the standard library alone, and numpy, the grid,
 surface and verification modules load where a run first needs them.
@@ -197,6 +201,16 @@ class RunSpec:
         return (f"run_{self.index:03d}_n{self.state['n']}"
                 f"l{self.state['l']}m{self.state['m']}")
 
+    @property
+    def grid_key(self) -> tuple[str, ...] | None:
+        """The fields the run's grid is built from; None if no output reads
+        a grid.  Each value enters by repr, so b = -0.0 and b = 0.0, whose
+        VTK headers print -0 and 0, never share a grid."""
+        if all(kind == "verify" for kind in self.outputs):
+            return None
+        return tuple(map(repr, (*self.state.values(), self.n_points,
+                                self.extent, self.coverage)))
+
     def state_record(self) -> dict:
         """The state for the manifest; a non-finite float becomes a string."""
         return {k: str(v) if isinstance(v, float) and not math.isfinite(v)
@@ -222,7 +236,7 @@ def _check_run(run: RunSpec) -> None:
 
 def _resolve_grid(run: RunSpec) -> DensityGrid | None:
     """The rescaled grid the run's outputs read; None when none reads one."""
-    if all(kind == "verify" for kind in run.outputs):
+    if run.grid_key is None:
         return None
     from .density import GridSpec, auto_extent, build_grid, normalize_relative
     labels, params = run.labels, run.params
@@ -493,14 +507,9 @@ def _parse_job(path: str, output_override: str | None,
     return JobSpec(Path(out_dir), workers, tuple(runs))
 
 
-def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
-    """Write one run's outputs; returns its manifest record and exit code.
-
-    An exception ends the run, not the sweep: the record lists what was
-    written before it, with status io_error for an OSError, else failed.
-    """
+def _run_record(run: RunSpec) -> dict:
     quasi = map_quantum_numbers(run.labels, run.params).as_dict()
-    record = {
+    return {
         "index": run.index,
         "state": run.state_record(),
         "quasi": {k: quasi[k] for k in ("m_prime", "gamma1", "l_prime",
@@ -509,8 +518,34 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
         "reason": "",
         "artifacts": [],
     }
+
+
+def _failed(record: dict, exc: Exception) -> tuple[dict, int]:
+    record["status"] = "io_error" if isinstance(exc, OSError) else "failed"
+    record["reason"] = f"{type(exc).__name__}: {exc}"
+    return record, _exit_code(exc)
+
+
+def _execute_runs(runs: list[RunSpec],
+                  out_dir: Path) -> list[tuple[dict, int]]:
+    """Write runs of one grid key in job order, from one grid build.
+
+    Returns each run's manifest record and exit code.  An exception ends a
+    run, not the sweep: the record lists what was written before it, with
+    status io_error for an OSError, else failed.  A grid that fails to
+    build fails every run of the group with the same reason.
+    """
     try:
-        grid = _resolve_grid(run)
+        grid = _resolve_grid(runs[0])
+    except Exception as exc:
+        return [_failed(_run_record(run), exc) for run in runs]
+    return [_execute_run(run, grid, out_dir) for run in runs]
+
+
+def _execute_run(run: RunSpec, grid: DensityGrid | None,
+                 out_dir: Path) -> tuple[dict, int]:
+    record = _run_record(run)
+    try:
         for kind in run.outputs:
             suffix, chunks, passed = _artifact(kind, run, grid)
             name = run.stem + suffix
@@ -520,9 +555,7 @@ def _execute_run(run: RunSpec, out_dir: Path) -> tuple[dict, int]:
                 record["reason"] = "verification checks failed"
             record["artifacts"].append(name)
     except Exception as exc:
-        record["status"] = "io_error" if isinstance(exc, OSError) else "failed"
-        record["reason"] = f"{type(exc).__name__}: {exc}"
-        return record, _exit_code(exc)
+        return _failed(record, exc)
     return record, EXIT_VERIFY if record["status"] == "verify_failed" else EXIT_OK
 
 
@@ -531,9 +564,10 @@ def cmd_sweep(args) -> int:
     job = _parse_job(args.jobs, args.output_dir, args.workers)
     job.output_dir.mkdir(parents=True, exist_ok=True)
 
-    # every run validates up front; invalid runs are reported, never dropped
+    # every run validates up front; invalid runs are reported, never dropped.
+    # The valid ones are grouped by grid key; a run reading no grid is alone.
     records: dict[int, dict] = {}
-    todo = []
+    groups: dict[tuple[str, ...] | int, list[RunSpec]] = {}
     for run in job.runs:
         try:
             _check_run(run)
@@ -546,15 +580,16 @@ def cmd_sweep(args) -> int:
                 "artifacts": [],
             }
         else:
-            todo.append(run)
+            groups.setdefault(run.grid_key or run.index, []).append(run)
 
     codes = {EXIT_VALIDATION} if records else set()
     with ThreadPoolExecutor(max_workers=job.workers) as pool:
-        futures = {pool.submit(_execute_run, run, job.output_dir): run
-                   for run in todo}
-        for future, run in futures.items():
-            records[run.index], code = future.result()
-            codes.add(code)
+        futures = [pool.submit(_execute_runs, runs, job.output_dir)
+                   for runs in groups.values()]
+        for future in futures:
+            for record, code in future.result():
+                records[record["index"]] = record
+                codes.add(code)
 
     manifest = {"runs": [records[i] for i in sorted(records)]}
     _write([_dump_json(manifest)], job.output_dir / "manifest.json")

@@ -152,11 +152,20 @@ def _density(s, z, payload):
     return out
 
 
+# Floats in each kernel temporary: 125 KiB, below glibc's 128 KiB mmap
+# threshold, so every block reuses heap pages instead of mapping fresh ones.
+_BLOCK_FLOATS = 16_000
+
+
 def build_grid(labels: StateLabels, params: PotentialParams,
                spec: GridSpec) -> DensityGrid:
     """Evaluate the density on the x, y, z >= 0 octant of the lattice.
 
-    The density reads the coordinates only through x^2, y^2 and z^2, and
+    The density reads x and y only through s = x^2 + y^2, so the kernel
+    runs on the distinct s of the octant's xy-plane times its z-slices, a
+    block of z-slices at a time, and each voxel gathers the value of its
+    (s, z) pair: the same float operations on the same inputs as its own
+    evaluation would run.
     ``GridSpec.coords`` is exactly antisymmetric in IEEE arithmetic, so the
     mirrored octant is bitwise the voxel-by-voxel evaluation of the whole
     lattice.  A non-finite voxel raises ValueError.
@@ -164,12 +173,16 @@ def build_grid(labels: StateLabels, params: PotentialParams,
     payload = _state_payload(labels, params)
     c = (spec.n_points - 1) // 2
     half = spec.coords()[c:]
-    s = half[:, None] ** 2 + half[None, :] ** 2
+    s, inverse = np.unique(half[:, None] ** 2 + half[None, :] ** 2,
+                           return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.x varies its shape
     octant = np.empty((c + 1,) * 3)
-    # one z-slice at a time keeps the temporaries at O(N^2)
+    columns = octant.reshape(-1, c + 1)  # a view: [x * (c + 1) + y, z]
+    step = max(1, _BLOCK_FLOATS // len(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(c + 1):
-            octant[:, :, k] = _density(s, half[k], payload)
+        for k in range(0, c + 1, step):
+            block = _density(s[:, None], half[k:k + step], payload)
+            columns[:, k:k + step] = block[inverse]
     if not np.isfinite(octant).all():
         raise ValueError(f"the density leaves the float range at {labels},"
                          f" {params}")

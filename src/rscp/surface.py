@@ -412,12 +412,13 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     s = len(slots)
     slots[3 * kept:] = np.arange(nv, nv + len(caps))
     del cut, keep
-    # of the writes to a repeated index the last, the first slot, is kept
+    # each key's first slot: ufunc.at applies every write to a repeated
+    # index, where an advanced assignment keeps no documented one
     first = np.full(len(keys), s, np.int32)
-    for b in reversed(range(0, s, _BLOCK)):
+    for b in range(0, s, _BLOCK):
         e = min(b + _BLOCK, s)
-        first[keys[slots[b:e]][::-1]] = np.arange(e - 1, b - 1, -1,
-                                                  dtype=first.dtype)
+        np.minimum.at(first, keys[slots[b:e]],
+                      np.arange(b, e, dtype=first.dtype))
     start = np.sort(first[first < s])  # the first slot of each vertex
     # mesh rows first: every kept triangle's slot precedes the caps'
     m = int(np.searchsorted(start, 3 * kept))

@@ -1077,3 +1077,93 @@ def test_file_command_is_checked_like_a_sweep_run(tmp_path, capsys, grid,
     assert code == EXIT_VALIDATION
     assert json.loads(text)["error"]["message"] == message
     assert not target.exists()
+
+
+# ------------------------------------------------------- one grid per grid key
+
+
+def count_builds(monkeypatch):
+    """Record the (state, spec) of every build_grid call a sweep makes."""
+    import rscp.density
+    build, calls = rscp.density.build_grid, []
+
+    def counted(labels, params, spec):
+        calls.append((labels, params, spec))
+        return build(labels, params, spec)
+    monkeypatch.setattr(rscp.density, "build_grid", counted)
+    return calls
+
+
+def test_runs_that_share_a_grid_write_the_file_command_bytes(
+        tmp_path, capsys, monkeypatch):
+    """Runs with one grid key share one build and write, in job order, what
+    each file command writes alone; a verify-only run builds nothing."""
+    calls = count_builds(monkeypatch)
+    first, second = PARITY_RUNS
+    runs = [dict(first, outputs=["grid"]),
+            dict(second, outputs=["slice", "isosurface"]),
+            dict(first, outputs=["isosurface", "slice"], level=70.0),
+            dict(first, outputs=["verify"]),
+            dict(second, outputs=["grid"]),
+            dict(first, outputs=["isosurface"], cutaway=False)]
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "workers": 2,
+                                "runs": runs}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_OK
+    assert len(calls) == 2
+    manifest = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in manifest] == ["ok"] * len(runs)
+    for i, run in enumerate(runs):
+        stem = f"run_{i:03d}_n{run['n']}l{run['l']}m{run['m']}"
+        assert manifest[i]["artifacts"] == [
+            stem + SUFFIX[kind] for kind in run["outputs"]]
+        for kind in run["outputs"]:
+            target = tmp_path / (kind + SUFFIX[kind])
+            argv = _command_argv(kind, run) + ["--output", str(target)]
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            assert (target.read_bytes()
+                    == (out / (stem + SUFFIX[kind])).read_bytes())
+
+
+def test_signed_zeros_never_share_a_grid(tmp_path, capsys, monkeypatch):
+    """b = -0.0 and b = 0.0 are one state, but the VTK header prints them as
+    -0 and 0, so each gets a grid of its own."""
+    calls = count_builds(monkeypatch)
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "runs": [
+        {"n": 2, "l": 1, "m": 0, "b": b, "grid": {"n_points": 5}}
+        for b in (0.0, -0.0, 0.0)]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_OK
+    assert sorted(math.copysign(1.0, p.b) for _, p, _ in calls) == [-1, 1]
+    headers = [(out / f"run_{i:03d}_n2l1m0.vtk").read_text().splitlines()[1]
+               for i in range(3)]
+    assert " b=0 " in headers[0] and " b=-0 " in headers[1]
+    assert headers[0] == headers[2]
+
+
+def test_a_grid_that_fails_fails_every_run_of_its_key(tmp_path, capsys,
+                                                      monkeypatch):
+    """At extent 1e90 the density underflows to zero everywhere: the one
+    build raises DegenerateGridError, each run of that key records it, and
+    the other runs complete."""
+    calls = count_builds(monkeypatch)
+    far = {"n_points": 15, "extent": 1e90}
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "workers": 2, "runs": [
+        {"n": 2, "l": 1, "m": 0, "outputs": ["grid", "verify"], "grid": far},
+        {"n": 2, "l": 1, "m": 0, "outputs": ["verify"], "grid": far},
+        {"n": 2, "l": 1, "m": 0, "outputs": ["slice"], "grid": far},
+        {"n": 2, "l": 1, "m": 0, "grid": {"n_points": 15}}]}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_VALIDATION
+    assert len(calls) == 2
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["failed", "ok", "failed", "ok"]
+    reason = "DegenerateGridError: cannot rescale an all-zero grid"
+    assert runs[0]["reason"] == runs[2]["reason"] == reason
+    assert [r["artifacts"] for r in runs] == [
+        [], ["run_001_n2l1m0_verify.json"], [], ["run_003_n2l1m0.vtk"]]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "run_001_n2l1m0_verify.json", "run_003_n2l1m0.vtk"]

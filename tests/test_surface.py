@@ -567,25 +567,6 @@ def test_cutaway_keeps_rows_one_ulp_apart_distinct():
         assert len(cut.vertices) > len(single.vertices)
 
 
-@pytest.mark.parametrize("distinct", [1, 7, 300, surface._BLOCK])
-def test_repeated_index_assignment_keeps_the_last_write(distinct):
-    """Canary for the cutaway weld: apply_cutaway finds each vertex's first
-    slot by writing a block of slots in reverse, so that of the writes to a
-    repeated index the last one, the first slot, is kept.  numpy documents
-    no order for repeated indices in an advanced assignment; this pins what
-    it does today, with the same int32 arrays over one block."""
-    rng = np.random.default_rng(distinct)
-    keys = rng.integers(0, distinct, size=3 * surface._BLOCK, dtype=np.int32)
-    b, e = surface._BLOCK, 2 * surface._BLOCK
-    first = np.full(distinct, len(keys), np.int32)
-    first[keys[b:e][::-1]] = np.arange(e - 1, b - 1, -1, dtype=first.dtype)
-    seen, at = np.unique(keys[b:e], return_index=True)
-    assert np.array_equal(first[seen], b + at), (
-        "numpy no longer keeps the last of repeated writes in an advanced"
-        " assignment; apply_cutaway's weld relies on it to find each"
-        " vertex's first slot")
-
-
 # five states from hydrogen to strong barriers, each at its own N
 SCAN_CASES = [
     ((2, 1, 0), (1.0, 0.0, 0.0), 61),
