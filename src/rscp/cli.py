@@ -73,7 +73,8 @@ def _dump_json(obj, digits: int = 9) -> str:
 
 
 def _write(chunks, output: str | os.PathLike | None) -> None:
-    """Stream text chunks to stdout, or to the file ``output`` atomically.
+    """Stream byte chunks to the file ``output`` atomically, or decoded to
+    stdout, which may be any text stream.
 
     A file is written as ``.NAME.tmp`` beside its target and renamed onto
     it once complete, so readers see the old file or the whole new one.
@@ -83,17 +84,17 @@ def _write(chunks, output: str | os.PathLike | None) -> None:
     place.
     """
     if output is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(map(bytes.decode, chunks))
         return
     output = os.path.realpath(output)
     if os.path.exists(output) and not os.path.isfile(output):
-        with open(output, "w") as f:
+        with open(output, "wb") as f:
             f.writelines(chunks)
         return
     head, name = os.path.split(output)
     tmp = os.path.join(head, f".{name}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, output)
     except BaseException:
@@ -204,12 +205,14 @@ class RunSpec:
     @property
     def grid_key(self) -> tuple[str, ...] | None:
         """The fields the run's grid is built from; None if no output reads
-        a grid.  Each value enters by repr, so b = -0.0 and b = 0.0, whose
-        VTK headers print -0 and 0, never share a grid."""
+        a grid.  Coverage counts only without an extent.  Each value enters
+        by repr, so b = -0.0 and b = 0.0, whose VTK headers print -0 and 0,
+        never share a grid."""
         if all(kind == "verify" for kind in self.outputs):
             return None
+        coverage = self.coverage if self.extent is None else None
         return tuple(map(repr, (*self.state.values(), self.n_points,
-                                self.extent, self.coverage)))
+                                self.extent, coverage)))
 
     def state_record(self) -> dict:
         """The state for the manifest; a non-finite float becomes a string."""
@@ -248,29 +251,32 @@ def _resolve_grid(run: RunSpec) -> DensityGrid | None:
 
 # ------------------------------------------------------------------ writers
 
-_BLOCK_ROWS = 256  # VTK rows, or OBJ lines, per streamed chunk
+_BLOCK_ROWS = 4096  # OBJ lines per streamed chunk
 
 
 def _distinct_words(values: np.ndarray):
     """Each distinct float formatted once, and where each value's text is.
 
     Values are told apart by bit pattern, so 0.0 and -0.0 keep their own
-    text.  Returns ``(words, index)``, index shaped as values:
-    ``words[index[i, ...]]`` is the text of ``values[i, ...]``.
+    text.  Returns ``(words, index)``: words a numpy object array of the
+    ``%.9g`` bytes, index shaped as values, so ``words[index]`` gathers
+    the text of every value at once.
     """
     import numpy as np
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
-    words = ("%.9g\n" * len(distinct)  # each _sig(v), without a call per v
-             % tuple(distinct.view(np.float64).tolist())).split("\n")
-    return words, index.reshape(bits.shape)  # numpy 2.x varies its shape
+    words = (b"%.9g\n" * len(distinct)  # each _sig(v), without a call per v
+             % tuple(distinct.view(np.float64).tolist())).splitlines()
+    # numpy 2.x varies the shape of the inverse
+    return np.array(words, object), index.reshape(bits.shape)
 
 
 def _vtk_chunks(grid: DensityGrid):
-    """Legacy ASCII VTK: the header, then the x-fastest rows in blocks.
+    """Legacy ASCII VTK: the header, then one chunk per file z-plane.
 
-    Each octant z-plane formats its distinct values once, then joins each
-    octant row; a file row is its mirror's text.  Only row texts persist.
+    Each octant z-plane formats its distinct values once and builds every
+    octant row from one gather of its words through the mirror; a file
+    row is its mirror's text.  Only row texts persist.
     """
     spec = grid.spec
     n = spec.n_points
@@ -287,43 +293,43 @@ def _vtk_chunks(grid: DensityGrid):
         f"POINT_DATA {n ** 3}",
         "SCALARS density float 1",
         "LOOKUP_TABLE default",
-    ]) + "\n"
+        "",
+    ]).encode()
+    mirror = spec.mirror()
     planes = grid.octant.transpose(2, 1, 0)  # planes[z] is octant[:, :, z].T
-    texts = [[" ".join(half[:0:-1] + half)
-              for half in ([words[i] for i in row] for row in index.tolist())]
+    texts = [list(map(b" ".join, words[index[:, mirror]].tolist()))
              for words, index in map(_distinct_words, planes)]
-    mirror = spec.mirror().tolist()
-    rows = [texts[z][y] for z in mirror for y in mirror]
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield "\n".join(rows[start:start + _BLOCK_ROWS] + [""])
+    mirror = mirror.tolist()
+    for z in mirror:
+        yield b"\n".join([texts[z][y] for y in mirror] + [b""])
 
 
 def _obj_chunks(mesh, labels, params, cutaway: bool):
     yield (f"# {_metadata_line(labels, params)}\n"
-           f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n")
+           f"# level {_sig(mesh.level)} cutaway {int(cutaway)}\n").encode()
     import numpy as np
     # one word table per coordinate column, so no sort spans all 3 nv values
-    words, index = [], np.empty(mesh.vertices.shape, np.int32)
+    words, index = np.empty(0, object), np.empty(mesh.vertices.shape, np.int32)
     for a in range(3):
         column, index[:, a] = _distinct_words(mesh.vertices[:, a])
         index[:, a] += len(words)
-        words += column
+        words = np.concatenate([words, column])
     for start in range(0, len(index), _BLOCK_ROWS):
-        block = index[start:start + _BLOCK_ROWS].ravel().tolist()
-        yield ("v %s %s %s\n" * (len(block) // 3)
-               % tuple(map(words.__getitem__, block)))
+        block = words[index[start:start + _BLOCK_ROWS].ravel()].tolist()
+        yield b"v %s %s %s\n" * (len(block) // 3) % tuple(block)
     for start in range(0, len(mesh.triangles), _BLOCK_ROWS):
         block = (mesh.triangles[start:start + _BLOCK_ROWS] + 1).ravel().tolist()
-        yield "f %d %d %d\n" * (len(block) // 3) % tuple(block)
+        yield b"f %d %d %d\n" * (len(block) // 3) % tuple(block)
 
 
 def _slice_chunks(contours, labels, params):
-    yield f"# {_metadata_line(labels, params)}\nlevel,polyline,vertex,y,z\n"
+    yield (f"# {_metadata_line(labels, params)}\n"
+           "level,polyline,vertex,y,z\n").encode()
     for cs in contours:
         level = _sig(cs.level)
         yield "".join([f"{level},{pi},{vi},{_sig(y)},{_sig(z)}\n"
                        for pi, line in enumerate(cs.polylines)
-                       for vi, (y, z) in enumerate(line)])
+                       for vi, (y, z) in enumerate(line)]).encode()
 
 
 # ---------------------------------------------------------------- artifacts
@@ -349,7 +355,8 @@ def _artifact(kind: str, run: RunSpec, grid: DensityGrid | None):
         return "_slice.csv", _slice_chunks(contours, labels, params), True
     from .verify import verify_state
     report = verify_state(labels, params)
-    return "_verify.json", [_dump_json(report.as_dict())], report.all_passed
+    return ("_verify.json", [_dump_json(report.as_dict()).encode()],
+            report.all_passed)
 
 
 # ----------------------------------------------------------------- commands
@@ -389,7 +396,7 @@ def cmd_potential(args) -> int:
         except PoleError:
             v = ""
         lines.append(f"{_sig(coord)},{v}")
-    _write(["\n".join(lines) + "\n"], args.output)
+    _write([("\n".join(lines) + "\n").encode()], args.output)
     return EXIT_OK
 
 
@@ -592,7 +599,7 @@ def cmd_sweep(args) -> int:
                 codes.add(code)
 
     manifest = {"runs": [records[i] for i in sorted(records)]}
-    _write([_dump_json(manifest)], job.output_dir / "manifest.json")
+    _write([_dump_json(manifest).encode()], job.output_dir / "manifest.json")
 
     for code in (EXIT_IO, EXIT_VALIDATION, EXIT_VERIFY, EXIT_ERROR):
         if code in codes:

@@ -1094,6 +1094,23 @@ def count_builds(monkeypatch):
     return calls
 
 
+def assert_file_commands_match(capsys, tmp_path, out, runs):
+    """Each sweep run is ok and lists its artifacts, and each artifact holds
+    the bytes its file command writes alone."""
+    manifest = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in manifest] == ["ok"] * len(runs)
+    for i, run in enumerate(runs):
+        stem = f"run_{i:03d}_n{run['n']}l{run['l']}m{run['m']}"
+        assert manifest[i]["artifacts"] == [
+            stem + SUFFIX[kind] for kind in run["outputs"]]
+        for kind in run["outputs"]:
+            target = tmp_path / (kind + SUFFIX[kind])
+            argv = _command_argv(kind, run) + ["--output", str(target)]
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            assert (target.read_bytes()
+                    == (out / (stem + SUFFIX[kind])).read_bytes())
+
+
 def test_runs_that_share_a_grid_write_the_file_command_bytes(
         tmp_path, capsys, monkeypatch):
     """Runs with one grid key share one build and write, in job order, what
@@ -1112,18 +1129,24 @@ def test_runs_that_share_a_grid_write_the_file_command_bytes(
                                 "runs": runs}))
     assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_OK
     assert len(calls) == 2
-    manifest = json.loads((out / "manifest.json").read_text())["runs"]
-    assert [r["status"] for r in manifest] == ["ok"] * len(runs)
-    for i, run in enumerate(runs):
-        stem = f"run_{i:03d}_n{run['n']}l{run['l']}m{run['m']}"
-        assert manifest[i]["artifacts"] == [
-            stem + SUFFIX[kind] for kind in run["outputs"]]
-        for kind in run["outputs"]:
-            target = tmp_path / (kind + SUFFIX[kind])
-            argv = _command_argv(kind, run) + ["--output", str(target)]
-            assert run_cli(capsys, *argv)[0] == EXIT_OK
-            assert (target.read_bytes()
-                    == (out / (stem + SUFFIX[kind])).read_bytes())
+    assert_file_commands_match(capsys, tmp_path, out, runs)
+
+
+def test_coverage_is_unread_beside_an_extent(tmp_path, capsys, monkeypatch):
+    """Runs that share an extent and differ only in coverage share one
+    build, and each writes what its file command writes."""
+    calls = count_builds(monkeypatch)
+    fixed = PARITY_RUNS[1]
+    runs = [dict(fixed, outputs=["grid", "slice"]),
+            dict(fixed, grid=dict(fixed["grid"], coverage=0.5),
+                 outputs=["isosurface", "grid"])]
+    out = tmp_path / "out"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(out), "workers": 2,
+                                "runs": runs}))
+    assert run_cli(capsys, "sweep", "--jobs", str(path))[0] == EXIT_OK
+    assert len(calls) == 1
+    assert_file_commands_match(capsys, tmp_path, out, runs)
 
 
 def test_signed_zeros_never_share_a_grid(tmp_path, capsys, monkeypatch):

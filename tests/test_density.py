@@ -155,11 +155,12 @@ def test_vtk_rows_x_fastest():
     spec = GridSpec(5, 4.0)
     grid = build_grid(*H_210, spec)
     n = spec.n_points
-    rows = "".join(_vtk_chunks(grid)).splitlines()[10:]
+    rows = b"".join(_vtk_chunks(grid)).splitlines()[10:]
     assert len(rows) == n * n
     for z in range(n):
         for y in range(n):
-            assert rows[z * n + y] == " ".join(map(_sig, grid.values[:, y, z]))
+            assert rows[z * n + y] == " ".join(
+                map(_sig, grid.values[:, y, z])).encode()
 
 
 # ---------------------------------------------------------------- normalize

@@ -592,8 +592,8 @@ def test_surface_and_obj_match_the_references_at_the_figure_levels(
         cut = apply_cutaway(mesh, grid)
         assert_same_mesh(cut, reference_apply_cutaway(want, grid))
         for got, cutaway in ((mesh, False), (cut, True)):
-            assert ("".join(_obj_chunks(got, labels, params, cutaway))
-                    == reference_obj(got, labels, params, cutaway))
+            assert (b"".join(_obj_chunks(got, labels, params, cutaway))
+                    == reference_obj(got, labels, params, cutaway).encode())
 
 
 def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():

@@ -1,6 +1,8 @@
 """Writers: byte-identical to one _sig call per value, written atomically."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import stat
@@ -93,23 +95,27 @@ def random_grid(n=9, seed=7):
 
 
 def test_vtk_matches_reference_on_real_grid(real_grid):
-    assert "".join(_vtk_chunks(real_grid)) == reference_vtk(real_grid)
+    assert (b"".join(_vtk_chunks(real_grid))
+            == reference_vtk(real_grid).encode())
 
 
 def test_vtk_matches_reference_on_random_grid():
     grid = random_grid()
-    text = "".join(_vtk_chunks(grid))
-    assert text == reference_vtk(grid)
-    words = set(text.split())
+    text = b"".join(_vtk_chunks(grid))
+    assert text == reference_vtk(grid).encode()
+    words = set(text.decode().split())
     assert {"0", "-0", _sig(5e-324), "100"} <= words
 
 
-def test_vtk_streams_in_blocks(monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+def test_vtk_streams_in_blocks():
+    """The header, then one chunk per file z-plane of N rows."""
     grid = random_grid()
     chunks = list(_vtk_chunks(grid))
-    assert len(chunks) == 1 + -(-9 * 9 // 4)
-    assert "".join(chunks) == reference_vtk(grid)
+    lines = reference_vtk(grid).encode().splitlines(keepends=True)
+    assert len(chunks) == 1 + 9
+    assert chunks[0] == b"".join(lines[:10])
+    for z, chunk in enumerate(chunks[1:]):
+        assert chunk == b"".join(lines[10 + 9 * z:10 + 9 * (z + 1)])
 
 
 def voxel_by_voxel_rows(grid):
@@ -132,8 +138,9 @@ def assert_formats_the_octant_by_planes(monkeypatch, grid):
         return distinct_words(values)
     distinct_words = cli._distinct_words
     monkeypatch.setattr(cli, "_distinct_words", spy)
-    text = "".join(_vtk_chunks(grid))
-    assert text.splitlines()[10:] == voxel_by_voxel_rows(grid)
+    text = b"".join(_vtk_chunks(grid))
+    assert text.splitlines()[10:] == [
+        row.encode() for row in voxel_by_voxel_rows(grid)]
     octant = np.ascontiguousarray(grid.octant)
     assert all(p.shape == octant.shape[:2] for p in planes)
     stacked = np.stack([p.T for p in planes], axis=2)
@@ -155,7 +162,7 @@ def test_vtk_formats_a_random_octant_once(monkeypatch, n, seed):
     grid = DensityGrid(GridSpec(n, 2.5), octant, LABELS, PARAMS,
                        rescaled=True)
     assert_formats_the_octant_by_planes(monkeypatch, grid)
-    assert {"0", "-0"} <= set("".join(_vtk_chunks(grid)).split())
+    assert {b"0", b"-0"} <= set(b"".join(_vtk_chunks(grid)).split())
 
 
 def test_vtk_formats_a_real_grid_from_one_octant(monkeypatch, real_grid):
@@ -226,29 +233,35 @@ def test_obj_matches_reference(real_grid):
         mesh = marching_cubes(real_grid, 30.0)
         if cutaway:
             mesh = apply_cutaway(mesh, real_grid)
-        assert ("".join(_obj_chunks(mesh, LABELS, PARAMS, cutaway))
-                == reference_obj(mesh, LABELS, PARAMS, cutaway))
+        assert (b"".join(_obj_chunks(mesh, LABELS, PARAMS, cutaway))
+                == reference_obj(mesh, LABELS, PARAMS, cutaway).encode())
 
 
 def test_obj_streams_in_blocks(monkeypatch, real_grid):
+    """The header, then one chunk per _BLOCK_ROWS vertex lines, then one
+    per _BLOCK_ROWS face lines; each kind's last chunk holds the rest."""
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     mesh = marching_cubes(real_grid, 30.0)
+    nv, nt = len(mesh.vertices), len(mesh.triangles)
     chunks = list(_obj_chunks(mesh, LABELS, PARAMS, False))
-    assert len(chunks) == (1 + -(-len(mesh.vertices) // 4)
-                           + -(-len(mesh.triangles) // 4))
-    assert "".join(chunks) == reference_obj(mesh, LABELS, PARAMS, False)
+    assert len(chunks) == 1 + -(-nv // 4) + -(-nt // 4)
+    sizes = [min(4, count - start) for count in (nv, nt)
+             for start in range(0, count, 4)]
+    assert [chunk.count(b"\n") for chunk in chunks[1:]] == sizes
+    assert b"".join(chunks) == reference_obj(mesh, LABELS, PARAMS,
+                                             False).encode()
 
 
 def test_obj_keeps_negative_zero():
     verts = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5], [2.0, 0.0, -0.0]])
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [2, 1, 0]]), 25.0)
-    text = "".join(_obj_chunks(mesh, LABELS, PARAMS, False))
-    assert text == reference_obj(mesh, LABELS, PARAMS, False)
-    assert "v 0 -0 1.5\nv -0 0 1.5\n" in text
+    text = b"".join(_obj_chunks(mesh, LABELS, PARAMS, False))
+    assert text == reference_obj(mesh, LABELS, PARAMS, False).encode()
+    assert b"v 0 -0 1.5\nv -0 0 1.5\n" in text
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64),
                          25.0)
-    assert ("".join(_obj_chunks(empty, LABELS, PARAMS, True))
-            == reference_obj(empty, LABELS, PARAMS, True))
+    assert (b"".join(_obj_chunks(empty, LABELS, PARAMS, True))
+            == reference_obj(empty, LABELS, PARAMS, True).encode())
 
 
 def test_obj_formats_each_column_apart():
@@ -261,15 +274,15 @@ def test_obj_formats_each_column_apart():
     pool = [0.0, -0.0, lo, hi, -hi, 2.5, 5e-324, 1e300]
     verts = rng.choice(pool, size=(600, 3))
     mesh = TriangleMesh(verts, rng.integers(0, 600, (300, 3)), 25.0)
-    text = "".join(_obj_chunks(mesh, LABELS, PARAMS, False))
-    assert text == reference_obj(mesh, LABELS, PARAMS, False)
-    assert {"0", "-0", _sig(lo), _sig(hi)} <= set(text.split())
+    text = b"".join(_obj_chunks(mesh, LABELS, PARAMS, False))
+    assert text == reference_obj(mesh, LABELS, PARAMS, False).encode()
+    assert {"0", "-0", _sig(lo), _sig(hi)} <= set(text.decode().split())
 
 
 def test_slice_matches_reference(real_grid):
     contours = slice_contour(real_grid, [10.0, 35.5, 90.0])
-    assert ("".join(_slice_chunks(contours, LABELS, PARAMS))
-            == reference_slice(contours, LABELS, PARAMS))
+    assert (b"".join(_slice_chunks(contours, LABELS, PARAMS))
+            == reference_slice(contours, LABELS, PARAMS).encode())
 
 
 # ------------------------------------------------------------ atomic writes
@@ -290,18 +303,18 @@ def _tmp_files(directory):
 
 def test_write_replaces_target_only_when_complete(tmp_path, capsys):
     target = tmp_path / "out.txt"
-    _write(["a", "b\n"], target)
+    _write([b"a", b"b\n"], target)
     assert target.read_text() == "ab\n"
 
     def broken():
-        yield "partial"
+        yield b"partial"
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError):
         _write(broken(), target)
     assert target.read_text() == "ab\n"
     assert _tmp_files(tmp_path) == []
-    _write(["to stdout\n"], None)
+    _write([b"to stdout\n"], None)
     assert capsys.readouterr().out == "to stdout\n"
 
 
@@ -309,7 +322,7 @@ def test_write_follows_symlink_and_writes_pipes_in_place(tmp_path):
     real, link = tmp_path / "real.txt", tmp_path / "link.txt"
     real.write_text("old\n")
     link.symlink_to(real)
-    _write(["new\n"], link)
+    _write([b"new\n"], link)
     assert link.is_symlink() and real.read_text() == "new\n"
 
     fifo = tmp_path / "fifo"
@@ -318,7 +331,7 @@ def test_write_follows_symlink_and_writes_pipes_in_place(tmp_path):
     reader = threading.Thread(
         target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    _write(["through ", "a pipe\n"], fifo)
+    _write([b"through ", b"a pipe\n"], fifo)
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert received == ["through a pipe\n"]
@@ -371,3 +384,39 @@ def test_sweep_output_is_atomic(tmp_path, capsys, monkeypatch, previous):
     else:
         assert target.read_bytes() == previous
     assert _tmp_files(out) == []
+
+
+# ------------------------------------------------------------------- bytes
+
+FILE_RUN = {"n": 3, "l": 2, "m": 1, "Z": 1.0, "b": 0.5, "c": 0.5}
+
+
+@pytest.mark.parametrize("kind", ["grid", "isosurface", "slice", "verify"])
+def test_every_artifact_chunk_is_bytes(kind):
+    run = cli.RunSpec(FILE_RUN, (kind,), n_points=15, level=20.0,
+                      cutaway=True)
+    _, chunks, _ = cli._artifact(kind, run, cli._resolve_grid(run))
+    chunks = list(chunks)
+    assert chunks and all(type(chunk) is bytes for chunk in chunks)
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--N", "15"],
+    ["isosurface", "--N", "15", "--level", "20", "--cutaway"],
+    ["slice", "--N", "15"],
+    ["verify"],
+])
+def test_stdout_gets_the_output_file_bytes(tmp_path, capsys, argv):
+    argv = argv + [f"--{k}={v}" for k, v in FILE_RUN.items()]
+    target = tmp_path / "artifact"
+    assert main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == target.read_bytes()
+
+
+def test_write_decodes_to_a_text_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write([b"a text ", b"stream\n"], None)
+    assert buf.getvalue() == "a text stream\n"
