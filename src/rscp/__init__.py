@@ -18,8 +18,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name and the submodule that defines it.  Importing the
-# package loads none of them: a name loads its submodule on first access
+# Each public name and the submodule that defines it, the one list of the
+# public surface (no submodule keeps an __all__).  Importing the package
+# loads none of them: a name loads its submodule on first access
 # (PEP 562), so a command that needs only the standard library never
 # imports numpy.
 _SOURCE = {name: module for module, names in {

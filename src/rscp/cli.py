@@ -43,8 +43,6 @@ if TYPE_CHECKING:
 
     from .density import DensityGrid
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2

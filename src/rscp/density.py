@@ -27,16 +27,6 @@ from .specfun import (UalpSpec, _evaluator, _horner, _kummer_coefficients,
                       _radial_log_prefactor, radial_u)
 from .states import PotentialParams, StateLabels, map_quantum_numbers
 
-__all__ = [
-    "GridSpec",
-    "DensityGrid",
-    "DegenerateGridError",
-    "auto_extent",
-    "build_grid",
-    "normalize_relative",
-    "grid_mass",
-]
-
 
 _TWO_PI = 2.0 * math.pi
 

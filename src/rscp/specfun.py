@@ -22,8 +22,6 @@ import numpy as np
 
 from .states import PotentialParams, QuasiNumbers
 
-__all__ = ["UalpSpec", "radial_u", "angular_H"]
-
 
 def _kummer_coefficients(n_r: int, beta: float) -> np.ndarray:
     """Coefficients d_j of F(-n_r, beta, w) = sum_j d_j w^j, j = 0..n_r."""

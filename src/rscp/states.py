@@ -14,17 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-__all__ = [
-    "PotentialParams",
-    "StateLabels",
-    "QuasiNumbers",
-    "ImaginaryOrderError",
-    "NoGammaBranchError",
-    "PoleError",
-    "map_quantum_numbers",
-    "potential_V",
-]
-
 
 # |sin| or |cos| below this is treated as sitting on an angular pole
 _POLE_EPS = 1e-12
@@ -39,11 +28,7 @@ class NoGammaBranchError(ValueError):
 
 
 class PoleError(ValueError):
-    """Potential evaluated on an angular pole; .sign is the diverging sign."""
-
-    def __init__(self, message: str, sign: int):
-        super().__init__(message)
-        self.sign = sign
+    """Potential evaluated on an angular pole."""
 
 
 # The served parameter window.  Z spans the charges of real nuclei with
@@ -159,7 +144,7 @@ def map_quantum_numbers(labels: StateLabels, params: PotentialParams) -> QuasiNu
 
 
 def potential_V(params: PotentialParams, r: float, theta: float) -> float:
-    """V(r, theta); angular poles raise PoleError with the diverging sign.
+    """V(r, theta); an angular pole raises PoleError.
 
     A divisor within 1e-12 of zero counts as a pole, so float pi/2 hits
     the c-term pole as the closed form intends.  A value that overflows a
@@ -176,12 +161,11 @@ def potential_V(params: PotentialParams, r: float, theta: float) -> float:
     inv_2r2 = 0.5 / (r * r)
     if params.b != 0.0:
         if abs(s) < _POLE_EPS:
-            raise PoleError(f"potential pole at theta = {theta} (sin = 0)",
-                            1 if params.b > 0 else -1)
+            raise PoleError(f"potential pole at theta = {theta} (sin = 0)")
         v += inv_2r2 * params.b / (s * s)
     if params.c != 0.0:
         if abs(co) < _POLE_EPS:
-            raise PoleError(f"potential pole at theta = {theta} (cos = 0)", 1)
+            raise PoleError(f"potential pole at theta = {theta} (cos = 0)")
         v += inv_2r2 * params.c / (co * co)
     if not math.isfinite(v):
         raise ValueError(f"V overflows a float at r = {r}, theta = {theta}")

@@ -29,16 +29,6 @@ import numpy as np
 from ._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from .density import DensityGrid, _check_contour_level, _check_iso_level
 
-__all__ = [
-    "TriangleMesh",
-    "ContourSet",
-    "marching_cubes",
-    "apply_cutaway",
-    "slice_contour",
-    "pole_concentration",
-    "is_watertight",
-]
-
 _AREA_EPS = 1e-12
 _BLOCK = 1 << 12  # triangles or cells per block of a blockwise pass
 

@@ -1,20 +1,20 @@
 """Independent numerical cross-checks for the closed-form solutions.
 
 Every check here avoids the evaluation path it is judging: normalization
-integrals and expectations apply weighted Gauss rules (Jacobi, Laguerre),
-exact on polynomial-times-weight integrands, to the served functions,
-with nodes and weights built here from the classical three-term
-recurrences.  Differential-equation residuals rebuild the polynomial
-factors as the Laguerre and Jacobi polynomials of those same
-recurrences, with each factor's envelope divided out analytically, at
-fixed samples: the midpoints of equal cells of a radial window set by
-the polynomial degree and of an angular window inside (0, 1).  One
-recurrence loop serves both families and carries a power of two beside
-each value, so neither overflows at any degree.  The checks share these
-recurrences and nothing with the served path.  The served radial_u and
-angular_H of rscp.specfun sum both factors in the power basis with the
-coefficients the density kernel sums, so the norms judge the factors a
-grid draws.
+integrals apply weighted Gauss rules (Jacobi, Laguerre), exact on
+polynomial-times-weight integrands, to the served functions, with nodes
+and weights built here from the classical three-term recurrences; the
+tests read the first moments, <r> and <|cos theta|>, from the same
+rules.  Differential-equation residuals rebuild the polynomial factors
+as the Laguerre and Jacobi polynomials of those same recurrences, with
+each factor's envelope divided out analytically, at fixed samples: the
+midpoints of equal cells of a radial window set by the polynomial degree
+and of an angular window inside (0, 1).  One recurrence loop serves both
+families and carries a power of two beside each value, so neither
+overflows at any degree.  The checks share these recurrences and nothing
+with the served path.  The served radial_u and angular_H of rscp.specfun
+sum both factors in the power basis with the coefficients the density
+kernel sums, so the norms judge the factors a grid draws.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ from .density import DensityGrid, grid_mass
 from .specfun import UalpSpec, angular_H, radial_u
 from .states import (PotentialParams, QuasiNumbers, StateLabels,
                      map_quantum_numbers)
-
-__all__ = [
-    "VerificationReport",
-    "quad_radial_norm",
-    "quad_angular_norm",
-    "ode_residuals",
-    "verify_state",
-    "radial_expectation_r",
-    "angular_expectation_abs_x",
-]
 
 
 # Gauss rules return nodes and log-weights.  The nodes are the
@@ -191,16 +181,6 @@ def quad_radial_norm(labels: StateLabels, params: PotentialParams) -> float:
 def quad_angular_norm(labels: StateLabels, params: PotentialParams) -> float:
     """Quadrature value of the colatitude norm integral (1 when correct)."""
     return _angular_moment(labels, params, 0)
-
-
-def radial_expectation_r(labels: StateLabels, params: PotentialParams) -> float:
-    """<r> from the radial factor alone (angular part integrates to 1)."""
-    return _radial_moment(labels, params, 1)
-
-
-def angular_expectation_abs_x(labels: StateLabels, params: PotentialParams) -> float:
-    """<|cos theta|> from the colatitude factor alone."""
-    return _angular_moment(labels, params, 1)
 
 
 # ------------------------------------------------------------ ODE residuals

@@ -16,13 +16,13 @@ from rscp.density import (GridSpec, auto_extent, build_grid, grid_mass,
 from rscp.states import PotentialParams, StateLabels, map_quantum_numbers
 from rscp.surface import (apply_cutaway, is_watertight, marching_cubes,
                           pole_concentration)
-from rscp.verify import (angular_expectation_abs_x, ode_residuals,
-                         quad_angular_norm, quad_radial_norm,
-                         radial_expectation_r, verify_state)
+from rscp.verify import (ode_residuals, quad_angular_norm, quad_radial_norm,
+                         verify_state)
 from rscp.cli import main as cli_main
 
 from _hydrogen import hydrogen_oracle
 from _mesh import connected_components
+from _moments import angular_expectation_abs_x, radial_expectation_r
 from conftest import CRITERION_5_STATES, TABLE1_STATES, density_at
 
 SUITE = [(StateLabels(n, l, m), PotentialParams(1.0, 0.5, c))

@@ -16,12 +16,11 @@ from rscp.density import GridSpec, auto_extent, build_grid
 from rscp.states import (NoGammaBranchError, PotentialParams, StateLabels,
                          map_quantum_numbers)
 from rscp.verify import (CheckResult, _eigenvalues, _jacobi_p, _jacobi_rule,
-                         _laguerre_l, _laguerre_rule,
-                         angular_expectation_abs_x, ode_residuals,
-                         quad_angular_norm, quad_radial_norm,
-                         radial_expectation_r, verify_state)
+                         _laguerre_l, _laguerre_rule, ode_residuals,
+                         quad_angular_norm, quad_radial_norm, verify_state)
 
 from _hydrogen import hydrogen_oracle
+from _moments import angular_expectation_abs_x, radial_expectation_r
 
 # ----------------------------------------------------------- Gauss rules
 
