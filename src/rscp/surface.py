@@ -335,13 +335,11 @@ def _position_keys(*parts):
     """Keys in [0, K) for the rows of the (k, 3) arrays parts, taken in
     turn, equal exactly for rows equal as floats (so -0.0 keys as 0.0): the
     ranks of the distinct rows in lexicographic order.  The rows are sorted
-    one column at a time, least significant first, and the sorted rows are
-    compared one column at a time, so no copy of all rows is made."""
+    by one lexsort over their columns, and the sorted rows are compared one
+    column at a time."""
     def column(a):
         return np.concatenate([p[:, a] for p in parts])
-    order = np.argsort(column(2), kind="stable")
-    for a in (1, 0):
-        order = order[np.argsort(column(a)[order], kind="stable")]
+    order = np.lexsort([column(2), column(1), column(0)])
     new = np.zeros(len(order), bool)
     for a in range(3):
         sorted_column = column(a)[order]

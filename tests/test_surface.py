@@ -525,6 +525,9 @@ def test_position_keys_are_dense_and_equal_for_equal_rows():
         assert sorted(set(keys.tolist())) == list(range(keys.max() + 1))
         equal = (points[:, None] == points[None, :]).all(axis=2)
         assert ((keys[:, None] == keys[None, :]) == equal).all()
+        # apply_cutaway passes the mesh rows and the cap points as two parts
+        for k in {0, len(points) // 3, len(points)}:
+            assert (_position_keys(points[:k], points[k:]) == keys).all()
 
 
 def test_cutaway_welds_signed_zeros_together():
