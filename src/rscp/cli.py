@@ -443,9 +443,19 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _check_keys(entry: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside allowed, so a misspelt key is never ignored."""
+    for key in entry:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} {key!r};"
+                             f" allowed keys: {', '.join(allowed)}")
+
+
 def _parse_run(i: int, entry) -> RunSpec:
     if not isinstance(entry, dict):
         raise ValueError(f"a run must be an object, got {json.dumps(entry)}")
+    _check_keys(entry, ("n", "l", "m", "Z", "b", "c", "grid", "outputs",
+                        "level", "levels", "cutaway"), "key")
     for key in ("n", "l", "m"):
         if key not in entry:
             raise ValueError(f"missing required key {key!r}")
@@ -463,6 +473,7 @@ def _parse_run(i: int, entry) -> RunSpec:
     gridcfg = entry.get("grid", {})
     if not isinstance(gridcfg, dict):
         raise ValueError(f"grid must be an object, got {json.dumps(gridcfg)}")
+    _check_keys(gridcfg, ("n_points", "extent", "coverage"), "grid key")
     return RunSpec(
         index=i,
         state={"n": _integer(entry["n"], "n"), "l": _integer(entry["l"], "l"),
@@ -493,6 +504,7 @@ def _parse_job(path: str, output_override: str | None,
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or not isinstance(raw.get("runs"), list):
         raise ValueError("job file must be an object with a 'runs' list")
+    _check_keys(raw, ("runs", "output_dir", "workers"), "job key")
     out_dir = output_override or raw.get("output_dir", ".")
     if not isinstance(out_dir, str):
         raise ValueError("output_dir must be a string,"

@@ -9,6 +9,8 @@ appearance: marching cubes sorts its crossings' int32 keys, global edges
 or grid points (_weld); the cutaway ranks rows by their float values, so
 -0.0 welds with 0.0, and numbers and reads each rank at its first slot.
 Triangles follow ascending cell index, so every output is deterministic.
+A triangle is degenerate only when two of its corners are one vertex, as
+welded or as equal floats, so no small triangle is dropped at any spacing.
 Large temporaries are made a block at a time or deleted once spent, so
 each stage holds little beyond its input and output.
 
@@ -29,8 +31,7 @@ import numpy as np
 from ._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from .density import DensityGrid, _check_contour_level, _check_iso_level
 
-_AREA_EPS = 1e-12
-_BLOCK = 1 << 12  # triangles or cells per block of a blockwise pass
+_BLOCK = 1 << 12  # cells or slots per block of a blockwise pass
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,6 @@ class TriangleMesh:
 class ContourSet:
     level: float
     polylines: list  # of (m, 2) float arrays, columns (y, z)
-
-
-def _triangle_area(p0, p1, p2):
-    """Area of one triangle, or of many when the coordinates are arrays."""
-    ux, uy, uz = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-    vx, vy, vz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
-
-
-def _areas(vertices, triangles):
-    """Triangle areas, a block at a time to keep the corner arrays small."""
-    return np.concatenate([np.empty(0)] + [_triangle_area(
-        *([vertices[k, a] for a in range(3)] for k in triangles[s:s + _BLOCK].T))
-        for s in range(0, len(triangles), _BLOCK)])
 
 
 def _weld(keys):
@@ -221,8 +207,8 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     vid = vid[edge]
     del edge
 
-    # Triangles a block of cells at a time, into their final array; one
-    # with a repeated vertex has area 0, so the area test drops it too.
+    # Triangles a block of cells at a time, into their final array,
+    # without those that repeat a vertex.
     count = _TRI_COUNT[case]
     triangles = np.empty((int(count.sum()), 3), np.int32)
     kept = 0
@@ -230,7 +216,8 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
         k = count[s:s + _BLOCK]
         tri = vid[np.repeat(first_slot[s:s + _BLOCK], k)[:, None]
                   + _TRI_SLOTS[case[s:s + _BLOCK]][np.arange(5) < k[:, None]]]
-        tri = tri[_areas(vertices, tri) >= _AREA_EPS]
+        a, b, c = tri.T
+        tri = tri[(a != b) & (b != c) & (c != a)]
         triangles[kept:kept + len(tri)] = tri
         kept += len(tri)
     return TriangleMesh(vertices, triangles[:kept], float(level))
@@ -316,7 +303,7 @@ _SEG_TABLE = _table(
 
 def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
     """(k, 3, 3) cap triangles on the three exposed octant boundary planes,
-    without those below _AREA_EPS."""
+    without those with two corners equal as floats (so -0.0 equals 0.0)."""
     o, coords = grid.octant, grid.spec.coords()
     neg, pos = coords[:len(o)], coords[-len(o):]
     caps = np.concatenate([
@@ -326,7 +313,7 @@ def _cap_triangles(grid: DensityGrid, level: float) -> np.ndarray:
             (0, o[0, ::-1, :], neg, pos),          # x=0, y<=0, z>=0
             (1, o[::-1, 0, :], neg, pos),          # y=0, x<=0, z>=0
             (2, o[::-1, ::-1, 0], neg, neg))])     # z=0, x<=0, y<=0
-    return caps[_triangle_area(*caps.transpose(1, 2, 0)) >= _AREA_EPS]
+    return caps[~(caps == caps[:, [1, 2, 0]]).all(axis=2).any(axis=1)]
 
 
 # ---------------------------------------------------------------- cutaway
@@ -356,9 +343,9 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     cubes mesh: the grid is vertex-aligned with x = y = z = 0 among its
     planes, and each triangle stays inside one cell.  So each triangle lies
     wholly inside the closed octant or wholly outside it, and the cutaway
-    drops whole triangles: those with area whose centroid is strictly
-    inside.  The rest, including triangles only touching the octant
-    boundary, are kept verbatim, so a second application is the identity.
+    drops whole triangles: those whose centroid is strictly inside.  The
+    rest, including triangles only touching the octant boundary, are kept
+    verbatim, so a second application is the identity.
     Caps are generated from the grid on the three boundary planes wherever
     the field is at or above the mesh's iso level.
 
@@ -377,8 +364,7 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     cut = np.flatnonzero((code & 0b100011) == 0b100011)
     tri = mesh.triangles[cut]
     x, y, z = (v[tri].sum(axis=1) / 3 for v in mesh.vertices.T)
-    cut = cut[(x < 0.0) & (y < 0.0) & (z > 0.0)
-              & (_areas(mesh.vertices, tri) >= _AREA_EPS)]
+    cut = cut[(x < 0.0) & (y < 0.0) & (z > 0.0)]
     del sign, code, tri, x, y, z
     if not len(cut):
         return mesh
@@ -421,7 +407,8 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     vertices[m:] = caps[rows[m:] - nv]
     del caps
     np.take(mesh.vertices, rows[:m], axis=0, out=vertices[:m], mode="clip")
-    # a triangle whose corners weld together is dropped
+    # a triangle whose corners weld together, which only a mesh from
+    # elsewhere can hold, is dropped
     a, b, c = triangles.T
     good = (a != b) & (b != c) & (c != a)
     if not good.all():

@@ -1,5 +1,6 @@
 """The CI workflow measures nothing itself: every number it prints comes
-from the benchmark harness, perfbench/run.py, or from its line counts."""
+from the benchmark harness, perfbench/run.py, or from its line counts.  And
+it discards no output, so a failed step shows why it failed."""
 
 from pathlib import Path
 
@@ -13,3 +14,8 @@ def test_workflow_has_no_timing_code():
     text = WORKFLOW.read_text()
     probes = ["tracemalloc", "wait4", "getrusage", "perf_counter"]
     assert [probe for probe in probes if probe in text] == []
+
+
+def test_workflow_discards_no_output():
+    """Output sent to /dev/null is lost with the reason a run failed."""
+    assert "/dev/null" not in WORKFLOW.read_text()

@@ -347,6 +347,21 @@ def test_isosurface_obj(tmp_path, capsys):
         assert all(1 <= i <= len(v_lines) for i in idx)
 
 
+def test_isosurface_face_count_holds_at_a_tiny_extent(tmp_path, capsys):
+    """A box 1e-5 Bohr wide holds the same surface, scaled, as one 1e-3
+    wide: its triangles are small, not degenerate, and none is dropped."""
+    faces = []
+    for extent in ("1e-3", "1e-5"):
+        out_file = tmp_path / f"m{extent}.obj"
+        code, _ = run_cli(capsys, "isosurface", "--n", "2", "--l", "1",
+                          "--m", "0", "--extent", extent, "--N", "31",
+                          "--level", "50", "--output", str(out_file))
+        assert code == EXIT_OK
+        faces.append(sum(line.startswith("f ")
+                         for line in out_file.read_text().splitlines()))
+    assert faces[1] == faces[0] > 0
+
+
 def test_isosurface_level_bounds(capsys):
     code, out = run_cli(capsys, "isosurface", "--n", "2", "--l", "1",
                         "--m", "0", "--N", "21", "--level", "0")
@@ -678,6 +693,31 @@ def test_sweep_malformed_job_is_validation_error(tmp_path, capsys, job,
                         *(["--workers", workers] if workers else []))
     assert code == EXIT_VALIDATION
     assert message in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"worker": 2, "runs": []},
+     "unknown job key 'worker'; allowed keys: runs, output_dir, workers"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "levle": 20}]},
+     "run 1: unknown key 'levle'; allowed keys: n, l, m, Z, b, c, grid,"
+     " outputs, level, levels, cutaway"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "n_points": 5}]},
+     "run 1: unknown key 'n_points'"),
+    ({"runs": [{"n": 2, "l": 1, "m": 0, "grid": {"n_point": 5}}]},
+     "run 1: unknown grid key 'n_point'; allowed keys: n_points, extent,"
+     " coverage"),
+], ids=["job", "run", "run-misplaced", "grid"])
+def test_sweep_unknown_key_is_refused(tmp_path, capsys, job, message):
+    """A misspelt or misplaced key is exit 2 before any run starts, never
+    a run with the key's default."""
+    if job["runs"]:
+        job = dict(job, runs=[JOB["runs"][0], *job["runs"]])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **job}))
+    code, out = run_cli(capsys, "sweep", "--jobs", str(path))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"].startswith(message)
     assert not (tmp_path / "out").exists()
 
 

@@ -106,16 +106,21 @@ RUN_KEYS = {
                    {"n_points": 7, "extent": 0}, {"n_points": 403},
                    {"n_points": "15"}, {"coverage": 2}]),
 }
+# keys the job file does not know: misspelt, or in the wrong object
+UNKNOWN = [{"levle": 20}, {"n_points": 5}, {"grid": {"n_point": 5}}]
 
 
 @st.composite
 def runs(draw):
     run = dict(zip("nlm", map(int, draw(st.sampled_from(STATES)))))
     run["grid"] = {"n_points": 5}
-    for key in draw(st.lists(st.sampled_from(sorted([*RUN_KEYS, "nlm"])),
+    for key in draw(st.lists(st.sampled_from(sorted([*RUN_KEYS, "nlm",
+                                                     "unknown"])),
                              unique=True, max_size=3)):
         if key == "nlm":
             run[draw(st.sampled_from("nlm"))] = draw(st.sampled_from(JSON_BAD))
+        elif key == "unknown":
+            run.update(draw(st.sampled_from(UNKNOWN)))
         else:
             run[key] = draw(RUN_KEYS[key])
     return run
@@ -126,7 +131,19 @@ jobs = st.one_of(
         {"runs": st.lists(runs(), max_size=3)},
         optional={"workers": _json([1, 2, 65])}),
     st.sampled_from([[], {}, {"runs": {}}, {"runs": [[2, 1, 0]]}, "runs",
-                     None]))
+                     None, {"runs": [], "worker": 2}]))
+
+
+def _has_unknown_key(job):
+    """Whether the job holds a key it does not know: "worker" in the job,
+    or one of UNKNOWN in a run."""
+    if not isinstance(job, dict) or not isinstance(job.get("runs"), list):
+        return False
+    runs = [run for run in job["runs"] if isinstance(run, dict)]
+    grids = [run["grid"] for run in runs if isinstance(run.get("grid"), dict)]
+    return ("worker" in job
+            or any("levle" in run or "n_points" in run for run in runs)
+            or any("n_point" in grid for grid in grids))
 
 
 def _no_constant(token):
@@ -190,6 +207,8 @@ def test_fuzz_job_files(job, workers):
         written = ([p.read_text() for p in out_dir.iterdir()]
                    if out_dir.exists() else [])
         _check(code, out, written)
+        if _has_unknown_key(job):
+            assert code == EXIT_VALIDATION and out
         if out:     # the job was refused as a whole: no run started
             assert code in (EXIT_VALIDATION, EXIT_IO)
             assert set(json.loads(out)) == {"error"}

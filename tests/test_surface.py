@@ -11,10 +11,11 @@ from conftest import make_rpv_grid
 from test_writers import reference_obj
 from rscp._mc_tables import CORNER_OFFSETS, CUBE_TRIANGLES, EDGE_CORNERS
 from rscp.cli import _obj_chunks
-from rscp.density import _MAX_POINTS, DensityGrid, GridSpec, normalize_relative
+from rscp.density import (_MAX_POINTS, DensityGrid, GridSpec, build_grid,
+                          normalize_relative)
 from rscp.states import PotentialParams, StateLabels
 from rscp import surface
-from rscp.surface import (_AREA_EPS, _CAP_TABLE, _CASE_CROSSED, _TRI_COUNT,
+from rscp.surface import (_CAP_TABLE, _CASE_CROSSED, _TRI_COUNT,
                           ContourSet, TriangleMesh, _active_cells,
                           _cap_triangles, _position_keys, _weld,
                           apply_cutaway, is_watertight,
@@ -123,13 +124,16 @@ def reference_marching_cubes(grid, level):
             i0, i1, i2 = edge_vertex[e0], edge_vertex[e1], edge_vertex[e2]
             if i0 == i1 or i1 == i2 or i0 == i2:
                 continue
-            if reference_area(vertices[i0], vertices[i1], vertices[i2]) < _AREA_EPS:
-                continue
             triangles.append((i0, i1, i2))
 
     return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
                         np.array(triangles, dtype=np.int32).reshape(-1, 3),
                         float(level))
+
+
+# The reference clips with prev + t (cur - prev), which leaves rounding
+# slivers on the cut planes; its clip pieces below this area are dropped.
+_SLIVER_AREA = 1e-12
 
 
 def reference_apply_cutaway(mesh, grid):
@@ -148,12 +152,10 @@ def reference_apply_cutaway(mesh, grid):
         part = reference_clip_halfspace(list(tri), lambda p: -p[0])
         part = reference_clip_halfspace(part, lambda p: -p[1])
         part = reference_clip_halfspace(part, lambda p: p[2])
-        area = sum(reference_area(part[0], part[i], part[i + 1])
-                   for i in range(1, len(part) - 1))
         n = float(len(part))
-        if area < _AREA_EPS or not (sum(p[0] for p in part) / n < 0.0
-                                    and sum(p[1] for p in part) / n < 0.0
-                                    and sum(p[2] for p in part) / n > 0.0):
+        if not (sum(p[0] for p in part) / n < 0.0
+                and sum(p[1] for p in part) / n < 0.0
+                and sum(p[2] for p in part) / n > 0.0):
             new_tris.append(("old", (i0, i1, i2)))
             continue
         changed = True
@@ -168,7 +170,7 @@ def reference_apply_cutaway(mesh, grid):
                 poly = reference_clip_halfspace(poly, f)
             for t in range(1, len(poly) - 1):
                 piece = (poly[0], poly[t], poly[t + 1])
-                if reference_area(*piece) >= _AREA_EPS:
+                if reference_area(*piece) >= _SLIVER_AREA:
                     new_tris.append(("new", piece))
     if not changed:
         return mesh
@@ -203,8 +205,9 @@ def reference_apply_cutaway(mesh, grid):
 # ------------------- reference: per-cell marching squares for caps and slices
 
 def reference_fan(poly):
+    """The fan's triangles, without those with two equal points."""
     fan = ((poly[0], poly[t], poly[t + 1]) for t in range(1, len(poly) - 1))
-    return [tri for tri in fan if reference_area(*tri) >= _AREA_EPS]
+    return [(p, q, r) for p, q, r in fan if p != q and q != r and r != p]
 
 
 def reference_fill_polygons(f00, f10, f11, f01, level):
@@ -617,14 +620,17 @@ def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():
             apply_cutaway(mesh, grid)
 
 
-def test_cutaway_keeps_triangles_without_area():
+def test_cutaway_cuts_collinear_triangles_inside_the_octant():
+    """A triangle is degenerate only when two corners are one vertex, so
+    three distinct collinear corners are cut like any other triangle."""
     grid = synthetic_grid(n=9)
-    # centroid strictly inside the octant, but the corners are collinear
+    # centroid strictly inside the octant, the corners collinear
     mesh = TriangleMesh(np.array([[-1.0, -1.0, 1.0], [-0.5, -0.5, 0.5],
                                   [-0.25, -0.25, 0.25]]),
                         np.array([[0, 1, 2]]), 50.0)
-    assert apply_cutaway(mesh, grid) is mesh
-    assert reference_apply_cutaway(mesh, grid) is mesh
+    cut = apply_cutaway(mesh, grid)
+    assert len(cut.triangles) == len(_cap_triangles(grid, 50.0)) > 0
+    assert_same_mesh(cut, reference_apply_cutaway(mesh, grid))
 
 
 def test_requires_rescaled_grid_and_valid_level():
@@ -738,6 +744,43 @@ def test_cutaway_keeps_far_octants_intact():
     keep = {tuple(v) for v in mesh.vertices if v[0] > 0.05 and v[1] > 0.05}
     have = {tuple(v) for v in cut.vertices}
     assert keep <= have
+
+
+@pytest.fixture(scope="module")
+def small_spacing_grids():
+    """(2,1,0) grids whose spacing puts real sliver triangles below an area
+    of 1e-12: at Z = 1000, b = c = 0.5 and N = 151 (spacing near 4e-4
+    Bohr), and of hydrogen at a fixed half-extent of 1e-5 and N = 31."""
+    return {
+        "Z=1000": make_rpv_grid(StateLabels(2, 1, 0),
+                                PotentialParams(1000.0, 0.5, 0.5), 151),
+        "extent=1e-5": normalize_relative(build_grid(
+            StateLabels(2, 1, 0), PotentialParams(), GridSpec(31, 1e-5))),
+    }
+
+
+SMALL_SPACING_CASES = [("Z=1000", 5.0), ("Z=1000", 50.0),
+                       ("extent=1e-5", 50.0)]
+
+
+@pytest.mark.parametrize("level", [5.0, 50.0])
+def test_uncut_meshes_close_at_a_small_grid_spacing(small_spacing_grids,
+                                                    level):
+    """Only triangles with a repeated vertex are dropped, so no sliver
+    leaves a hole, whatever the spacing.  (The 1e-5 box cuts its level
+    set, so that mesh is open at the box.)"""
+    assert is_watertight(marching_cubes(small_spacing_grids["Z=1000"], level))
+
+
+@pytest.mark.parametrize("name, level", SMALL_SPACING_CASES)
+def test_cutaway_cuts_every_sliver_at_a_small_grid_spacing(
+        small_spacing_grids, name, level, monkeypatch):
+    """Slivers inside the octant are cut, and sliver caps are kept."""
+    grid = small_spacing_grids[name]
+    cut = apply_cutaway(marching_cubes(grid, level), grid)
+    x, y, z = cut.vertices[cut.triangles].sum(axis=1).T
+    assert not ((x < 0.0) & (y < 0.0) & (z > 0.0)).any()
+    assert_same_caps_and_segments(grid, level, monkeypatch)
 
 
 def test_hydrogen_two_lobes(hydrogen_210_grid):
