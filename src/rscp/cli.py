@@ -714,8 +714,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        sys.stdout.write(_dump_json({"error": {"type": type(exc).__name__,
-                                               "message": str(exc)}}))
+        try:
+            sys.stdout.write(_dump_json({"error": {
+                "type": type(exc).__name__, "message": str(exc)}}))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout's reader is gone: the exit flush goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _exit_code(exc)
 
 

@@ -263,7 +263,7 @@ def auto_extent(labels: StateLabels, params: PotentialParams,
     _check_coverage(coverage)
     q = map_quantum_numbers(labels, params)
     # bracket: grow from the Coulomb-like scale until coverage is met
-    hi = max(q.n_prime * q.n_prime / params.Z, 1.0)
+    hi = q.n_prime * q.n_prime / params.Z
     for _ in range(200):
         if _radial_cumulative(labels, params, hi) >= coverage:
             break

@@ -32,10 +32,10 @@ class PoleError(ValueError):
 
 
 # The served parameter window.  Z spans the charges of real nuclei with
-# three decades to spare each way; auto_extent brackets its radius from one
-# Bohr up, which stops resolving the density near Z = 1e6 (its radius comes
-# out 1e5 times too large there).  b and c up to 1e12 give m' and gamma1 up
-# to 1e6; near 1e30 the log-space factors of the density overflow.
+# three decades to spare each way; auto_extent brackets its radius from the
+# Coulomb scale n'^2/Z, so the extent scales as 1/Z across it.  b and c up
+# to 1e12 give m' and gamma1 up to 1e6; near 1e30 the log-space factors of
+# the density overflow.
 _Z_RANGE = (1e-3, 1e3)
 _MAX_BARRIER = 1e12
 

@@ -4,10 +4,11 @@ Meshes come from a table-driven marching cubes over the rescaled grid.
 Cells are classified on the octant, one case standing for 8 mirror cells,
 and each crossed edge is interpolated once, from its lower end, so
 adjacent cells weld exactly and closed components satisfy edge-incidence
-= 2.  Vertices are welded by exact position, numbered in order of first
-appearance: marching cubes sorts its crossings' int32 keys, global edges
-or grid points (_weld); the cutaway ranks rows by their float values, so
--0.0 welds with 0.0, and numbers and reads each rank at its first slot.
+= 2.  Vertices are welded by exact position.  Marching cubes sorts its
+crossings' int32 keys, global edges or grid points, and numbers each
+vertex by its key, ascending (_weld).  The cutaway ranks rows by their
+float values, so -0.0 welds with 0.0, and numbers the vertices in order of
+first appearance in its triangles, reading each at its first slot.
 Triangles follow ascending cell index, so every output is deterministic.
 A triangle is degenerate only when two of its corners are one vertex, as
 welded or as equal floats, so no small triangle is dropped at any spacing.
@@ -55,7 +56,7 @@ class ContourSet:
 
 
 def _weld(keys):
-    """Number equal keys 0, 1, ... in order of first appearance: vertex v
+    """Number the distinct keys 0, 1, ... in ascending key order: vertex v
     first appears at keys[first[v]], and keys[i] is vertex ids[i].
     One sort of the pairs (key, i) packed as key << b | i in int64: the keys
     must be >= 0 with max(keys) << b < 2**63, b = len(keys).bit_length().
@@ -70,12 +71,7 @@ def _weld(keys):
     new = np.r_[True, packed[1:] != packed[:-1]][:s]
     del packed
     first = where[new]  # of each key, ascending
-    order = np.argsort(first)
-    rank = np.empty(len(order), np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    first = first[order]
-    del order
-    # each key's index in key order, moved to its slots, then ranked
+    # each key's index in key order, moved to its slots
     group = new.astype(np.int32)
     del new
     np.cumsum(group, out=group)
@@ -83,7 +79,7 @@ def _weld(keys):
     ids = np.empty(s, np.int32)
     ids[where] = group
     del where, group
-    return first, rank[ids]
+    return first, ids
 
 
 # per cube edge: the offset of its lower corner and its axis

@@ -267,26 +267,7 @@ class VerificationReport:
     labels: StateLabels
     params: PotentialParams
     quasi: QuasiNumbers
-    radial_norm: float
-    angular_norm: float
-    radial_residual_max: float
-    angular_residual_max: float
-    grid_mass_value: float | None = None
-
-    @property
-    def checks(self) -> tuple[CheckResult, ...]:
-        out = [
-            CheckResult("radial_norm", self.radial_norm, 1.0, 1e-8),
-            CheckResult("angular_norm", self.angular_norm, 1.0, 1e-8),
-            CheckResult("radial_residual_max", self.radial_residual_max,
-                        0.0, 1e-6),
-            CheckResult("angular_residual_max", self.angular_residual_max,
-                        0.0, 1e-6),
-        ]
-        if self.grid_mass_value is not None:
-            out.append(CheckResult("grid_mass", self.grid_mass_value,
-                                   _GRID_MASS_CENTER, _GRID_MASS_HALFWIDTH))
-        return tuple(out)
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -314,8 +295,15 @@ def verify_state(labels: StateLabels, params: PotentialParams,
 
     The grid check is optional; ``grid`` is the raw ``build_grid`` result.
     """
-    return VerificationReport(
-        labels, params, map_quantum_numbers(labels, params),
-        quad_radial_norm(labels, params), quad_angular_norm(labels, params),
-        *ode_residuals(labels, params),
-        None if grid is None else grid_mass(grid))
+    quasi = map_quantum_numbers(labels, params)
+    checks = (CheckResult("radial_norm", quad_radial_norm(labels, params),
+                          1.0, 1e-8),
+              CheckResult("angular_norm", quad_angular_norm(labels, params),
+                          1.0, 1e-8))
+    radial, angular = ode_residuals(labels, params)
+    checks += (CheckResult("radial_residual_max", radial, 0.0, 1e-6),
+               CheckResult("angular_residual_max", angular, 0.0, 1e-6))
+    if grid is not None:
+        checks += (CheckResult("grid_mass", grid_mass(grid),
+                               _GRID_MASS_CENTER, _GRID_MASS_HALFWIDTH),)
+    return VerificationReport(labels, params, quasi, checks)

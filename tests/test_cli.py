@@ -22,7 +22,7 @@ from rscp.cli import (EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                       _dump_json, _parse_levels, _parse_range, _sig, main)
 from rscp.density import _MAX_POINTS, DensityGrid
 from rscp.states import map_quantum_numbers
-from rscp.verify import VerificationReport
+from rscp.verify import CheckResult, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -33,17 +33,24 @@ def run_cli(capsys, *argv):
 
 def failing_report(labels, params, grid=None):
     """A verify_state whose radial norm check fails."""
-    return VerificationReport(labels, params,
-                              map_quantum_numbers(labels, params),
-                              2.0, 1.0, 0.0, 0.0)
+    return VerificationReport(
+        labels, params, map_quantum_numbers(labels, params),
+        (CheckResult("radial_norm", 2.0, 1.0, 1e-8),
+         CheckResult("angular_norm", 1.0, 1.0, 1e-8),
+         CheckResult("radial_residual_max", 0.0, 0.0, 1e-6),
+         CheckResult("angular_residual_max", 0.0, 0.0, 1e-6)))
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this rscp."""
+    src = str(Path(rscp.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def cli_child(*argv, cwd):
     """``python -m rscp.cli ARGV`` in a fresh interpreter."""
-    src = str(Path(rscp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+    return subprocess.run([sys.executable, *argv], env=child_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -597,6 +604,20 @@ def test_sweep_worker_count_invariance(tmp_path, capsys):
                   for p in sorted((sub / "out").iterdir())}
         texts.append(bundle)
     assert texts[0] == texts[1]
+
+
+def test_closed_stdout_exits_4_without_a_traceback(tmp_path):
+    """A reader that stops early, as ``| head`` does: the grid's write and
+    then the JSON error meet a broken pipe, and neither prints a trace."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rscp.cli", "grid", "--n", "2", "--l", "1",
+         "--m", "0", "--N", "31"], env=child_env(), cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=120) == EXIT_IO
+    assert stderr == b""
 
 
 def test_sweep_missing_job_file(tmp_path, capsys):

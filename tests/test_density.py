@@ -86,6 +86,18 @@ def test_auto_extent_grows_with_n():
     assert hs[0] < hs[1] < hs[2]
 
 
+@pytest.mark.parametrize("state", [(2, 1, 0), (6, 5, 0)])
+def test_auto_extent_scales_as_one_over_z(state):
+    """u^2 dr depends on r only through Z r, and the bracket starts at the
+    Coulomb scale n'^2 / Z, so a power-of-two Z scales every bisection step
+    exactly; a fixed floor on the bracket would break that once n'^2 < Z."""
+    labels = StateLabels(*state)
+    base = auto_extent(labels, PotentialParams(1.0, 0.5, 0.5))
+    for k in (3, 6, 9):
+        h = auto_extent(labels, PotentialParams(2.0 ** k, 0.5, 0.5))
+        assert abs(h * 2.0 ** k - base) <= 1e-12 * base, k
+
+
 def test_auto_extent_rejects_bad_coverage():
     with pytest.raises(ValueError, match=r"\(0, 1\), got 1.0"):
         auto_extent(*H_210, coverage=1.0)

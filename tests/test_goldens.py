@@ -1,11 +1,10 @@
 """Replay the benchmark's recorded outputs in-process, byte for byte.
 
 ``perfbench/goldens.json`` holds the sha256 of every artifact the
-benchmark can produce.  Every N = 15 command, every N = 15 sweep job and
-three N = 151 commands (the anchor ``grid``, its level-5 cutaway and a
-``slice``) are run here through ``rscp.cli.main`` and must reproduce those
-hashes, so any drift in a writer or in the octant reads shows up without
-running the benchmark.  The file is only read.
+benchmark can produce.  Every command and every sweep job in it is run
+here through ``rscp.cli.main`` and must reproduce those hashes, so any
+drift in a writer, in the octant reads or in the surface's numbering shows
+up without running the benchmark.  The file is only read.
 """
 
 import hashlib
@@ -22,34 +21,19 @@ GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
 SUFFIX = {"grid": ".vtk", "isosurface": ".obj", "slice": ".csv"}
 NONFINITE = re.compile(r"\b(NaN|-?Infinity)\b")
 
-BIG = {"grid --n 6 --l 5 --m 0 --b 0.5 --c 0.5 --N 151",
-       "isosurface --n 6 --l 5 --m 0 --b 0.5 --c 0.5 --N 151 --level 5"
-       " --cutaway",
-       "slice --n 2 --l 1 --m 0 --b 0.5 --c 0.5 --N 151 --levels 10:100:10"}
-
-
-def n_points(key: str):
-    argv = key.split()
-    return int(argv[argv.index("--N") + 1]) if "--N" in argv else None
-
-
-COMMANDS = sorted(k for k in GOLDENS if not k.startswith("sweep ")
-                  and (n_points(k) in (None, 15) or k in BIG))
-SWEEPS = sorted(k for k in GOLDENS if k.startswith("sweep ")
-                and all(run["grid"]["n_points"] == 15
-                        for run in json.loads(k[len("sweep "):])["runs"]))
+COMMANDS = sorted(k for k in GOLDENS if not k.startswith("sweep "))
+SWEEPS = sorted(k for k in GOLDENS if k.startswith("sweep "))
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_replay_covers_every_small_golden():
+def test_replay_covers_every_golden():
     kinds = [k.split()[0] for k in COMMANDS]
     assert {kind: kinds.count(kind) for kind in set(kinds)} == {
-        "grid": 6, "isosurface": 22, "slice": 14, "state": 13}
-    assert BIG <= set(COMMANDS)
-    assert len(SWEEPS) == 4
+        "grid": 11, "isosurface": 43, "slice": 30, "state": 13}
+    assert len(SWEEPS) == 8
 
 
 @pytest.mark.parametrize("key", COMMANDS)

@@ -76,13 +76,10 @@ def reference_active_cells(grid, level):
 
 
 def reference_weld(keys):
-    """First-appearance numbering through np.unique."""
+    """Key-order numbering through np.unique."""
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
+    return first, inverse.ravel()
 
 
 def reference_marching_cubes(grid, level):
@@ -97,7 +94,13 @@ def reference_marching_cubes(grid, level):
         index |= below[dx:dx + m, dy:dy + m, dz:dz + m].astype(np.int32) << v
     active = np.argwhere((index != 0) & (index != 255))
 
-    vertices, vindex, triangles = [], {}, []
+    def flat(p):
+        return (p[0] * n + p[1]) * n + p[2]
+
+    # welded by position; each vertex also keeps its lattice key, 3 pa +
+    # axis for an edge (the axis where pa and pb differ) and 3 n^3 + p for
+    # a grid point, which numbers it
+    vertices, vindex, vkey, triangles = [], {}, [], []
     for ci, cj, ck in active.tolist():
         case = int(index[ci, cj, ck])
         edge_vertex = {}
@@ -114,11 +117,19 @@ def reference_marching_cubes(grid, level):
             pos = (coords[pa[0]] + t * (coords[pb[0]] - coords[pa[0]]),
                    coords[pa[1]] + t * (coords[pb[1]] - coords[pa[1]]),
                    coords[pa[2]] + t * (coords[pb[2]] - coords[pa[2]]))
+            if pos == tuple(coords[i] for i in pa):
+                key = 3 * n ** 3 + flat(pa)
+            elif pos == tuple(coords[i] for i in pb):
+                key = 3 * n ** 3 + flat(pb)
+            else:
+                key = 3 * flat(pa) + (pa[0] == pb[0]) + (pa[:2] == pb[:2])
             vid = vindex.get(pos)
             if vid is None:
                 vid = len(vertices)
                 vindex[pos] = vid
                 vertices.append(pos)
+                vkey.append(key)
+            assert vkey[vid] == key
             edge_vertex[e] = vid
         for e0, e1, e2 in _CASE_TRIS[case]:
             i0, i1, i2 = edge_vertex[e0], edge_vertex[e1], edge_vertex[e2]
@@ -126,9 +137,12 @@ def reference_marching_cubes(grid, level):
                 continue
             triangles.append((i0, i1, i2))
 
-    return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                        np.array(triangles, dtype=np.int32).reshape(-1, 3),
-                        float(level))
+    order = np.argsort(vkey)
+    rank = np.empty(len(order), np.int32)
+    rank[order] = np.arange(len(order))
+    vertices = np.array(vertices, dtype=float).reshape(-1, 3)
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    return TriangleMesh(vertices[order], rank[triangles], float(level))
 
 
 # The reference clips with prev + t (cur - prev), which leaves rounding
@@ -486,7 +500,7 @@ def test_active_cells_match_the_lattice_classification_on_a_real_grid(
     assert_same_active_cells(ring_650_grid, level)
 
 
-def test_weld_numbers_by_first_appearance():
+def test_weld_numbers_in_key_order():
     rng = np.random.default_rng(7)
     for keys in ([], [5], [3, 3, 1, 3, 1, 0], rng.integers(0, 50, 1000),
                  rng.integers(0, 2**40, 1000), np.repeat(rng.integers(
@@ -531,6 +545,32 @@ def test_position_keys_are_dense_and_equal_for_equal_rows():
         # apply_cutaway passes the mesh rows and the cap points as two parts
         for k in {0, len(points) // 3, len(points)}:
             assert (_position_keys(points[:k], points[k:]) == keys).all()
+
+
+@pytest.mark.parametrize("state, params, n_points, level", [
+    ((6, 5, 0), (1.0, 0.5, 0.5), 41, 5.0),
+    ((6, 5, 0), (1.0, 0.5, 0.5), 41, 50.0),
+    ((3, 2, 1), (1.0, 0.5, 0.5), 15, 30.0),
+    ((2, 1, 0), (2.0, 0.3, 0.7), 41, 20.0),
+    ((4, 3, -2), (1.0, 0.5, 0.5), 41, 35.0),
+    ((5, 3, 2), (1.0, 0.5, 5.0), 45, 13.0),
+    ((30, 10, 3), (1.0, 2.0, 0.0), 51, 50.0)])
+def test_cutaway_bytes_do_not_depend_on_the_vertex_numbering(
+        state, params, n_points, level):
+    """The cutaway numbers its vertices by first appearance in triangle
+    order, so renumbering the input mesh's vertices leaves its output, and
+    every cutaway OBJ, byte-identical."""
+    grid = make_rpv_grid(StateLabels(*state), PotentialParams(*params),
+                         n_points)
+    mesh = marching_cubes(grid, level)
+    new = np.random.default_rng(n_points).permutation(len(mesh.vertices))
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    renumbered = TriangleMesh(vertices, new[mesh.triangles].astype(np.int32),
+                              mesh.level)
+    cut = apply_cutaway(mesh, grid)
+    assert cut is not mesh
+    assert_same_mesh(apply_cutaway(renumbered, grid), cut)
 
 
 def test_cutaway_welds_signed_zeros_together():

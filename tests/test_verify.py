@@ -236,8 +236,9 @@ def test_near_hydrogen_states_verify(state, b, c):
         warnings.simplefilter("error")
         report = verify_state(labels, params)
     assert report.all_passed
-    assert abs(report.radial_norm - 1.0) < 1e-12
-    assert abs(report.angular_norm - 1.0) < 1e-12
+    value = {c.name: c.value for c in report.checks}
+    assert abs(value["radial_norm"] - 1.0) < 1e-12
+    assert abs(value["angular_norm"] - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------------- norms
@@ -529,8 +530,10 @@ def test_verify_state_report():
     grid = build_grid(labels, params, GridSpec(61, h))
     report = verify_state(labels, params, grid=grid)
     assert report.all_passed
-    names = [c.name for c in report.checks]
-    assert "radial_norm" in names and "grid_mass" in names
+    assert [(c.name, c.reference, c.tolerance) for c in report.checks] == [
+        ("radial_norm", 1.0, 1e-8), ("angular_norm", 1.0, 1e-8),
+        ("radial_residual_max", 0.0, 1e-6),
+        ("angular_residual_max", 0.0, 1e-6), ("grid_mass", 0.9875, 0.0175)]
     payload = report.as_dict()
     json.dumps(payload)              # JSON-serializable end to end
     assert payload["all_passed"] is True
@@ -539,8 +542,9 @@ def test_verify_state_report():
 
 def test_verify_state_without_grid():
     report = verify_state(StateLabels(3, 2, 1), PotentialParams(1, 0.5, 5))
-    assert report.grid_mass_value is None
-    assert all(c.name != "grid_mass" for c in report.checks)
+    assert [c.name for c in report.checks] == [
+        "radial_norm", "angular_norm", "radial_residual_max",
+        "angular_residual_max"]
     assert report.all_passed
 
 
