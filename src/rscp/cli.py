@@ -76,7 +76,8 @@ def _write(chunks, output: str | os.PathLike | None) -> None:
 
     A file is written as ``.NAME.tmp`` beside its target and renamed onto
     it once complete, so readers see the old file or the whole new one.
-    The temp file is removed if anything fails on the way.  A symlink is
+    The temp file is removed if anything fails on the way, and an error
+    creating it names ``output``, the path asked for.  A symlink is
     followed, so the file it names is replaced, not the link; a device or
     pipe such as ``/dev/null`` has nothing to replace and is written in
     place.
@@ -84,17 +85,22 @@ def _write(chunks, output: str | os.PathLike | None) -> None:
     if output is None:
         sys.stdout.writelines(map(bytes.decode, chunks))
         return
-    output = os.path.realpath(output)
-    if os.path.exists(output) and not os.path.isfile(output):
-        with open(output, "wb") as f:
+    target = os.path.realpath(output)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as f:
             f.writelines(chunks)
         return
-    head, name = os.path.split(output)
+    head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.tmp")
     try:
-        with open(tmp, "wb") as f:
+        f = open(tmp, "wb")
+    except OSError as exc:
+        exc.filename = os.fspath(output)
+        raise
+    try:
+        with f:
             f.writelines(chunks)
-        os.replace(tmp, output)
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.remove(tmp)
@@ -272,34 +278,48 @@ def _distinct_words(values: np.ndarray):
 def _vtk_chunks(grid: DensityGrid):
     """Legacy ASCII VTK: the header, then one chunk per file z-plane.
 
-    Each octant z-plane formats its distinct values once and builds every
-    octant row from one gather of its words through the mirror; a file
-    row is its mirror's text.  Only row texts persist.
+    File planes z = c - p and z = c + p are the same bytes.  Octant planes
+    p = c, ..., 0 are formatted in turn and each is yielded at once as file
+    plane c - p: its distinct values formatted once, every octant row from
+    one gather of its words through the mirror, a file row its mirror's
+    text.  Planes p >= 1 also go to a spool file in ``TMPDIR``, read back
+    in reverse as file planes c + 1, ..., N - 1, so the writer holds one
+    file plane's text at a time.
     """
+    import tempfile
     spec = grid.spec
     n = spec.n_points
     h, d = spec.half_extent, spec.spacing
-    yield "\n".join([
-        "# vtk DataFile Version 3.0",
-        _metadata_line(grid.labels, grid.params)
-        + (" field=rpv" if grid.rescaled else " field=density"),
-        "ASCII",
-        "DATASET STRUCTURED_POINTS",
-        f"DIMENSIONS {n} {n} {n}",
-        f"ORIGIN {_sig(-h)} {_sig(-h)} {_sig(-h)}",
-        f"SPACING {_sig(d)} {_sig(d)} {_sig(d)}",
-        f"POINT_DATA {n ** 3}",
-        "SCALARS density float 1",
-        "LOOKUP_TABLE default",
-        "",
-    ]).encode()
-    mirror = spec.mirror()
-    planes = grid.octant.transpose(2, 1, 0)  # planes[z] is octant[:, :, z].T
-    texts = [list(map(b" ".join, words[index[:, mirror]].tolist()))
-             for words, index in map(_distinct_words, planes)]
-    mirror = mirror.tolist()
-    for z in mirror:
-        yield b"\n".join([texts[z][y] for y in mirror] + [b""])
+    # opened before the header, so a spool that cannot open leaves no output
+    with tempfile.TemporaryFile() as spool:
+        yield "\n".join([
+            "# vtk DataFile Version 3.0",
+            _metadata_line(grid.labels, grid.params)
+            + (" field=rpv" if grid.rescaled else " field=density"),
+            "ASCII",
+            "DATASET STRUCTURED_POINTS",
+            f"DIMENSIONS {n} {n} {n}",
+            f"ORIGIN {_sig(-h)} {_sig(-h)} {_sig(-h)}",
+            f"SPACING {_sig(d)} {_sig(d)} {_sig(d)}",
+            f"POINT_DATA {n ** 3}",
+            "SCALARS density float 1",
+            "LOOKUP_TABLE default",
+            "",
+        ]).encode()
+        mirror = spec.mirror()
+        rows = mirror.tolist()
+        spans = []  # (offset, size) of planes c, ..., 1 in the spool
+        for p in reversed(range(len(grid.octant))):
+            words, index = _distinct_words(grid.octant[:, :, p].T)
+            texts = list(map(b" ".join, words[index[:, mirror]].tolist()))
+            chunk = b"\n".join([texts[y] for y in rows] + [b""])
+            yield chunk
+            if p:
+                spans.append((spool.tell(), len(chunk)))
+                spool.write(chunk)
+        for offset, size in reversed(spans):
+            spool.seek(offset)
+            yield spool.read(size)
 
 
 def _obj_chunks(mesh, labels, params, cutaway: bool):

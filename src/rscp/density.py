@@ -35,14 +35,14 @@ class DegenerateGridError(ValueError):
     """All-zero grid where a positive maximum is required."""
 
 
-# A grid holds its octant (65 MB at N = 401), and the VTK writer keeps the
-# text of every octant row, about 3.3 times as much.  The cap stops a size
-# that would exhaust memory before anything is allocated.  It also bounds
-# the surface layer's int32 indices: at N = 401 there are 400^3 lattice
-# cells, each with at most 12 crossed edges and 5 triangles, so every
-# vertex, slot and triangle count stays below 2^31.  Marching cubes keys
-# an edge 3 p + axis and a grid point 3 N^3 + p, so its int32 keys stay
-# below 4 N^3 < 2^31.
+# A grid holds its float64 octant, 65 MB at N = 401; the VTK writer adds
+# one file plane's text and spools the mirrored half to TMPDIR.  The cap
+# stops a size that would exhaust memory before anything is allocated.
+# It also bounds the surface layer's int32 indices: at N = 401 there are
+# 400^3 lattice cells, each with at most 12 crossed edges and 5 triangles,
+# so every vertex, slot and triangle count stays below 2^31.  Marching
+# cubes keys an edge 3 p + axis and a grid point 3 N^3 + p, so its int32
+# keys stay below 4 N^3 < 2^31.
 _MAX_POINTS = 401
 # Far past any auto extent of a served state (below 1e16 Bohr) and far
 # below 1e154, where x^2 + y^2 + z^2 overflows a float.

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+import tempfile
 import threading
 import tracemalloc
 
@@ -88,8 +89,9 @@ def random_grid(n=9, seed=7):
     # a file row mirrors octant[:, j, k]; these two are equal as floats only
     octant[:, 1, 0] = octant[:, 0, 0]
     octant[0, 0, 0], octant[0, 1, 0] = 0.0, -0.0
-    octant[:, 2, 0] = octant[:, 0, 0]            # a repeated row
-    octant[2, 0, 0] = 5e-324
+    if len(octant) > 2:                          # N >= 5
+        octant[:, 2, 0] = octant[:, 0, 0]        # a repeated row
+        octant[2, 0, 0] = 5e-324
     return DensityGrid(GridSpec(n, 3.7), octant, LABELS, PARAMS,
                        rescaled=True)
 
@@ -105,6 +107,22 @@ def test_vtk_matches_reference_on_random_grid():
     assert text == reference_vtk(grid).encode()
     words = set(text.decode().split())
     assert {"0", "-0", _sig(5e-324), "100"} <= words
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 151])
+def test_spooled_vtk_matches_reference_to_a_file_and_stdout(tmp_path, n):
+    """The mirrored half read back from the spool, through _write to a file
+    and to a text stdout: random octants, and the (6,5,0) anchor at 151."""
+    grid = (make_rpv_grid(StateLabels(6, 5, 0), PARAMS, n) if n == 151
+            else random_grid(n, seed=n))
+    expected = reference_vtk(grid)
+    target = tmp_path / "grid.vtk"
+    _write(_vtk_chunks(grid), target)
+    assert target.read_bytes() == expected.encode()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write(_vtk_chunks(grid), None)
+    assert buf.getvalue() == expected
 
 
 def test_vtk_streams_in_blocks():
@@ -129,8 +147,9 @@ def voxel_by_voxel_rows(grid):
 
 
 def assert_formats_the_octant_by_planes(monkeypatch, grid):
-    """Each block the VTK writer formats is one octant z-plane, the blocks
-    together cover the octant once, and every file row is its voxels'."""
+    """Each block the VTK writer formats is one octant z-plane, formatted
+    from p = c down to 0, the blocks together cover the octant once, and
+    every file row is its voxels'."""
     planes = []
 
     def spy(values):
@@ -143,7 +162,7 @@ def assert_formats_the_octant_by_planes(monkeypatch, grid):
         row.encode() for row in voxel_by_voxel_rows(grid)]
     octant = np.ascontiguousarray(grid.octant)
     assert all(p.shape == octant.shape[:2] for p in planes)
-    stacked = np.stack([p.T for p in planes], axis=2)
+    stacked = np.stack([p.T for p in planes[::-1]], axis=2)
     assert stacked.shape == octant.shape
     assert (stacked.view(np.uint64) == octant.view(np.uint64)).all()
 
@@ -171,9 +190,10 @@ def test_vtk_formats_a_real_grid_from_one_octant(monkeypatch, real_grid):
 
 
 def test_vtk_writer_memory_stays_near_the_grid():
-    """Draining the writer allocates less than 6 octants.  The row texts it
-    keeps, N words of about 13 characters per octant row of (N + 1) / 2
-    values, take about 3.3; one pass over the whole octant takes 12."""
+    """Draining the writer allocates less than the octant: it holds about
+    one file plane's text at a time (N^2 words of about 13 characters, near
+    0.45 octants at N = 101), since the mirrored half is read back from a
+    spool file.  Holding every octant row's text took about 3.3 octants."""
     grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 101)
     tracemalloc.start()
     try:
@@ -182,7 +202,7 @@ def test_vtk_writer_memory_stays_near_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * grid.octant.nbytes
+    assert peak < grid.octant.nbytes
 
 
 def test_surface_memory_stays_near_the_mesh():
@@ -355,6 +375,75 @@ def test_cli_output_is_atomic(tmp_path, capsys, monkeypatch, previous):
     else:
         assert target.read_bytes() == previous
     assert _tmp_files(tmp_path) == []
+
+
+GRID_ARGV = ["grid", "--n", "2", "--l", "1", "--m", "0", "--N", "11"]
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_spool_that_cannot_open_leaves_no_output(tmp_path, capsys,
+                                                   monkeypatch, to_file):
+    """An OSError opening the spool is exit 4 before the VTK header: no
+    target, no temp file, and stdout holds only the JSON error."""
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    target = tmp_path / "d.vtk"
+    argv = GRID_ARGV + (["--output", str(target)] if to_file else [])
+    assert main(argv) == EXIT_IO
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "OSError" and "No space left" in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_full_spool_leaves_the_target_as_it_was(tmp_path, capsys,
+                                                  monkeypatch):
+    """A spool write that fails mid-file, as on a full TMPDIR, is exit 4
+    and the target keeps its old bytes."""
+    class FullSpool(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(tempfile, "TemporaryFile", FullSpool)
+    target = tmp_path / "d.vtk"
+    target.write_bytes(b"old bytes\n")
+    assert main(GRID_ARGV + ["--output", str(target)]) == EXIT_IO
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "OSError"
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["d.vtk"]
+
+
+@pytest.mark.parametrize("taken", [None, 3])
+def test_the_spool_is_closed_and_leaves_no_file(tmp_path, monkeypatch, taken):
+    """A drained writer, and one closed after 3 chunks, close their spool
+    and leave no entry in the temp directory."""
+    spools = []
+
+    def spy(*args, **kwargs):
+        spools.append(temporary_file(*args, **kwargs))
+        return spools[-1]
+    temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    chunks = _vtk_chunks(random_grid(9))
+    if taken is None:
+        assert len(list(chunks)) == 1 + 9
+    else:
+        for _ in range(taken):
+            next(chunks)
+        assert not spools[0].closed
+        chunks.close()
+    assert len(spools) == 1 and spools[0].closed
+    assert os.listdir(tempfile.gettempdir()) == []
+
+
+def test_an_io_error_names_the_requested_path(tmp_path, capsys):
+    """A target in a missing directory is exit 4, and the message names
+    the path given, not the .NAME.tmp file written beside it."""
+    target = tmp_path / "missing" / "x.vtk"
+    assert main(GRID_ARGV + ["--output", str(target)]) == EXIT_IO
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "FileNotFoundError"
+    assert error["message"].endswith(f": {str(target)!r}")
 
 
 @pytest.mark.parametrize("previous", [None, b"old bytes\n"])
