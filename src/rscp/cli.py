@@ -362,10 +362,8 @@ def _artifact(kind: str, run: RunSpec, grid: DensityGrid | None):
     if kind == "grid":
         return ".vtk", _vtk_chunks(grid), True
     if kind == "isosurface":
-        from .surface import apply_cutaway, marching_cubes
-        mesh = marching_cubes(grid, run.level)
-        if run.cutaway:
-            mesh = apply_cutaway(mesh, grid)
+        from .surface import marching_cubes
+        mesh = marching_cubes(grid, run.level, cutaway=run.cutaway)
         return ".obj", _obj_chunks(mesh, labels, params, run.cutaway), True
     if kind == "slice":
         from .surface import slice_contour

@@ -8,7 +8,12 @@ adjacent cells weld exactly and closed components satisfy edge-incidence
 crossings' int32 keys, global edges or grid points, and numbers each
 vertex by its key, ascending (_weld).  The cutaway ranks rows by their
 float values, so -0.0 welds with 0.0, and numbers the vertices in order of
-first appearance in its triangles, reading each at its first slot.
+first appearance in its triangles, reading each at its first slot
+(_renumber).  marching_cubes(cutaway=True) makes the same mesh without the
+uncut one: it skips the cells strictly inside the cut octant, cuts the
+other triangles as it makes them, and welds the cap points by position
+only to the vertices on a cut plane, as no two of its vertices are equal.
+apply_cutaway cuts any mesh.
 Triangles follow ascending cell index, so every output is deterministic.
 A triangle is degenerate only when two of its corners are one vertex, as
 welded or as equal floats, so no small triangle is dropped at any spacing.
@@ -156,11 +161,48 @@ def _edge_crossings(grid: DensityGrid, keys, level: float):
     return x, keys
 
 
-def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
+def _slot_keys(corner, case, strides):
+    """One slot per crossed edge of the cells, cells ascending and edges
+    ascending within a cell, holding the edge key 3 pa + axis; and each
+    cell's first slot."""
+    crossed = _CASE_CROSSED[case]
+    count = crossed.sum(axis=1, dtype=np.int32)
+    keys = np.repeat(3 * corner, count)
+    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS).astype(np.int32)[
+        np.broadcast_to(np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
+    return keys, np.cumsum(count, dtype=np.int32) - count
+
+
+def _triangle_slots(first_slot, case):
+    """The cells' triangles, as the slots of their corners."""
+    k = _TRI_COUNT[case]
+    return (np.repeat(first_slot, k)[:, None]
+            + _TRI_SLOTS[case][np.arange(5) < k[:, None]])
+
+
+def _proper(tri):
+    """Which triangles have three distinct corners."""
+    a, b, c = tri.T
+    return (a != b) & (b != c) & (c != a)
+
+
+def _in_cut(vertices, tri):
+    """Which triangles have their centroid strictly inside the cut octant
+    x < 0, y < 0, z > 0."""
+    x, y, z = (v[tri].sum(axis=1) / 3 for v in vertices.T)
+    return (x < 0.0) & (y < 0.0) & (z > 0.0)
+
+
+def marching_cubes(grid: DensityGrid, level: float,
+                   cutaway: bool = False) -> TriangleMesh:
     """Extract the iso-level surface of a rescaled grid, level in (0,100).
 
     The octant is read alone: its cells are classified for the whole
-    lattice, and each crossed edge reads its ends through the mirror."""
+    lattice, and each crossed edge reads its ends through the mirror.
+    With cutaway, the result is apply_cutaway(marching_cubes(grid, level),
+    grid) bit for bit, built without the uncut mesh: the cells strictly
+    inside the cut octant are skipped and the rest's triangles are cut as
+    they are made."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
     _check_iso_level(level)
@@ -170,18 +212,23 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     # Temporaries are deleted as soon as they are spent, to bound the peak.
     # Lattice keys stay below 4 n^3, so they and every index are int32.
     corner, case = _active_cells(grid, level)
+    if cutaway:
+        # A cell with lower corner (i, j, k) lies in the closed cut octant
+        # when i < c, j < c and k >= c, and strictly inside it when also
+        # i + 1 < c, j + 1 < c and k > c: all its triangles would be cut,
+        # so it is skipped.  Only the others in the octant are tested.
+        c = (n - 1) // 2
+        i, j, k = (corner // strides[a] % n for a in range(3))
+        near = (i < c) & (j < c) & (k >= c)
+        inside = near & (i + 1 < c) & (j + 1 < c) & (k > c)
+        skipped = corner[inside], case[inside]
+        corner, case, near = corner[~inside], case[~inside], near[~inside]
+        del i, j, k, inside
 
-    # One slot per crossed edge, cells ascending and edges ascending within
-    # a cell, welded by the edge key 3 pa + axis.  Each edge interpolates
-    # once, from its lower end pa, so the cells sharing it get the same bits.
-    crossed = _CASE_CROSSED[case]
-    count = crossed.sum(axis=1, dtype=np.int32)
-    keys = np.repeat(3 * corner, count)
-    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS).astype(np.int32)[
-        np.broadcast_to(np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
-    del crossed
-    first_slot = np.cumsum(count, dtype=np.int32) - count
-    del corner, count
+    # Slots welded by the edge key.  Each edge interpolates once, from its
+    # lower end pa, so the cells sharing it get the same bits.
+    keys, first_slot = _slot_keys(corner, case, strides)
+    del corner
     first, edge = _weld(keys)
     keys = keys[first]
     del first
@@ -203,20 +250,53 @@ def marching_cubes(grid: DensityGrid, level: float) -> TriangleMesh:
     vid = vid[edge]
     del edge
 
-    # Triangles a block of cells at a time, into their final array,
-    # without those that repeat a vertex.
+    # Triangles a block of cells at a time, into their final array with
+    # room for the caps, without those that repeat a vertex or are cut.
+    # The caps are made after the welds, which lowers the cold child's peak
+    # RSS (0.4 MB at level 5 on the anchor at N = 151).
+    caps = (_cap_triangles(grid, float(level)).reshape(-1, 3) if cutaway
+            else np.empty((0, 3)))
     count = _TRI_COUNT[case]
-    triangles = np.empty((int(count.sum()), 3), np.int32)
-    kept = 0
+    triangles = np.empty((int(count.sum()) + len(caps) // 3, 3), np.int32)
+    kept = cut = 0
     for s in range(0, len(case), _BLOCK):
-        k = count[s:s + _BLOCK]
-        tri = vid[np.repeat(first_slot[s:s + _BLOCK], k)[:, None]
-                  + _TRI_SLOTS[case[s:s + _BLOCK]][np.arange(5) < k[:, None]]]
-        a, b, c = tri.T
-        tri = tri[(a != b) & (b != c) & (c != a)]
+        block = slice(s, s + _BLOCK)
+        tri = vid[_triangle_slots(first_slot[block], case[block])]
+        keep = _proper(tri)
+        if cutaway:
+            test = np.flatnonzero(np.repeat(near[block], count[block]) & keep)
+            test = test[_in_cut(vertices, tri[test])]
+            keep[test] = False
+            cut += len(test)
+        tri = tri[keep]
         triangles[kept:kept + len(tri)] = tri
         kept += len(tri)
-    return TriangleMesh(vertices, triangles[:kept], float(level))
+    del count, vid, first_slot, case
+    if cutaway and not cut and len(skipped[1]):
+        # the skipped cells hold no triangle only if every one of theirs
+        # repeats a vertex; then nothing is cut, and the uncut mesh, with
+        # those cells' vertices, is the result
+        keys, first_slot = _slot_keys(*skipped, strides)
+        point = _edge_crossings(grid, keys, level)[1]
+        if not _proper(point[_triangle_slots(first_slot, skipped[1])]).any():
+            del vertices, triangles  # to hold one mesh at a time
+            return marching_cubes(grid, level)
+        cut = 1
+    if not cut:
+        return TriangleMesh(vertices, triangles[:kept], float(level))
+
+    # Cap points weld by position to the vertices on a cut plane: no other
+    # vertex can equal one, and no two vertices are equal, so the others
+    # keep their own keys.
+    on = np.flatnonzero((vertices == 0.0).any(axis=1))
+    weld = len(vertices) + _position_keys(vertices[on], caps)
+    keys = np.concatenate([np.arange(len(vertices), dtype=np.int32),
+                           weld[len(on):]])
+    keys[on] = weld[:len(on)]
+    triangles = triangles[:kept + len(caps) // 3]
+    rows = _renumber(triangles, kept, len(vertices), keys)
+    del keys
+    return TriangleMesh(_gather(vertices, caps, rows), triangles, float(level))
 
 
 # ------------------------------------------------------- marching squares
@@ -343,7 +423,11 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     rest, including triangles only touching the octant boundary, are kept
     verbatim, so a second application is the identity.
     Caps are generated from the grid on the three boundary planes wherever
-    the field is at or above the mesh's iso level.
+    the field is at or above the mesh's iso level, and every vertex and
+    cap point is welded by position (-0.0 equals 0.0), so any mesh that
+    meets the precondition can be cut, repeated positions included.  For
+    a marching cubes mesh, marching_cubes(grid, level, cutaway=True) gives
+    the same mesh bit for bit without holding the uncut one.
 
     Raises ValueError when a triangle has vertices strictly on both sides
     of an axis plane.
@@ -358,19 +442,16 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
                          f"{'xyz'[(crossed & -crossed).bit_length() - 1]} = 0")
     # the centroid is strictly inside only if the corners reach the octant
     cut = np.flatnonzero((code & 0b100011) == 0b100011)
-    tri = mesh.triangles[cut]
-    x, y, z = (v[tri].sum(axis=1) / 3 for v in mesh.vertices.T)
-    cut = cut[(x < 0.0) & (y < 0.0) & (z > 0.0)]
-    del sign, code, tri, x, y, z
+    cut = cut[_in_cut(mesh.vertices, mesh.triangles[cut])]
+    del sign, code
     if not len(cut):
         return mesh
 
     # Corner slots in emission order, the kept triangles then the caps,
     # welded by position.  Each slot is a row of mesh.vertices or a cap
-    # point, so positions are keyed once per row.  The slots fill the output
-    # triangles as rows, then are renumbered in place, a block at a time.
+    # point, so positions are keyed once per row.
     caps = _cap_triangles(grid, mesh.level).reshape(-1, 3)
-    nv, kept = len(mesh.vertices), len(mesh.triangles) - len(cut)
+    kept = len(mesh.triangles) - len(cut)
     keys = _position_keys(mesh.vertices, caps)
     triangles = np.empty((kept + len(caps) // 3, 3), np.int32)
     keep = np.ones(len(mesh.triangles), bool)
@@ -378,38 +459,56 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     # mode "clip" writes straight into out; every index is in range
     np.take(mesh.triangles, np.flatnonzero(keep), axis=0,
             out=triangles[:kept], mode="clip")
+    del cut, keep
+    rows = _renumber(triangles, kept, len(mesh.vertices), keys)
+    del keys
+    vertices = _gather(mesh.vertices, caps, rows)
+    del caps
+    # a triangle whose corners weld together, which only a mesh from
+    # elsewhere can hold, is dropped
+    good = _proper(triangles)
+    if not good.all():
+        triangles = triangles[good]
+    return TriangleMesh(vertices, triangles, mesh.level)
+
+
+def _renumber(triangles, kept, nv, keys):
+    """Fill the rows of triangles from kept on with the cap rows nv, nv + 1,
+    ... and number every slot in place, a block at a time, by first
+    appearance: slots holding rows r and q are one vertex when keys[r] ==
+    keys[q] >= 0.  Returns the row at each vertex's first slot, in vertex
+    order."""
     slots = triangles.reshape(-1)
     s = len(slots)
-    slots[3 * kept:] = np.arange(nv, nv + len(caps))
-    del cut, keep
+    slots[3 * kept:] = np.arange(nv, nv + s - 3 * kept)
     # each key's first slot: ufunc.at applies every write to a repeated
     # index, where an advanced assignment keeps no documented one
-    first = np.full(len(keys), s, np.int32)
+    first = np.full(int(keys.max()) + 1, s, np.int32)
     for b in range(0, s, _BLOCK):
         e = min(b + _BLOCK, s)
         np.minimum.at(first, keys[slots[b:e]],
                       np.arange(b, e, dtype=first.dtype))
-    start = np.sort(first[first < s])  # the first slot of each vertex
-    # mesh rows first: every kept triangle's slot precedes the caps'
-    m = int(np.searchsorted(start, 3 * kept))
-    rows = slots[start]
-    del start
+    rows = slots[np.sort(first[first < s])]
     rank = first  # per key: its vertex number
     rank[keys[rows]] = np.arange(len(rows), dtype=rank.dtype)
     for b in range(0, s, _BLOCK):
         slots[b:b + _BLOCK] = rank[keys[slots[b:b + _BLOCK]]]
-    del keys, first, rank
-    vertices = np.empty((len(rows), 3))
-    vertices[m:] = caps[rows[m:] - nv]
-    del caps
-    np.take(mesh.vertices, rows[:m], axis=0, out=vertices[:m], mode="clip")
-    # a triangle whose corners weld together, which only a mesh from
-    # elsewhere can hold, is dropped
-    a, b, c = triangles.T
-    good = (a != b) & (b != c) & (c != a)
-    if not good.all():
-        triangles = triangles[good]
-    return TriangleMesh(vertices, triangles, mesh.level)
+    return rows
+
+
+def _gather(vertices, caps, rows):
+    """The points of rows: rows of vertices, then from len(vertices) on
+    rows of caps, as _renumber returns them."""
+    nv = len(vertices)
+    m = int(np.count_nonzero(rows < nv))
+    out = np.empty((len(rows), 3))
+    out[m:] = caps[rows[m:] - nv]
+    # a block at a time, as take copies int32 indices to intp; mode "clip"
+    # writes straight into out, and every index is in range
+    for b in range(0, m, _BLOCK):
+        e = min(b + _BLOCK, m)
+        np.take(vertices, rows[b:e], axis=0, out=out[b:e], mode="clip")
+    return out
 
 
 # ---------------------------------------------------------- plane contours

@@ -405,6 +405,8 @@ def test_empty_mesh_from_empty_level_set():
     assert_same_mesh(empty, reference_marching_cubes(everywhere_low, 50.0))
     assert empty.vertices.shape == (0, 3) and empty.triangles.shape == (0, 3)
     assert apply_cutaway(empty, everywhere_low) is empty
+    assert_same_mesh(marching_cubes(everywhere_low, 50.0, cutaway=True),
+                     empty)
 
 
 def test_case_table_decodes_to_the_polygonise_table():
@@ -475,6 +477,7 @@ def test_matches_reference_loops_with_voxels_at_the_level(seed, n_points):
     cut = apply_cutaway(mesh, grid)
     assert_same_mesh(cut, reference_apply_cutaway(want, grid))
     assert apply_cutaway(cut, grid) is cut
+    assert_same_mesh(marching_cubes(grid, level, cutaway=True), cut)
 
 
 def assert_same_active_cells(grid, level):
@@ -640,6 +643,87 @@ def test_surface_and_obj_match_the_references_at_the_figure_levels(
         for got, cutaway in ((mesh, False), (cut, True)):
             assert (b"".join(_obj_chunks(got, labels, params, cutaway))
                     == reference_obj(got, labels, params, cutaway).encode())
+
+
+# the fused-cutaway scan: five states, three (b, c) pairs, two sizes
+FUSED_STATES = [(2, 1, 0), (3, 2, 1), (4, 3, -2), (5, 3, 2), (6, 5, 0)]
+FUSED_BC = [(0.5, 0.5), (0.5, 10.0), (3.0, 2.0)]
+FUSED_CASES = [(state, bc, n_points) for state in FUSED_STATES
+               for bc in FUSED_BC for n_points in (15, 51)]
+
+
+def fused_scan_levels(grid):
+    """Levels 5, 30, 70 and 99.5, and on each cut plane the voxel value
+    nearest 50, which puts vertices on grid points of that plane."""
+    o = grid.octant
+    planes = (o[0], o[:, 0], o[:, :, 0])
+    on_planes = [float(p.flat[np.argmin(np.abs(p - 50.0))]) for p in planes]
+    return [5.0, 30.0, 70.0, 99.5] + [v for v in on_planes if 0.0 < v < 100.0]
+
+
+def spike_grid(value):
+    """Zero but one voxel, off every axis plane, so its images lie strictly
+    inside each octant."""
+    octant = np.zeros((6, 6, 6))
+    octant[3, 3, 3] = value
+    return DensityGrid(spec=GridSpec(11, 1.0), octant=octant, rescaled=True)
+
+
+@pytest.mark.parametrize("state, bc, n_points", FUSED_CASES)
+def test_fused_cutaway_equals_the_two_step_cutaway(state, bc, n_points):
+    """marching_cubes(cutaway=True) is apply_cutaway of the uncut mesh, bit
+    for bit: vertex bits with their signed zeros, triangles and dtypes."""
+    grid = make_rpv_grid(StateLabels(*state), PotentialParams(1.0, *bc),
+                         n_points)
+    for level in fused_scan_levels(grid):
+        assert_same_mesh(marching_cubes(grid, level, cutaway=True),
+                         apply_cutaway(marching_cubes(grid, level), grid))
+
+
+@pytest.mark.parametrize("grid, level", [
+    (synthetic_grid(n=31, radius=1.5), 30.0),          # one sphere, cut
+    (synthetic_grid(n=31, center=(0.5, 0.5, 0.5)), 10.0),
+    # images strictly inside each octant: only skipped cells are cut
+    (synthetic_grid(n=31, center=(0.5, 0.5, 0.5)), 80.0),
+    (synthetic_grid(n=31, center=(1.2, 0.0, 0.6)), 50.0),
+    (synthetic_grid(n=15, h=2.0, radius=1.5), 30.0),
+    # the skipped cells' triangles all repeat a vertex, so nothing is cut:
+    # the uncut mesh, 8 vertices and no triangle
+    (spike_grid(40.0), 40.0),
+    (spike_grid(40.0), 30.0),                           # 8 small octahedra
+    (DensityGrid(spec=GridSpec(9, 1.0), octant=np.full((5, 5, 5), 5.0),
+                 rescaled=True), 50.0)])                # empty
+def test_fused_cutaway_equals_the_two_step_cutaway_on_synthetic_grids(
+        grid, level):
+    cut = apply_cutaway(marching_cubes(grid, level), grid)
+    assert_same_mesh(marching_cubes(grid, level, cutaway=True), cut)
+
+
+@pytest.mark.parametrize("seed", [414, 450, 494])
+def test_fused_cutaway_keeps_triangles_lying_in_a_cut_plane(seed):
+    """A triangle lying in the plane z = 0 over x < 0, y < 0 has its
+    centroid on the plane, not strictly inside the octant, so the cutaway
+    keeps it: the cells touching a cut plane are not skipped.  These
+    grids, with voxels at the level, hold such triangles."""
+    grid = random_octant_grid(np.random.default_rng(seed), 9, 50.0)
+    fused = marching_cubes(grid, 50.0, cutaway=True)
+    assert_same_mesh(fused, apply_cutaway(marching_cubes(grid, 50.0), grid))
+    x, y, z = fused.vertices[fused.triangles].transpose(2, 0, 1)
+    assert ((x < 0.0) & (y < 0.0) & (z == 0.0)).all(axis=1).any()
+
+
+@pytest.mark.parametrize("state, bc, n_points", FUSED_CASES)
+def test_marching_cubes_vertices_are_distinct_positions(state, bc, n_points):
+    """No two marching-cubes vertices are equal as floats (-0.0 == 0.0).
+    The fused cutaway rests on this: it welds a cap point by position only
+    to the vertices with a zero coordinate, and gives each vertex its own
+    key."""
+    grid = make_rpv_grid(StateLabels(*state), PotentialParams(1.0, *bc),
+                         n_points)
+    for level in fused_scan_levels(grid):
+        vertices = marching_cubes(grid, level).vertices
+        keys = _position_keys(vertices)
+        assert len(np.unique(keys)) == len(vertices)
 
 
 def test_cutaway_rejects_a_triangle_crossing_an_axis_plane():

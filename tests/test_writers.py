@@ -220,6 +220,25 @@ def test_surface_memory_stays_near_the_mesh():
     assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
 
 
+def test_fused_cutaway_allocates_less_than_the_two_step_cutaway():
+    """On the N = 101 anchor at level 5, marching_cubes(cutaway=True) never
+    holds the uncut mesh, so its tracemalloc peak is below that of
+    marching_cubes then apply_cutaway (about 3.1 against 4.0 MiB)."""
+    grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 101)
+
+    def peak(stage):
+        tracemalloc.start()
+        try:
+            stage()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fused = peak(lambda: marching_cubes(grid, 5.0, cutaway=True))
+    two_step = peak(lambda: apply_cutaway(marching_cubes(grid, 5.0), grid))
+    assert fused < two_step
+
+
 def test_surface_stages_hold_little_beyond_their_arrays():
     """The level-5 cutaway of the (6,5,0) anchor at N = 151, the largest
     mesh of the paper's figures.  Each stage's tracemalloc peak, beyond the
