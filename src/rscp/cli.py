@@ -393,18 +393,18 @@ def cmd_potential(args) -> int:
     params = PotentialParams(args.Z, args.b, args.c)
     if (args.r_range is None) == (args.theta_range is None):
         raise ValueError("exactly one of --r-range / --theta-range is required")
+    swept, fixed = (("r", "theta") if args.r_range is not None
+                    else ("theta", "r"))
+    if getattr(args, fixed) is None:
+        raise ValueError(f"--{swept}-range needs a fixed --{fixed}")
+    if getattr(args, swept) is not None:
+        raise ValueError(f"--{swept}-range sweeps {swept}; drop --{swept}")
     if args.r_range is not None:
-        if args.theta is None:
-            raise ValueError("--r-range needs a fixed --theta")
         rows = [(r, r, args.theta) for r in _parse_range(args.r_range)]
     else:
-        if args.r is None:
-            raise ValueError("--theta-range needs a fixed --r")
         rows = [(t, args.r, t) for t in _parse_range(args.theta_range)]
     lines = [f"# potential Z={_sig(params.Z)} b={_sig(params.b)}"
-             f" c={_sig(params.c)}"
-             + (f" theta={_sig(args.theta)}" if args.r_range is not None
-                else f" r={_sig(args.r)}"),
+             f" c={_sig(params.c)} {fixed}={_sig(getattr(args, fixed))}",
              "coord,V"]
     for coord, r, theta in rows:
         try:

@@ -13,7 +13,8 @@ first appearance in its triangles, reading each at its first slot
 uncut one: it skips the cells strictly inside the cut octant, cuts the
 other triangles as it makes them, and welds the cap points by position
 only to the vertices on a cut plane, as no two of its vertices are equal.
-apply_cutaway cuts any mesh.
+Where that cuts nothing, it returns the two-step cutaway, a case that no
+benchmark input reaches.  apply_cutaway cuts any mesh.
 Triangles follow ascending cell index, so every output is deterministic.
 A triangle is degenerate only when two of its corners are one vertex, as
 welded or as equal floats, so no small triangle is dropped at any spacing.
@@ -161,25 +162,6 @@ def _edge_crossings(grid: DensityGrid, keys, level: float):
     return x, keys
 
 
-def _slot_keys(corner, case, strides):
-    """One slot per crossed edge of the cells, cells ascending and edges
-    ascending within a cell, holding the edge key 3 pa + axis; and each
-    cell's first slot."""
-    crossed = _CASE_CROSSED[case]
-    count = crossed.sum(axis=1, dtype=np.int32)
-    keys = np.repeat(3 * corner, count)
-    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS).astype(np.int32)[
-        np.broadcast_to(np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
-    return keys, np.cumsum(count, dtype=np.int32) - count
-
-
-def _triangle_slots(first_slot, case):
-    """The cells' triangles, as the slots of their corners."""
-    k = _TRI_COUNT[case]
-    return (np.repeat(first_slot, k)[:, None]
-            + _TRI_SLOTS[case][np.arange(5) < k[:, None]])
-
-
 def _proper(tri):
     """Which triangles have three distinct corners."""
     a, b, c = tri.T
@@ -200,9 +182,10 @@ def marching_cubes(grid: DensityGrid, level: float,
     The octant is read alone: its cells are classified for the whole
     lattice, and each crossed edge reads its ends through the mirror.
     With cutaway, the result is apply_cutaway(marching_cubes(grid, level),
-    grid) bit for bit, built without the uncut mesh: the cells strictly
-    inside the cut octant are skipped and the rest's triangles are cut as
-    they are made."""
+    grid) bit for bit.  The cells strictly inside the cut octant are
+    skipped and the rest's triangles are cut as they are made, so the
+    uncut mesh is never held, unless none of those is cut: then the
+    result is made by those two calls, one mesh at a time."""
     if not grid.rescaled:
         raise ValueError("marching_cubes requires a rescaled grid")
     _check_iso_level(level)
@@ -221,14 +204,20 @@ def marching_cubes(grid: DensityGrid, level: float,
         i, j, k = (corner // strides[a] % n for a in range(3))
         near = (i < c) & (j < c) & (k >= c)
         inside = near & (i + 1 < c) & (j + 1 < c) & (k > c)
-        skipped = corner[inside], case[inside]
         corner, case, near = corner[~inside], case[~inside], near[~inside]
         del i, j, k, inside
 
-    # Slots welded by the edge key.  Each edge interpolates once, from its
-    # lower end pa, so the cells sharing it get the same bits.
-    keys, first_slot = _slot_keys(corner, case, strides)
-    del corner
+    # One slot per crossed edge, cells ascending and edges ascending within
+    # a cell, welded by the edge key 3 pa + axis.  Each edge interpolates
+    # once, from its lower end pa, so the cells sharing it get the same bits.
+    crossed = _CASE_CROSSED[case]
+    count = crossed.sum(axis=1, dtype=np.int32)
+    keys = np.repeat(3 * corner, count)
+    keys += (3 * (_EDGE_LO @ strides) + _EDGE_AXIS).astype(np.int32)[
+        np.broadcast_to(np.arange(12, dtype=np.int8), crossed.shape)[crossed]]
+    del crossed
+    first_slot = np.cumsum(count, dtype=np.int32) - count
+    del corner, count
     first, edge = _weld(keys)
     keys = keys[first]
     del first
@@ -256,34 +245,29 @@ def marching_cubes(grid: DensityGrid, level: float,
     # RSS (0.4 MB at level 5 on the anchor at N = 151).
     caps = (_cap_triangles(grid, float(level)).reshape(-1, 3) if cutaway
             else np.empty((0, 3)))
-    count = _TRI_COUNT[case]
-    triangles = np.empty((int(count.sum()) + len(caps) // 3, 3), np.int32)
+    triangles = np.empty((int(_TRI_COUNT[case].sum()) + len(caps) // 3, 3),
+                         np.int32)
     kept = cut = 0
     for s in range(0, len(case), _BLOCK):
-        block = slice(s, s + _BLOCK)
-        tri = vid[_triangle_slots(first_slot[block], case[block])]
+        k = _TRI_COUNT[case[s:s + _BLOCK]]
+        tri = vid[np.repeat(first_slot[s:s + _BLOCK], k)[:, None]
+                  + _TRI_SLOTS[case[s:s + _BLOCK]][np.arange(5) < k[:, None]]]
         keep = _proper(tri)
         if cutaway:
-            test = np.flatnonzero(np.repeat(near[block], count[block]) & keep)
+            test = np.flatnonzero(np.repeat(near[s:s + _BLOCK], k) & keep)
             test = test[_in_cut(vertices, tri[test])]
             keep[test] = False
             cut += len(test)
         tri = tri[keep]
         triangles[kept:kept + len(tri)] = tri
         kept += len(tri)
-    del count, vid, first_slot, case
-    if cutaway and not cut and len(skipped[1]):
-        # the skipped cells hold no triangle only if every one of theirs
-        # repeats a vertex; then nothing is cut, and the uncut mesh, with
-        # those cells' vertices, is the result
-        keys, first_slot = _slot_keys(*skipped, strides)
-        point = _edge_crossings(grid, keys, level)[1]
-        if not _proper(point[_triangle_slots(first_slot, skipped[1])]).any():
-            del vertices, triangles  # to hold one mesh at a time
-            return marching_cubes(grid, level)
-        cut = 1
-    if not cut:
+    del vid, first_slot, case
+    if not cutaway:
         return TriangleMesh(vertices, triangles[:kept], float(level))
+    if not cut:
+        # any triangle to cut lies in a skipped cell: cut the uncut mesh
+        del vertices, triangles, caps, near  # to hold one mesh at a time
+        return apply_cutaway(marching_cubes(grid, level), grid)
 
     # Cap points weld by position to the vertices on a cut plane: no other
     # vertex can equal one, and no two vertices are equal, so the others
@@ -427,7 +411,8 @@ def apply_cutaway(mesh: TriangleMesh, grid: DensityGrid) -> TriangleMesh:
     cap point is welded by position (-0.0 equals 0.0), so any mesh that
     meets the precondition can be cut, repeated positions included.  For
     a marching cubes mesh, marching_cubes(grid, level, cutaway=True) gives
-    the same mesh bit for bit without holding the uncut one.
+    the same mesh bit for bit, and holds the uncut one only when it cuts
+    nothing outside the cells it skips.
 
     Raises ValueError when a triangle has vertices strictly on both sides
     of an axis plane.

@@ -273,6 +273,15 @@ def test_potential_requires_exactly_one_sweep(capsys):
         assert code == EXIT_VALIDATION
         assert (json.loads(out)["error"]["message"]
                 == f"{sweep} needs a fixed {fixed}")
+    # a fixed value of the swept coordinate would never be read
+    for flags, message in (
+            (["--r-range", "1:2:3", "--theta", "0.5", "--r", "9"],
+             "--r-range sweeps r; drop --r"),
+            (["--theta-range", "0:1:3", "--r", "1", "--theta", "0.3"],
+             "--theta-range sweeps theta; drop --theta")):
+        code, out = run_cli(capsys, "potential", *flags)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"]["message"] == message
 
 
 @pytest.mark.parametrize("flags, message", [

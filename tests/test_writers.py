@@ -243,8 +243,9 @@ def test_surface_stages_hold_little_beyond_their_arrays():
     """The level-5 cutaway of the (6,5,0) anchor at N = 151, the largest
     mesh of the paper's figures.  Each stage's tracemalloc peak, beyond the
     mesh it returns, stays small: marching_cubes allocates less than its
-    mesh again, apply_cutaway less than half its input mesh beyond its own,
-    and draining the OBJ writer less than twice its mesh.  tracemalloc
+    mesh again, uncut or with the fused cutaway that every --cutaway
+    command runs, apply_cutaway less than half its input mesh beyond its
+    own, and draining the OBJ writer less than twice its mesh.  tracemalloc
     counts live bytes, so heap layout does not move these peaks."""
     grid = make_rpv_grid(StateLabels(6, 5, 0), PARAMS, 151)
 
@@ -259,10 +260,12 @@ def test_surface_stages_hold_little_beyond_their_arrays():
         return mesh.vertices.nbytes + mesh.triangles.nbytes
 
     mesh, mc_peak = peak(lambda: marching_cubes(grid, 5.0))
+    fused, fused_peak = peak(lambda: marching_cubes(grid, 5.0, cutaway=True))
     cut, cut_peak = peak(lambda: apply_cutaway(mesh, grid))
     _, obj_peak = peak(lambda: sum(
         map(len, _obj_chunks(cut, LABELS, PARAMS, True))))
     assert mc_peak - size(mesh) < 1.0 * size(mesh)
+    assert fused_peak - size(fused) < 1.0 * size(fused)
     assert cut_peak - size(cut) < 0.5 * size(mesh)
     assert obj_peak < 2.0 * size(cut)
 
